@@ -48,8 +48,11 @@ from .graph import (
 )
 from .harness import (
     CHECK_MANIFEST,
+    Analysis,
     RandomGraphSpec,
     SuiteConfig,
+    analyze,
+    coarea_check,
     graph_checks,
     run_suite,
     sample_graph,
@@ -89,7 +92,6 @@ from .spectral import (
     SignedBlockOperator,
     Spectrum,
     auxiliary_graph,
-    coarea_check,
     hausdorff_asymmetry,
     lambda_top,
     laplacian_matrix,

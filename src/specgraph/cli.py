@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadParameter, PoleProximity, SpecgraphError
 from .families import FAMILIES, FamilySpec, generate
-from .graph import WeightedGraph, graph_from_json
+from .graph import WeightedGraph, _graph_payload, graph_from_json
 from .harness import SuiteConfig, run_suite
 from .invariants import cheeger_constant_exact, dual_cheeger_exact, kappa_exact
 from .kgraph import (
@@ -95,14 +95,6 @@ def _read_graph(path: str) -> WeightedGraph:
         return graph_from_json(sys.stdin.read())
     with open(path) as fh:
         return graph_from_json(fh.read())
-
-
-def _graph_payload(graph: WeightedGraph) -> dict:
-    payload: dict = {}
-    if graph.labels is not None:
-        payload["labels"] = list(graph.labels)
-    payload["edges"] = [[u, v, w] for u, v, w in graph.edges]
-    return payload
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:

@@ -200,6 +200,12 @@ def vertices_of(mask: int) -> list[int]:
     return out
 
 
+def _indicator(n: int, mask: int) -> np.ndarray:
+    """Boolean vertex array of ``mask``; masks of any width go through bytes."""
+    raw = np.frombuffer(int(mask).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+
+
 def set_measures(graph: WeightedGraph, mask: int) -> tuple[float, float, float]:
     """Measure data ``(m(S), m(boundary S), m(interior S))`` of a vertex set.
 
@@ -280,17 +286,22 @@ def inner_product(
 # -------------------------------------------------------------- JSON wire IO
 
 
+def _graph_payload(graph: WeightedGraph) -> dict:
+    """The wire-format dict that :func:`graph_to_json` and ``gen`` print."""
+    payload: dict = {}
+    if graph.labels is not None:
+        payload["labels"] = list(graph.labels)
+    payload["edges"] = [[u, v, w] for u, v, w in graph.edges]
+    return payload
+
+
 def graph_to_json(graph: WeightedGraph) -> str:
     """Serialize to the wire format ``{"labels": [...], "edges": [[u,v,w]..]}``.
 
     The ``labels`` key is present only when the graph carries labels.  Weights
     round-trip bit-exactly through the shortest-repr float encoding.
     """
-    payload: dict = {}
-    if graph.labels is not None:
-        payload["labels"] = list(graph.labels)
-    payload["edges"] = [[u, v, w] for u, v, w in graph.edges]
-    return json.dumps(payload)
+    return json.dumps(_graph_payload(graph))
 
 
 def graph_from_json(text: str) -> WeightedGraph:

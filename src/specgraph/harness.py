@@ -1,8 +1,10 @@
 """Inequality and identity checks swept over whole graphs.
 
 Every guaranteed relation between the exact invariants, the spectrum, and the
-operator constructions is packaged as a named check producing
-:class:`CheckReport` rows.  ``run_suite`` sweeps all checks over the example
+operator constructions is judged here, once, as a named check producing
+:class:`CheckReport` rows.  Each graph is analyzed once (:func:`analyze`), and
+every check reads the invariants, spectra and fingerprint from that
+:class:`Analysis`.  ``run_suite`` sweeps all checks over the example
 families plus seeded random graphs and returns one deterministic summary;
 ``CHECK_MANIFEST`` names every check the sweep must cover, and an unknown or
 uncovered check id is itself a failure.
@@ -12,21 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, NotOrthogonal, ZeroFunction
+from .errors import BadParameter, NotOrthogonal, SpecgraphError, ZeroFunction
 from .families import FamilySpec, generate
 from .graph import (
     WeightedGraph,
+    _indicator,
     build_graph,
     dirichlet_form,
     inner_product,
     q_form,
     set_measures,
-    vertices_of,
 )
 from .invariants import (
+    InvariantReport,
     cheeger_constant_exact,
     cheeger_ratio,
     dual_cheeger_exact,
@@ -40,8 +44,8 @@ from .invariants import (
 from .kgraph import PSequence
 from .reports import CheckReport, graph_fingerprint
 from .spectral import (
+    Spectrum,
     auxiliary_graph,
-    coarea_check,
     hausdorff_asymmetry,
     p_psi_norm,
     rayleigh,
@@ -56,11 +60,14 @@ __all__ = [
     "RandomGraphSpec",
     "SuiteConfig",
     "sample_graph",
+    "Analysis",
+    "analyze",
     "tau_split",
     "check_cheeger_inequalities",
     "check_asymmetry_bound",
     "check_witness_functions",
     "check_plus_minus_split",
+    "coarea_check",
     "check_operator_partition",
     "check_global_invariants",
     "check_auxiliary",
@@ -196,32 +203,61 @@ def sample_graph(spec: RandomGraphSpec) -> WeightedGraph:
             return graph
 
 
-def _indicator(n: int, mask: int) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    for v in vertices_of(mask):
-        out[v] = True
-    return out
+# ------------------------------------------------------- per-graph analysis
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """Everything the checks read about one graph, computed once.
+
+    ``spectrum`` comes from the value-only eigensolve and feeds every check on
+    eigenvalues; ``eigenbasis`` is the eigenvector solve, used only for its
+    eigenfunctions.  ``max_n`` is the enumeration cap the invariants ran
+    under, kept for the independent partition route to ``h``.
+    """
+
+    graph: WeightedGraph
+    h: InvariantReport
+    hbar: InvariantReport
+    kappa: InvariantReport
+    spectrum: Spectrum
+    eigenbasis: Spectrum
+    fingerprint: str
+    max_n: int | None
+
+
+def analyze(
+    graph: WeightedGraph, max_n: int | None = None, seed: int | None = None
+) -> Analysis:
+    """Compute the invariants, spectra and fingerprint of ``graph`` once."""
+    return Analysis(
+        graph,
+        cheeger_constant_exact(graph, max_n),
+        dual_cheeger_exact(graph, max_n),
+        kappa_exact(graph, max_n),
+        spectrum(graph),
+        spectrum(graph, eigenvectors=True),
+        graph_fingerprint(graph, seed),
+        max_n,
+    )
 
 
 # ----------------------------------------------------- spectral-side checks
 
 
 def check_cheeger_inequalities(
-    graph: WeightedGraph,
-    max_n: int | None = None,
-    seed: int | None = None,
+    analysis: Analysis,
 ) -> tuple[CheckReport, CheckReport, CheckReport, CheckReport]:
     """Both two-sided isoperimetric bounds, one report per side.
 
     The spectral gap sits between ``1 - sqrt(1 - h^2)`` and ``2h``; the top
     eigenvalue between ``2 hbar`` and ``1 + sqrt(1 - (1 - hbar)^2)``.
     """
-    h = cheeger_constant_exact(graph, max_n).value
-    hbar = dual_cheeger_exact(graph, max_n).value
-    spec = spectrum(graph)
-    gap = spec.gap
-    top = spec.top
-    fp = graph_fingerprint(graph, seed)
+    h = analysis.h.value
+    hbar = analysis.hbar.value
+    gap = analysis.spectrum.gap
+    top = analysis.spectrum.top
+    fp = analysis.fingerprint
     gap_lower = 1.0 - math.sqrt(max(0.0, 1.0 - h * h))
     top_upper = 1.0 + math.sqrt(max(0.0, 1.0 - (1.0 - hbar) ** 2))
     return (
@@ -232,25 +268,19 @@ def check_cheeger_inequalities(
     )
 
 
-def check_asymmetry_bound(
-    graph: WeightedGraph,
-    max_n: int | None = None,
-    seed: int | None = None,
-) -> CheckReport:
+def check_asymmetry_bound(analysis: Analysis) -> CheckReport:
     """Reflection asymmetry of the spectrum against the 2-kappa bound."""
-    distance = hausdorff_asymmetry(spectrum(graph).values)
-    kappa = kappa_exact(graph, max_n).value
-    fp = graph_fingerprint(graph, seed)
+    distance = hausdorff_asymmetry(analysis.spectrum.values)
     return CheckReport.inequality(
-        "asymmetry_kappa_bound", distance, 2.0 * kappa, INEQUALITY_TOL, fp
+        "asymmetry_kappa_bound",
+        distance,
+        2.0 * analysis.kappa.value,
+        INEQUALITY_TOL,
+        analysis.fingerprint,
     )
 
 
-def check_witness_functions(
-    graph: WeightedGraph,
-    max_n: int | None = None,
-    seed: int | None = None,
-) -> list[CheckReport]:
+def check_witness_functions(analysis: Analysis) -> list[CheckReport]:
     """Closed-form Rayleigh quotients of the three canonical test functions.
 
     The set function steps between ``1/m(S)`` and ``-1/m(S^c)`` across the
@@ -258,12 +288,13 @@ def check_witness_functions(
     zero elsewhere; the edge function puts opposite masses on the endpoints
     of the first edge.
     """
-    fp = graph_fingerprint(graph, seed)
+    graph = analysis.graph
+    fp = analysis.fingerprint
     m = graph.vertex_measure
     total = graph.total_measure
     out = []
 
-    best = cheeger_constant_exact(graph, max_n)
+    best = analysis.h
     inside = _indicator(graph.n, best.witness)
     m_set, boundary, _ = set_measures(graph, best.witness)
     m_rest = total - m_set
@@ -279,8 +310,7 @@ def check_witness_functions(
         )
     )
 
-    pair = dual_cheeger_exact(graph, max_n)
-    mask_a, mask_b = pair.witness
+    mask_a, mask_b = analysis.hbar.witness
     f_pair = _indicator(graph.n, mask_a).astype(float)
     f_pair -= _indicator(graph.n, mask_b).astype(float)
     target = 2.0 * dual_cheeger_ratio(graph, mask_a, mask_b) + cheeger_ratio(
@@ -336,16 +366,13 @@ def tau_split(
     return tau, g_plus, g_minus
 
 
-def check_plus_minus_split(
-    graph: WeightedGraph,
-    g: np.ndarray,
-    seed: int | None = None,
-) -> list[CheckReport]:
+def check_plus_minus_split(analysis: Analysis, g: np.ndarray) -> list[CheckReport]:
     """Threshold-split relations for a nonzero mean-free function.
 
     Four reports: the half-measure property of the threshold, disjointness of
     the parts, and the norm and energy domination relations.
     """
+    graph = analysis.graph
     arr = np.asarray(g, dtype=float)
     norm = inner_product(graph, arr, arr)
     if norm == 0.0:
@@ -356,7 +383,7 @@ def check_plus_minus_split(
         raise NotOrthogonal(f"<g, 1> = {mean} is not negligible")
 
     tau, g_plus, g_minus = tau_split(graph, arr)
-    fp = graph_fingerprint(graph, seed)
+    fp = analysis.fingerprint
     m = graph.vertex_measure
     below = float(m[arr < tau].sum())
     above = float(m[arr > tau].sum())
@@ -392,17 +419,55 @@ def check_plus_minus_split(
     ]
 
 
+def coarea_check(
+    analysis: Analysis, f: Sequence[float] | np.ndarray
+) -> tuple[CheckReport, CheckReport]:
+    """Both level-set identities for ``f^2``, as exact finite sums.
+
+    (a) the integral of ``m({f^2 > t})`` equals ``sum m(v) f(v)^2``;
+    (b) the integral of ``m(boundary {f^2 > t})`` equals
+        ``sum m(uv) |f(u)^2 - f(v)^2|``.
+    """
+    graph = analysis.graph
+    fp = analysis.fingerprint
+    arr = np.asarray(f, dtype=float)
+    g = arr * arr
+    levels = np.concatenate(([0.0], np.unique(g)))
+    measure_integral = 0.0
+    boundary_integral = 0.0
+    for a, b in zip(levels[:-1], levels[1:]):
+        if b == a:
+            continue
+        # Nonempty: the vertices where g equals b lie above a.
+        above = g > a
+        m_above = float(sum(graph.vertex_measure[above]))
+        cut = sum(w for u, v, w in graph.edges if above[u] != above[v])
+        measure_integral += (b - a) * m_above
+        boundary_integral += (b - a) * cut
+
+    norm = inner_product(graph, arr, arr)
+    variation = float(
+        math.fsum(w * abs(g[u] - g[v]) for u, v, w in graph.edges)
+    )
+    tol_a = 1e-10 * max(1.0, abs(norm))
+    tol_b = 1e-10 * max(1.0, abs(variation))
+    return (
+        CheckReport.identity("coarea_level_measure", measure_integral, norm, tol_a, fp),
+        CheckReport.identity(
+            "coarea_level_boundary", boundary_integral, variation, tol_b, fp
+        ),
+    )
+
+
 # --------------------------------------------------- partition-based checks
 
 
-def check_operator_partition(
-    graph: WeightedGraph,
-    mask_a: int,
-    seed: int | None = None,
-) -> list[CheckReport]:
+def check_operator_partition(analysis: Analysis, mask_a: int) -> list[CheckReport]:
     """Signed-conjugation and blocked-operator relations for one partition."""
-    fp = graph_fingerprint(graph, seed)
+    graph = analysis.graph
+    fp = analysis.fingerprint
     op = signed_conjugation(graph, mask_a)
+    deviation = float(np.abs(op.values - analysis.spectrum.values).max())
     kappa = kappa_pair(graph, op.mask_a, op.mask_b)
     blocked_norm = p_psi_norm(graph, op.mask_a)
     r_a = r_quantity(graph, op.mask_a)
@@ -413,7 +478,7 @@ def check_operator_partition(
             "conjugation_identity", op.identity_residual, 0.0, 1e-12, fp
         ),
         CheckReport.identity(
-            "conjugation_spectrum", op.spectrum_deviation, 0.0, 1e-9, fp
+            "conjugation_spectrum", deviation, 0.0, 1e-9, fp
         ),
         CheckReport.inequality("p_psi_kappa", blocked_norm, kappa, INEQUALITY_TOL, fp),
         CheckReport.inequality(
@@ -428,30 +493,25 @@ def check_operator_partition(
     ]
 
 
-def check_global_invariants(
-    graph: WeightedGraph,
-    max_n: int | None = None,
-    seed: int | None = None,
-) -> list[CheckReport]:
+def check_global_invariants(analysis: Analysis) -> list[CheckReport]:
     """Whole-graph identities tying the invariants to the spectrum."""
-    fp = graph_fingerprint(graph, seed)
-    spec = spectrum(graph)
-    hbar = dual_cheeger_exact(graph, max_n)
-    kappa = kappa_exact(graph, max_n)
-    best = cheeger_constant_exact(graph, max_n)
+    graph = analysis.graph
+    fp = analysis.fingerprint
+    spec = analysis.spectrum
+    best = analysis.h
     bipartite, _ = is_bipartite(graph)
     zero_count = int(np.count_nonzero(spec.values <= spec.zero_threshold))
     return [
         CheckReport.inequality(
             "dual_kappa_complement",
             1.0,
-            hbar.value + kappa.value,
+            analysis.hbar.value + analysis.kappa.value,
             INEQUALITY_TOL,
             fp,
         ),
         CheckReport.identity(
             "partition_cheeger_equality",
-            h_via_r(graph, max_n),
+            h_via_r(graph, analysis.max_n),
             best.value,
             1e-12,
             fp,
@@ -479,7 +539,7 @@ def check_global_invariants(
         ),
         CheckReport.identity(
             "bipartite_kappa",
-            float(kappa.value == 0.0),
+            float(analysis.kappa.value == 0.0),
             float(bipartite),
             0.0,
             fp,
@@ -487,13 +547,10 @@ def check_global_invariants(
     ]
 
 
-def check_auxiliary(
-    graph: WeightedGraph,
-    f: np.ndarray,
-    seed: int | None = None,
-) -> list[CheckReport]:
+def check_auxiliary(analysis: Analysis, f: np.ndarray) -> list[CheckReport]:
     """Norm preservation and energy domination of the companion graph."""
-    fp = graph_fingerprint(graph, seed)
+    graph = analysis.graph
+    fp = analysis.fingerprint
     arr = np.asarray(f, dtype=float)
     aux = auxiliary_graph(graph, arr)
     norm = inner_product(graph, arr, arr)
@@ -518,36 +575,35 @@ def check_auxiliary(
 
 
 def graph_checks(
-    graph: WeightedGraph,
-    max_n: int | None = None,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    analysis: Analysis, rng: np.random.Generator | None = None
 ) -> list[CheckReport]:
     """Every check applicable to one connected graph, as a flat list.
 
+    The spectral and operator constructions measure their relations; every
+    check here judges them against the one ``analysis`` of the graph.
     Function-based checks run on the gap and top eigenfunctions; with ``rng``
     they additionally run on one random mean-free function.
     """
-    reports = list(check_cheeger_inequalities(graph, max_n=max_n, seed=seed))
-    reports.append(check_asymmetry_bound(graph, max_n=max_n, seed=seed))
-    reports += check_witness_functions(graph, max_n=max_n, seed=seed)
-    reports += check_global_invariants(graph, max_n=max_n, seed=seed)
-    partition = kappa_exact(graph, max_n).witness
-    reports += check_operator_partition(graph, partition[0], seed=seed)
+    graph = analysis.graph
+    reports = list(check_cheeger_inequalities(analysis))
+    reports.append(check_asymmetry_bound(analysis))
+    reports += check_witness_functions(analysis)
+    reports += check_global_invariants(analysis)
+    reports += check_operator_partition(analysis, analysis.kappa.witness[0])
 
-    eig = spectrum(graph, eigenvectors=True)
+    eig = analysis.eigenbasis
     gap_index = int(np.argmax(eig.values > eig.zero_threshold))
     g_gap = eig.eigenvectors[:, gap_index]
     g_top = eig.eigenvectors[:, -1]
-    reports += check_plus_minus_split(graph, g_gap, seed=seed)
-    reports += coarea_check(graph, g_gap)
-    reports += check_auxiliary(graph, g_top, seed=seed)
+    reports += check_plus_minus_split(analysis, g_gap)
+    reports += coarea_check(analysis, g_gap)
+    reports += check_auxiliary(analysis, g_top)
     if rng is not None:
         g = rng.standard_normal(graph.n)
         g -= math.fsum(graph.vertex_measure * g) / graph.total_measure
-        reports += check_plus_minus_split(graph, g, seed=seed)
-        reports += coarea_check(graph, g)
-        reports += check_auxiliary(graph, g, seed=seed)
+        reports += check_plus_minus_split(analysis, g)
+        reports += coarea_check(analysis, g)
+        reports += check_auxiliary(analysis, g)
     return reports
 
 
@@ -593,8 +649,11 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
     """Sweep every check over family and seeded random graphs.
 
     The summary aggregates per check id (count, failures, minimum slack and
-    the instance attaining it) and lists every failing report in full.  It is
-    a pure function of the config.  A report with an id missing from
+    the instance attaining it) and lists every failing report in full.  An
+    instance whose analysis or checks raise a ``SpecgraphError`` becomes one
+    failure row with the error type, message and fingerprint, and the sweep
+    goes on with the next instance.  The summary is a pure function of the
+    config.  A report with an id missing from
     ``CHECK_MANIFEST`` is a hard error; manifest ids the sweep never produced
     are listed and fail the suite.
     """
@@ -618,8 +677,19 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
     failures: list[dict] = []
     kappa_max = 0.0
     for name, graph, seed, rng in instances:
-        kappa_max = max(kappa_max, kappa_exact(graph, config.max_n).value)
-        for report in graph_checks(graph, max_n=config.max_n, seed=seed, rng=rng):
+        try:
+            analysis = analyze(graph, config.max_n, seed)
+            reports = graph_checks(analysis, rng)
+        except SpecgraphError as exc:
+            failures.append({
+                "instance": name,
+                "error": type(exc).__name__,
+                "message": str(exc),
+                "fingerprint": graph_fingerprint(graph, seed),
+            })
+            continue
+        kappa_max = max(kappa_max, analysis.kappa.value)
+        for report in reports:
             if report.check_id not in CHECK_MANIFEST:
                 raise KeyError(
                     f"check id {report.check_id!r} is not in the manifest"

@@ -16,14 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySet, EmptySpectrum, NumericalFailure, ZeroFunction
-from .graph import (
-    WeightedGraph,
-    dirichlet_form,
-    inner_product,
-    q_form,
-    vertices_of,
-)
-from .reports import CheckReport, graph_fingerprint
+from .graph import WeightedGraph, _indicator, dirichlet_form, inner_product
 
 __all__ = [
     "ZERO_THRESHOLD",
@@ -42,7 +35,6 @@ __all__ = [
     "hausdorff_asymmetry",
     "signed_conjugation",
     "p_psi_norm",
-    "coarea_check",
     "auxiliary_graph",
 ]
 
@@ -208,9 +200,11 @@ class SignedBlockOperator:
     """Outcome of conjugating the Laplacian by a partition sign function.
 
     ``signs`` is +1 on the first class and -1 on the second; ``p_psi`` is the
-    blocked walk operator (within-class transitions only).  The conjugation
-    identity ``T^{-1} Delta T = 2I - Delta - 2 P_psi`` is verified entrywise,
-    and the conjugated operator's spectrum is checked against the graph's.
+    blocked walk operator (within-class transitions only).
+    ``identity_residual`` measures the conjugation identity
+    ``T^{-1} Delta T = 2I - Delta - 2 P_psi`` entrywise, and ``values`` are
+    the conjugated operator's eigenvalues (ascending, clamped), which must
+    reproduce the graph's spectrum.  Both relations are judged by the harness.
     """
 
     mask_a: int
@@ -218,7 +212,7 @@ class SignedBlockOperator:
     signs: np.ndarray
     p_psi: np.ndarray
     identity_residual: float
-    spectrum_deviation: float
+    values: np.ndarray
 
 
 def _partition_masks(graph: WeightedGraph, mask_a: int) -> tuple[int, int]:
@@ -238,9 +232,7 @@ def _blocked(matrix: np.ndarray, side: np.ndarray) -> np.ndarray:
 
 def signed_conjugation(graph: WeightedGraph, mask_a: int) -> SignedBlockOperator:
     mask_a, mask_b = _partition_masks(graph, mask_a)
-    side = np.zeros(graph.n, dtype=bool)
-    for v in vertices_of(mask_a):
-        side[v] = True
+    side = _indicator(graph.n, mask_a)
     signs = np.where(side, 1.0, -1.0)
 
     walk = random_walk_matrix(graph)
@@ -249,82 +241,22 @@ def signed_conjugation(graph: WeightedGraph, mask_a: int) -> SignedBlockOperator
     conjugated = lap * signs[None, :] / signs[:, None]
     target = 2.0 * np.eye(graph.n) - lap - 2.0 * p_psi
     identity_residual = float(np.abs(conjugated - target).max())
-    if identity_residual > 1e-12:
-        raise NumericalFailure(
-            f"conjugation identity violated by {identity_residual}"
-        )
 
     # Independent spectral route: the conjugated operator symmetrizes to
     # T (I - N) T, whose eigenvalues must reproduce the Laplacian spectrum.
     sym = np.eye(graph.n) - symmetric_conjugate(graph)
     sym_conj = sym * signs[:, None] * signs[None, :]
-    conj_values = _clamp(np.sort(np.linalg.eigvalsh(sym_conj)))
-    deviation = float(np.abs(conj_values - spectrum(graph).values).max())
-    if deviation > ZERO_THRESHOLD:
-        raise NumericalFailure(f"conjugated spectrum deviates by {deviation}")
-
+    values = _clamp(np.sort(np.linalg.eigvalsh(sym_conj)))
     return SignedBlockOperator(
-        mask_a, mask_b, signs, p_psi, identity_residual, deviation
+        mask_a, mask_b, signs, p_psi, identity_residual, values
     )
 
 
 def p_psi_norm(graph: WeightedGraph, mask_a: int) -> float:
     """Operator norm of the blocked walk operator on ``L^2(m)``."""
     mask_a, _ = _partition_masks(graph, mask_a)
-    side = np.zeros(graph.n, dtype=bool)
-    for v in vertices_of(mask_a):
-        side[v] = True
-    blocked_sym = _blocked(symmetric_conjugate(graph), side)
+    blocked_sym = _blocked(symmetric_conjugate(graph), _indicator(graph.n, mask_a))
     return float(np.abs(np.linalg.eigvalsh(blocked_sym)).max())
-
-
-# ------------------------------------------------------------------- co-area
-
-
-def coarea_check(
-    graph: WeightedGraph, f: Sequence[float] | np.ndarray
-) -> tuple[CheckReport, CheckReport]:
-    """Both level-set identities for ``f^2``, as exact finite sums.
-
-    (a) the integral of ``m({f^2 > t})`` equals ``sum m(v) f(v)^2``;
-    (b) the integral of ``m(boundary {f^2 > t})`` equals
-        ``sum m(uv) |f(u)^2 - f(v)^2|``.
-    """
-    arr = np.asarray(f, dtype=float)
-    g = arr * arr
-    fp = graph_fingerprint(graph)
-    levels = np.concatenate(([0.0], np.unique(g)))
-    measure_integral = 0.0
-    boundary_integral = 0.0
-    for a, b in zip(levels[:-1], levels[1:]):
-        if b == a:
-            continue
-        above = int(
-            sum(1 << v for v in range(graph.n) if g[v] > a)
-        )
-        if above == 0:
-            continue
-        m_above = float(sum(graph.vertex_measure[v] for v in vertices_of(above)))
-        cut = sum(
-            w
-            for u, v, w in graph.edges
-            if ((above >> u) & 1) != ((above >> v) & 1)
-        )
-        measure_integral += (b - a) * m_above
-        boundary_integral += (b - a) * cut
-
-    norm = inner_product(graph, arr, arr)
-    variation = float(
-        math.fsum(w * abs(g[u] - g[v]) for u, v, w in graph.edges)
-    )
-    tol_a = 1e-10 * max(1.0, abs(norm))
-    tol_b = 1e-10 * max(1.0, abs(variation))
-    return (
-        CheckReport.identity("coarea_level_measure", measure_integral, norm, tol_a, fp),
-        CheckReport.identity(
-            "coarea_level_boundary", boundary_integral, variation, tol_b, fp
-        ),
-    )
 
 
 # ----------------------------------------------------------- auxiliary graph
@@ -337,8 +269,9 @@ class AuxiliaryGraph:
     Every vertex that shares an edge with a same-sign neighbor gains a mirror
     vertex; each same-sign edge ``uv`` is replaced by the pair ``u v'`` and
     ``u' v``.  The companion function takes ``|f|`` on original vertices and 0
-    on mirrors, preserving the norm while the Dirichlet energy drops below the
-    original's ``(2I - Delta)``-energy.
+    on mirrors.  It should preserve the norm while the Dirichlet energy drops
+    below the original's ``(2I - Delta)``-energy; the harness measures and
+    judges both relations.
     """
 
     graph: WeightedGraph
@@ -369,17 +302,4 @@ def auxiliary_graph(
     aux = WeightedGraph(edges)
     values = np.zeros(aux.n)
     values[: graph.n] = np.abs(arr)
-
-    # Guaranteed relations: equal norms, and the companion's Dirichlet energy
-    # never exceeds the original (2I - Delta)-energy.  Violations beyond
-    # rounding mean a construction bug, so they are fatal.
-    norm_orig = inner_product(graph, arr, arr)
-    norm_aux = inner_product(aux, values, values)
-    if abs(norm_orig - norm_aux) > 1e-10 * max(1.0, norm_orig):
-        raise NumericalFailure("companion graph does not preserve the norm")
-    energy_orig = q_form(graph, arr)
-    energy_aux = dirichlet_form(aux, values)
-    if energy_aux > energy_orig + 1e-10 * max(1.0, energy_orig):
-        raise NumericalFailure("companion Dirichlet energy exceeds the Q-form")
-
     return AuxiliaryGraph(aux, values, mirror)

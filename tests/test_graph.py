@@ -19,6 +19,7 @@ from specgraph.errors import (
 )
 from specgraph.graph import (
     WeightedGraph,
+    _indicator,
     apply_laplacian,
     build_graph,
     dirichlet_form,
@@ -116,6 +117,14 @@ def test_mask_round_trip():
     assert vertices_of(5) == [0, 2]
     assert vertices_of(mask_of(range(7))) == list(range(7))
     assert mask_of([]) == 0 and vertices_of(0) == []
+
+
+def test_indicator_of_masks_wider_than_64_bits():
+    members = [0, 5, 63, 64, 99]
+    inside = _indicator(100, mask_of(members))
+    assert inside.dtype == bool and inside.shape == (100,)
+    assert np.flatnonzero(inside).tolist() == members
+    assert not _indicator(9, 0).any()
 
 
 def test_set_measures_on_triangle():

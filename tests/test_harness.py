@@ -1,14 +1,19 @@
 """Randomized verification sweep: single checks, full sweeps, bookkeeping."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import complete, cycle, path, triangle
-from specgraph.errors import BadParameter, NotOrthogonal, ZeroFunction
+import specgraph.harness
+import specgraph.spectral
+from specgraph.errors import BadParameter, NotOrthogonal, NumericalFailure, ZeroFunction
 from specgraph.harness import (
     CHECK_MANIFEST,
     RandomGraphSpec,
     SuiteConfig,
+    analyze,
     check_asymmetry_bound,
     check_auxiliary,
     check_cheeger_inequalities,
@@ -22,7 +27,7 @@ from specgraph.harness import (
     tau_split,
 )
 from specgraph.invariants import kappa_exact
-from specgraph.reports import CheckReport
+from specgraph.reports import CheckReport, graph_fingerprint
 from specgraph.spectral import Spectrum, spectrum
 
 CLASSICS = [triangle(), complete(4), complete(5), cycle(4), cycle(5), cycle(6), path(4)]
@@ -80,7 +85,7 @@ def test_split_on_three_levels():
 def test_split_norm_can_be_tight():
     # on a three-vertex path the split of (1, 0, -1) loses nothing
     g = path(3)
-    reports = check_plus_minus_split(g, np.array([1.0, 0.0, -1.0]))
+    reports = check_plus_minus_split(analyze(g), np.array([1.0, 0.0, -1.0]))
     by_id = {r.check_id: r for r in reports}
     assert by_id["split_norm_domination"].lhs == 2.0
     assert by_id["split_norm_domination"].rhs == 2.0
@@ -88,18 +93,18 @@ def test_split_norm_can_be_tight():
 
 
 def test_split_input_guards():
-    g = triangle()
+    a = analyze(triangle())
     with pytest.raises(ZeroFunction):
-        check_plus_minus_split(g, np.zeros(3))
+        check_plus_minus_split(a, np.zeros(3))
     with pytest.raises(NotOrthogonal):
-        check_plus_minus_split(g, np.ones(3))
+        check_plus_minus_split(a, np.ones(3))
 
 
 def test_split_of_gap_eigenfunctions_passes():
     for seed in range(6):
         g = sample_graph(RandomGraphSpec(n=8, seed=seed))
         eig = spectrum(g, eigenvectors=True)
-        reports = check_plus_minus_split(g, eig.eigenvectors[:, 1], seed=seed)
+        reports = check_plus_minus_split(analyze(g, seed=seed), eig.eigenvectors[:, 1])
         assert len(reports) == 4
         assert all(r.passed for r in reports)
 
@@ -109,30 +114,38 @@ def test_split_of_gap_eigenfunctions_passes():
 
 def test_all_checks_pass_on_classics():
     for g in CLASSICS:
-        assert all(r.passed for r in check_cheeger_inequalities(g))
-        assert check_asymmetry_bound(g).passed
-        assert all(r.passed for r in check_witness_functions(g))
-        assert all(r.passed for r in check_global_invariants(g))
+        a = analyze(g)
+        assert all(r.passed for r in check_cheeger_inequalities(a))
+        assert check_asymmetry_bound(a).passed
+        assert all(r.passed for r in check_witness_functions(a))
+        assert all(r.passed for r in check_global_invariants(a))
         partition = kappa_exact(g).witness
-        assert all(r.passed for r in check_operator_partition(g, partition[0]))
+        assert all(r.passed for r in check_operator_partition(a, partition[0]))
 
 
 def test_auxiliary_check_on_top_eigenfunction():
     for g in CLASSICS[:4]:
         eig = spectrum(g, eigenvectors=True)
-        reports = check_auxiliary(g, eig.eigenvectors[:, -1])
+        reports = check_auxiliary(analyze(g), eig.eigenvectors[:, -1])
         assert [r.check_id for r in reports] == ["auxiliary_norm", "auxiliary_energy"]
         assert all(r.passed for r in reports)
 
 
 def test_full_check_list_for_one_graph():
     g = sample_graph(RandomGraphSpec(n=7, seed=42))
-    plain = graph_checks(g, seed=42)
+    plain = graph_checks(analyze(g, seed=42))
     assert len(plain) == 28
     assert all(r.passed for r in plain)
-    with_rng = graph_checks(g, seed=42, rng=np.random.default_rng(7))
+    with_rng = graph_checks(analyze(g, seed=42), rng=np.random.default_rng(7))
     assert len(with_rng) == 36
     assert all(r.passed for r in with_rng)
+
+
+def test_every_report_of_a_seeded_graph_carries_the_seed():
+    g = sample_graph(RandomGraphSpec(n=6, seed=9))
+    reports = graph_checks(analyze(g, seed=9), rng=np.random.default_rng(1))
+    assert {r.check_id for r in reports} == set(CHECK_MANIFEST)
+    assert all(r.fingerprint.endswith(":9") for r in reports)
 
 
 def test_manifest_is_complete_and_documented():
@@ -140,7 +153,7 @@ def test_manifest_is_complete_and_documented():
     for check_id, description in CHECK_MANIFEST.items():
         assert check_id and isinstance(description, str) and description
     g = sample_graph(RandomGraphSpec(n=6, seed=3))
-    produced = {r.check_id for r in graph_checks(g, seed=3)}
+    produced = {r.check_id for r in graph_checks(analyze(g, seed=3))}
     assert produced == set(CHECK_MANIFEST)
 
 
@@ -154,7 +167,7 @@ def test_shifted_spectrum_is_caught(monkeypatch):
         )
 
     monkeypatch.setattr("specgraph.harness.spectrum", shifted)
-    reports = check_global_invariants(triangle())
+    reports = check_global_invariants(analyze(triangle()))
     failed = {r.check_id for r in reports if not r.passed}
     assert "trace_dimension" in failed
     assert "zero_multiplicity" in failed
@@ -204,6 +217,69 @@ def test_failing_reports_are_collected_not_swallowed(monkeypatch):
     assert summary["checks"]["asymmetry_kappa_bound"]["failures"] == 1
     assert summary["failures"][0]["check"] == "asymmetry_kappa_bound"
     assert summary["failures"][0]["instance"] == "random/4"
+
+
+def test_an_erroring_instance_becomes_a_failure_row(monkeypatch):
+    real = check_asymmetry_bound
+
+    def fragile(analysis):
+        if analysis.graph.n == 5:
+            raise NumericalFailure("simulated breakdown")
+        return real(analysis)
+
+    monkeypatch.setattr("specgraph.harness.check_asymmetry_bound", fragile)
+    summary = run_suite(SuiteConfig(seeds=3, n_min=4, n_max=6, include_families=False))
+    assert not summary["ok"]
+    assert summary["instances"] == 3
+    broken = sample_graph(RandomGraphSpec(n=5, seed=1))
+    assert summary["failures"] == [
+        {
+            "instance": "random/5",
+            "error": "NumericalFailure",
+            "message": "simulated breakdown",
+            "fingerprint": graph_fingerprint(broken, 1),
+        }
+    ]
+    assert summary["uncovered_checks"] == []
+    assert summary["checks"]["asymmetry_kappa_bound"]["count"] == 2
+    assert summary["checks"]["coarea_level_measure"]["count"] == 4
+
+
+def test_each_result_is_computed_once_per_graph(monkeypatch):
+    calls: dict[str, Counter] = {}
+
+    def counted(name, func):
+        def wrapper(graph, *args, **kwargs):
+            calls.setdefault(name, Counter())[id(graph)] += 1
+            return func(graph, *args, **kwargs)
+
+        return wrapper
+
+    for name in (
+        "cheeger_constant_exact",
+        "dual_cheeger_exact",
+        "kappa_exact",
+        "graph_fingerprint",
+    ):
+        wrapper = counted(name, getattr(specgraph.harness, name))
+        monkeypatch.setattr(specgraph.harness, name, wrapper)
+    wrapper = counted("spectrum", specgraph.spectral.spectrum)
+    monkeypatch.setattr(specgraph.harness, "spectrum", wrapper)
+    monkeypatch.setattr(specgraph.spectral, "spectrum", wrapper)
+
+    summary = run_suite(SuiteConfig(seeds=3, n_min=4, n_max=6))
+    assert summary["ok"]
+    expected = {
+        "cheeger_constant_exact": 1,
+        "dual_cheeger_exact": 1,
+        "kappa_exact": 1,
+        "graph_fingerprint": 1,
+        "spectrum": 2,
+    }
+    assert set(calls) == set(expected)
+    for name, per_graph in expected.items():
+        assert len(calls[name]) == summary["instances"], name
+        assert set(calls[name].values()) == {per_graph}, name
 
 
 def test_never_produced_manifest_entries_fail_the_suite(monkeypatch):
