@@ -17,6 +17,7 @@ from .errors import (
     EmptySpectrum,
     InsufficientRoots,
     IsolatedVertex,
+    MalformedGraph,
     NoClosedForm,
     NonpositiveWeight,
     NoTailStructure,
@@ -33,7 +34,6 @@ from .families import FAMILIES, ClosedForm, FamilySpec, closed_form, generate, t
 from .graph import (
     WeightedGraph,
     apply_laplacian,
-    build_graph,
     dirichlet_form,
     dump_graph,
     graph_from_json,
@@ -93,13 +93,11 @@ from .spectral import (
     Spectrum,
     auxiliary_graph,
     hausdorff_asymmetry,
-    lambda_top,
     laplacian_matrix,
     p_psi_norm,
     random_walk_matrix,
     rayleigh,
     signed_conjugation,
-    spectral_gap,
     spectrum,
     symmetric_conjugate,
     weight_matrix,

@@ -8,6 +8,10 @@ class SpecgraphError(Exception):
 # ---------------------------------------------------------------- graph build
 
 
+class MalformedGraph(SpecgraphError):
+    """Graph input has the wrong shape or types (edges, vertex ids, labels)."""
+
+
 class SelfLoop(SpecgraphError):
     """An edge joins a vertex to itself."""
 

@@ -7,6 +7,8 @@ Laplacian acts on functions by
 
     (Delta f)(v) = f(v) - sum_{w ~ v} m(vw)/m(v) * f(w).
 
+A graph is stored once, as sorted edge arrays ``u < v`` and weights ``w``, with
+a lazily built CSR neighbour index; ``edges`` is a view derived on demand.
 Vertex sets are plain Python integers used as bitmasks (bit ``i`` set means
 vertex ``i`` is in the set); vertex functions are numpy arrays of length ``n``.
 """
@@ -23,6 +25,7 @@ from .errors import (
     DuplicateEdge,
     EmptySet,
     IsolatedVertex,
+    MalformedGraph,
     NonpositiveWeight,
     SelfLoop,
 )
@@ -31,7 +34,6 @@ Edge = tuple[int, int, float]
 
 __all__ = [
     "WeightedGraph",
-    "build_graph",
     "set_measures",
     "apply_laplacian",
     "dirichlet_form",
@@ -50,106 +52,151 @@ __all__ = [
 class WeightedGraph:
     """Simple undirected graph with positive edge weights.
 
+    Stored once, as arrays ``u < v`` (int64, sorted by ``(u, v)``), ``w`` and
+    ``vertex_measure``; a CSR neighbour index is built on first use, and
+    ``edges`` derives the ``(u, v, w)`` triples on demand.
+
     Parameters
     ----------
     edges:
-        Iterable of ``(u, v, w)`` triples with ``u != v`` and ``w > 0``.
-        Each unordered pair may appear once.
+        ``(u, v, w)`` triples (a list or an ``(E, 3)`` array) with nonnegative
+        integer ids, ``u != v`` and ``w > 0``; each unordered pair at most once.
     labels:
-        Optional vertex names.  When given, the vertex count is
+        Optional list of vertex names.  When given, the vertex count is
         ``len(labels)``; otherwise it is ``max vertex index + 1``.
 
     Raises
     ------
-    SelfLoop, DuplicateEdge, NonpositiveWeight, IsolatedVertex
-        When the edge list violates the corresponding constraint.
+    MalformedGraph
+        When the input has the wrong shape or types.
+    SelfLoop, NonpositiveWeight, DuplicateEdge, IsolatedVertex
+        For the first offending edge in input order, checked in this order
+        at one edge, then for the least vertex without an edge.
     """
 
-    __slots__ = ("n", "edges", "labels", "_m", "_adjacency")
+    __slots__ = ("n", "u", "v", "w", "labels", "vertex_measure", "_csr")
 
-    def __init__(self, edges: Iterable[Edge], labels: Sequence[str] | None = None):
-        canon: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
-        top = -1
-        for u, v, w in edges:
-            u, v = int(u), int(v)
-            w = float(w)
-            if u == v:
-                raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
-            if not (math.isfinite(w) and w > 0.0):
-                raise NonpositiveWeight(f"edge ({u}, {v}) has weight {w!r}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdge(f"edge {key} appears more than once")
-            seen.add(key)
-            canon.append((key[0], key[1], w))
-            top = max(top, key[1])
+    def __init__(self, edges: Sequence[Edge], labels: Sequence | None = None):
+        if labels is not None and not isinstance(labels, (list, tuple)):
+            raise MalformedGraph(f"labels must be a list, got {type(labels).__name__}")
+        try:
+            raw = np.asarray(edges)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise MalformedGraph(f"edges are not [u, v, w] triples: {exc}") from None
+        if raw.size == 0:
+            raw = raw.reshape(0, 3)
+        if raw.ndim != 2 or raw.shape[1] != 3 or raw.dtype.kind not in "biuf":
+            raise MalformedGraph("edges must be [u, v, w] triples of numbers")
+        arr = raw.astype(float)
+        ends, w = arr[:, :2], arr[:, 2]
+        bad_id = ~((np.floor(ends) == ends) & (ends >= 0) & (ends < np.inf))
+        if bad_id.any():
+            i, j = np.argwhere(bad_id)[0]
+            raise MalformedGraph(
+                f"edge {i}: vertex id {raw[i, j].item()!r} is not a nonnegative integer"
+            )
+        pairs = np.sort(ends, axis=1)  # rows (lo, hi)
+        order = np.lexsort(pairs.T[::-1])  # stable: a repeat follows its first
+        canon = pairs[order]
+        repeat = np.zeros(len(w), dtype=bool)
+        repeat[order[1:]] = (canon[1:] == canon[:-1]).all(axis=1)
+        loop = pairs[:, 0] == pairs[:, 1]
+        bad_weight = ~((w > 0.0) & (w < np.inf))
+        offending = loop | bad_weight | repeat
+        if offending.any():
+            i = offending.argmax()
+            a, b = int(ends[i, 0]), int(ends[i, 1])
+            if loop[i]:
+                raise SelfLoop(f"edge ({a}, {b}) is a self-loop")
+            if bad_weight[i]:
+                raise NonpositiveWeight(f"edge ({a}, {b}) has weight {float(w[i])!r}")
+            raise DuplicateEdge(f"edge {(min(a, b), max(a, b))} appears more than once")
+
+        # Sorted endpoints behind a sentinel -1: a step above 1 skips a vertex.
+        covered = np.sort(np.concatenate(([-1.0], ends.ravel())))
+        top = int(covered[-1])
         n = len(labels) if labels is not None else top + 1
         if top >= n:
             raise IsolatedVertex(
                 f"edge endpoint {top} out of range for {n} labelled vertices"
             )
-        covered = [False] * n
-        for u, v, _ in canon:
-            covered[u] = covered[v] = True
-        for v, ok in enumerate(covered):
-            if not ok:
-                raise IsolatedVertex(f"vertex {v} has no incident edge")
+        gap = covered[1:] - covered[:-1] > 1.0
+        if gap.any() or top + 1 < n:
+            missing = int(covered[gap.argmax()]) + 1 if gap.any() else top + 1
+            raise IsolatedVertex(f"vertex {missing} has no incident edge")
 
         self.n = n
-        self.edges = tuple(sorted(canon))
         self.labels = tuple(labels) if labels is not None else None
-        m = np.zeros(n)
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in self.edges:
-            m[u] += w
-            m[v] += w
-            adjacency[u].append((v, w))
-            adjacency[v].append((u, w))
-        self._m = m
-        self._adjacency = [tuple(a) for a in adjacency]
+        self.u, self.v = np.ascontiguousarray(canon.T, dtype=np.int64)
+        self.w = w[order]
+        # Each weight is added at u, then at v, in edge order (as _weight_into).
+        both = np.ravel([self.u, self.v], order="F")
+        self.vertex_measure = np.bincount(both, np.repeat(self.w, 2), minlength=n)
+        for array in (self.u, self.v, self.w, self.vertex_measure):
+            array.setflags(write=False)
+        self._csr = None
 
     # ------------------------------------------------------------- measures
 
     @property
-    def vertex_measure(self) -> np.ndarray:
-        """``m(v)`` for every vertex, as an array of length ``n``."""
-        return self._m
+    def edges(self) -> tuple[Edge, ...]:
+        """The sorted ``(u, v, w)`` triples, derived from the arrays."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def total_measure(self) -> float:
         """``M = sum_v m(v)``; equals twice the total edge weight."""
-        return float(self._m.sum())
+        return float(self.vertex_measure.sum())
 
     @property
     def total_edge_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        return float(_sequential_sum(self.w))
+
+    def _neighbour_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, neighbour, weight)``, neighbours ascending per vertex
+        (lower neighbours first, each half ascending, then a stable sort)."""
+        if self._csr is None:
+            src = np.concatenate([self.v, self.u])
+            order = np.argsort(src, kind="stable")
+            indptr = np.searchsorted(src[order], np.arange(self.n + 1))
+            nbr = np.concatenate([self.u, self.v])[order]
+            self._csr = (indptr, nbr, np.concatenate([self.w, self.w])[order])
+        return self._csr
 
     def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        """Pairs ``(w, m(vw))`` for the neighbors of ``v``."""
-        return self._adjacency[v]
+        """Pairs ``(w, m(vw))`` for the neighbors of ``v``, ascending in ``w``."""
+        indptr, nbr, weight = self._neighbour_index()
+        lo, hi = indptr[v], indptr[v + 1]
+        return tuple(zip(nbr[lo:hi].tolist(), weight[lo:hi].tolist()))
 
     # --------------------------------------------------------- connectivity
 
+    def _search(self) -> tuple[list[int], list[int]]:
+        """Per vertex: the least vertex of its component, and the parity of
+        its depth in a search tree grown from that vertex."""
+        indptr, nbr, _ = self._neighbour_index()
+        starts, nbr = indptr.tolist(), nbr.tolist()
+        root, parity = [-1] * self.n, [0] * self.n
+        for start in range(self.n):
+            if root[start] != -1:
+                continue
+            root[start] = start
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for y in nbr[starts[x]:starts[x + 1]]:
+                    if root[y] == -1:
+                        root[y] = start
+                        parity[y] = 1 - parity[x]
+                        stack.append(y)
+        return root, parity
+
     def component_masks(self) -> list[int]:
         """Bitmasks of the connected components, ordered by least vertex."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            mask = 0
-            stack = [start]
-            seen[start] = True
-            while stack:
-                u = stack.pop()
-                mask |= 1 << u
-                for w, _ in self._adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(mask)
-        return comps
+        masks: dict[int, int] = {}
+        for v, r in enumerate(self._search()[0]):
+            masks[r] = masks.get(r, 0) | 1 << v
+        return list(masks.values())
 
     @property
     def component_count(self) -> int:
@@ -161,20 +208,17 @@ class WeightedGraph:
     # -------------------------------------------------------------- dunders
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WeightedGraph(n={self.n}, edges={len(self.edges)})"
+        return f"WeightedGraph(n={self.n}, edges={len(self.w)})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.edges == other.edges and self.labels == other.labels
+        return self.labels == other.labels and all(
+            map(np.array_equal, (self.u, self.v, self.w), (other.u, other.v, other.w))
+        )
 
     def __hash__(self) -> int:
-        return hash((self.edges, self.labels))
-
-
-def build_graph(edges: Iterable[Edge], labels: Sequence[str] | None = None) -> WeightedGraph:
-    """Validate an edge list and construct a :class:`WeightedGraph`."""
-    return WeightedGraph(edges, labels)
+        return hash((self.u.tobytes(), self.v.tobytes(), self.w.tobytes(), self.labels))
 
 
 # ------------------------------------------------------------------ set ops
@@ -190,20 +234,19 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def vertices_of(mask: int) -> list[int]:
     """Sorted vertex indices of a bitmask."""
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+    return np.flatnonzero(_indicator(int(mask).bit_length(), mask)).tolist()
 
 
 def _indicator(n: int, mask: int) -> np.ndarray:
     """Boolean vertex array of ``mask``; masks of any width go through bytes."""
     raw = np.frombuffer(int(mask).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+
+
+def _sequential_sum(x: np.ndarray):
+    """Left-to-right sum along the last axis, the order a Python loop adds in
+    (``np.sum`` adds pairwise, which can differ in the last bit)."""
+    return np.cumsum(x, axis=-1)[..., -1] if x.shape[-1] else np.zeros(x.shape[:-1])[()]
 
 
 def set_measures(graph: WeightedGraph, mask: int) -> tuple[float, float, float]:
@@ -216,21 +259,26 @@ def set_measures(graph: WeightedGraph, mask: int) -> tuple[float, float, float]:
     """
     if mask == 0:
         raise EmptySet("set_measures of the empty set")
-    m_set = float(sum(graph.vertex_measure[v] for v in vertices_of(mask)))
-    boundary = 0.0
-    interior = 0.0
-    for u, v, w in graph.edges:
-        inside = ((mask >> u) & 1) + ((mask >> v) & 1)
-        if inside == 1:
-            boundary += w
-        elif inside == 2:
-            interior += w
-    return m_set, boundary, interior
+    inside = _indicator(graph.n, mask)
+    ends_inside = inside[graph.u].astype(int) + inside[graph.v]
+    return (
+        float(_sequential_sum(graph.vertex_measure[inside])),
+        float(_sequential_sum(graph.w[ends_inside == 1])),
+        float(_sequential_sum(graph.w[ends_inside == 2])),
+    )
+
+
+def _weight_into(graph: WeightedGraph, inside: np.ndarray) -> np.ndarray:
+    """``m_S(v)`` for every vertex ``v``, added in ascending neighbour order:
+    each edge adds at ``u``, then at ``v``, in edge order (0 if outside S)."""
+    u, v, w = graph.u, graph.v, graph.w
+    weights = np.ravel([w * inside[v], w * inside[u]], order="F")
+    return np.bincount(np.ravel([u, v], order="F"), weights, minlength=graph.n)
 
 
 def transition_probability(graph: WeightedGraph, v: int, mask: int) -> float:
     """Fraction ``m_S(v) / m(v)`` of the weight at ``v`` that points into S."""
-    into = sum(w for u, w in graph.neighbors(v) if (mask >> u) & 1)
+    into = _weight_into(graph, _indicator(graph.n, mask))[v]
     return float(into / graph.vertex_measure[v])
 
 
@@ -256,20 +304,22 @@ def apply_laplacian(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> np
     return out
 
 
+def _edge_energy(graph: WeightedGraph, f, sign: float) -> float:
+    """``sum_e m(e) (f(u) + sign f(v))^2``, exactly rounded."""
+    arr = _as_function(graph, f)
+    terms = arr[graph.u] + sign * arr[graph.v]
+    # Scalar ``** 2`` is C ``pow``; the array square can differ in the last bit.
+    return float(math.fsum(w * t ** 2 for w, t in zip(graph.w, terms)))
+
+
 def dirichlet_form(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
     """Edge sum ``sum_e m(e) (f(u) - f(v))^2``; equals ``<Delta f, f>``."""
-    arr = _as_function(graph, f)
-    return float(
-        math.fsum(w * (arr[u] - arr[v]) ** 2 for u, v, w in graph.edges)
-    )
+    return _edge_energy(graph, f, -1.0)
 
 
 def q_form(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
     """Edge sum ``sum_e m(e) (f(u) + f(v))^2``; equals ``<(2I - Delta) f, f>``."""
-    arr = _as_function(graph, f)
-    return float(
-        math.fsum(w * (arr[u] + arr[v]) ** 2 for u, v, w in graph.edges)
-    )
+    return _edge_energy(graph, f, 1.0)
 
 
 def inner_product(
@@ -291,7 +341,8 @@ def _graph_payload(graph: WeightedGraph) -> dict:
     payload: dict = {}
     if graph.labels is not None:
         payload["labels"] = list(graph.labels)
-    payload["edges"] = [[u, v, w] for u, v, w in graph.edges]
+    u, v, w = graph.u.tolist(), graph.v.tolist(), graph.w.tolist()
+    payload["edges"] = list(map(list, zip(u, v, w)))
     return payload
 
 
@@ -307,9 +358,9 @@ def graph_to_json(graph: WeightedGraph) -> str:
 def graph_from_json(text: str) -> WeightedGraph:
     """Parse the wire format produced by :func:`graph_to_json`."""
     payload = json.loads(text)
-    edges = [(int(u), int(v), float(w)) for u, v, w in payload["edges"]]
-    labels = payload.get("labels")
-    return build_graph(edges, labels)
+    if not isinstance(payload, dict) or "edges" not in payload:
+        raise MalformedGraph('a graph is a JSON object with an "edges" list')
+    return WeightedGraph(payload["edges"], payload.get("labels"))
 
 
 def load_graph(fp: IO[str]) -> WeightedGraph:

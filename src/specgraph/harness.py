@@ -23,7 +23,7 @@ from .families import FamilySpec, generate
 from .graph import (
     WeightedGraph,
     _indicator,
-    build_graph,
+    _sequential_sum,
     dirichlet_form,
     inner_product,
     q_form,
@@ -198,7 +198,7 @@ def sample_graph(spec: RandomGraphSpec) -> WeightedGraph:
         if len(covered) < spec.n:
             continue
         edges = [(u, v, float(10.0 ** rng.uniform(lo, hi))) for u, v in pairs]
-        graph = build_graph(edges)
+        graph = WeightedGraph(edges)
         if graph.is_connected():
             return graph
 
@@ -326,7 +326,7 @@ def check_witness_functions(analysis: Analysis) -> list[CheckReport]:
         )
     )
 
-    a, b, w = graph.edges[0]
+    a, b, w = graph.u[0], graph.v[0], graph.w[0]
     f_edge = np.zeros(graph.n)
     f_edge[a] = m[b]
     f_edge[b] = -m[a]
@@ -433,22 +433,17 @@ def coarea_check(
     arr = np.asarray(f, dtype=float)
     g = arr * arr
     levels = np.concatenate(([0.0], np.unique(g)))
-    measure_integral = 0.0
-    boundary_integral = 0.0
-    for a, b in zip(levels[:-1], levels[1:]):
-        if b == a:
-            continue
-        # Nonempty: the vertices where g equals b lie above a.
-        above = g > a
-        m_above = float(sum(graph.vertex_measure[above]))
-        cut = sum(w for u, v, w in graph.edges if above[u] != above[v])
-        measure_integral += (b - a) * m_above
-        boundary_integral += (b - a) * cut
+    widths = np.diff(levels)
+    # One row per level interval (a, b] of positive width, never empty.
+    above = g[None, :] > levels[:-1][widths > 0.0, None]
+    widths = widths[widths > 0.0]
+    m_above = _sequential_sum(np.where(above, graph.vertex_measure, 0.0))
+    cut = _sequential_sum(np.where(above[:, graph.u] != above[:, graph.v], graph.w, 0.0))
+    measure_integral = float(_sequential_sum(widths * m_above))
+    boundary_integral = float(_sequential_sum(widths * cut))
 
     norm = inner_product(graph, arr, arr)
-    variation = float(
-        math.fsum(w * abs(g[u] - g[v]) for u, v, w in graph.edges)
-    )
+    variation = math.fsum((graph.w * np.abs(g[graph.u] - g[graph.v])).tolist())
     tol_a = 1e-10 * max(1.0, abs(norm))
     tol_b = 1e-10 * max(1.0, abs(variation))
     return (

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraph, EmptySet, NotDisjoint, TooLarge
-from .graph import WeightedGraph, set_measures, vertices_of
+from .graph import (
+    WeightedGraph,
+    _indicator,
+    _sequential_sum,
+    _weight_into,
+    mask_of,
+    set_measures,
+    vertices_of,
+)
 
 __all__ = [
     "DEFAULT_MAX_CHEEGER",
@@ -93,15 +101,12 @@ def dual_cheeger_ratio(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
         raise EmptySet("dual_cheeger_ratio needs two nonempty sets")
     if mask_a & mask_b:
         raise NotDisjoint(f"sets share vertices {vertices_of(mask_a & mask_b)}")
-    cross = sum(
-        w
-        for u, v, w in graph.edges
-        if ((mask_a >> u) & 1 and (mask_b >> v) & 1)
-        or ((mask_b >> u) & 1 and (mask_a >> v) & 1)
-    )
-    m = graph.vertex_measure
-    denom = sum(m[v] for v in vertices_of(mask_a | mask_b))
-    return 2.0 * cross / denom
+    in_a = _indicator(graph.n, mask_a)
+    in_b = _indicator(graph.n, mask_b)
+    u, v = graph.u, graph.v
+    cross = _sequential_sum(graph.w[(in_a[u] & in_b[v]) | (in_b[u] & in_a[v])])
+    denom = _sequential_sum(graph.vertex_measure[in_a | in_b])
+    return float(2.0 * cross / denom)
 
 
 def kappa_pair(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
@@ -110,13 +115,9 @@ def kappa_pair(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
         raise EmptySet("kappa_pair needs two nonempty sets")
     if mask_a & mask_b:
         raise NotDisjoint(f"sets share vertices {vertices_of(mask_a & mask_b)}")
-    m = graph.vertex_measure
-    worst = 0.0
-    for mask in (mask_a, mask_b):
-        for v in vertices_of(mask):
-            into = sum(w for u, w in graph.neighbors(v) if (mask >> u) & 1)
-            worst = max(worst, into / m[v])
-    return worst
+    sides = [_indicator(graph.n, mask) for mask in (mask_a, mask_b)]
+    ratios = [(_weight_into(graph, s) / graph.vertex_measure)[s].max() for s in sides]
+    return float(max(0.0, *ratios))
 
 
 def r_quantity(graph: WeightedGraph, mask: int) -> float:
@@ -139,7 +140,7 @@ def _cut_table(graph: WeightedGraph) -> np.ndarray:
     """``m(boundary S)`` for every subset mask."""
     n = graph.n
     table = np.zeros(1 << n)
-    for u, v, w in graph.edges:  # canonical u < v
+    for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
         view = table.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)
         view[:, 1, :, 0, :] += w
         view[:, 0, :, 1, :] += w
@@ -155,17 +156,15 @@ def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
 # ------------------------------------------------------------------- Cheeger
 
 
-def _induced_connected(graph: WeightedGraph, mask: int) -> bool:
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w, _ in graph.neighbors(u):
-            bit = 1 << w
-            if (mask & bit) and not (seen & bit):
-                seen |= bit
-                stack.append(w)
+def _induced_connected(neighbour_masks: list[int], mask: int) -> bool:
+    """Whether ``mask`` induces a connected subgraph, by a search over bits."""
+    seen = frontier = mask & -mask
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        new = neighbour_masks[bit.bit_length() - 1] & mask & ~seen
+        seen |= new
+        frontier |= new
     return seen == mask
 
 
@@ -199,11 +198,12 @@ def cheeger_constant_exact(
     ratio = np.where(admissible, ratio, np.inf)
 
     if connected_only:
+        neighbour_masks = [mask_of(w for w, _ in graph.neighbors(v)) for v in range(n)]
         best = math.inf
         witness = 0
         for mask in range(1, 1 << n):
             r = ratio[mask]
-            if r < best and _induced_connected(graph, mask):
+            if r < best and _induced_connected(neighbour_masks, mask):
                 best = float(r)
                 witness = mask
         return InvariantReport("h", best, witness)
@@ -222,28 +222,17 @@ def _best_partner(
     ``m_A(b)/m(b)`` descending (exchange argument: a vertex improves the ratio
     exactly when its own ratio beats the current value)."""
     m = graph.vertex_measure
-    m_a = sum(m[v] for v in vertices_of(mask_a))
-    cand = []
-    for b in range(graph.n):
-        if (mask_a >> b) & 1:
-            continue
-        into = sum(w for u, w in graph.neighbors(b) if (mask_a >> u) & 1)
-        cand.append((-into / m[b], b, into, m[b]))
-    cand.sort()
-    best = -math.inf
-    best_mask = 0
-    run_c = 0.0
-    run_d = 0.0
-    run_mask = 0
-    for _, b, into, mb in cand:
-        run_c += into
-        run_d += mb
-        run_mask |= 1 << b
-        value = 2.0 * run_c / (m_a + run_d)
-        if value > best:
-            best = value
-            best_mask = run_mask
-    return best, best_mask
+    in_a = _indicator(graph.n, mask_a)
+    into = _weight_into(graph, in_a)
+    cand = np.flatnonzero(~in_a)
+    if cand.size == 0:
+        return -math.inf, 0
+    # Ratio descending, ties to the smaller vertex; prefix values as running sums.
+    order = cand[np.argsort(-into[cand] / m[cand], kind="stable")]
+    m_pair = _sequential_sum(m[in_a]) + np.cumsum(m[order])
+    values = 2.0 * np.cumsum(into[order]) / m_pair
+    k = int(np.argmax(values))  # first maximum = shortest prefix
+    return float(values[k]), mask_of(order[: k + 1].tolist())
 
 
 def dual_cheeger_exact(
@@ -273,7 +262,7 @@ def dual_cheeger_exact(
         masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.int64)
         in_a = ((masks[:, None] >> vertex_ids[None, :]) & 1).astype(bool)
         weight_into = np.zeros((len(masks), n))
-        for u, v, w in graph.edges:
+        for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
             weight_into[:, v] += w * in_a[:, u]
             weight_into[:, u] += w * in_a[:, v]
         ratio = weight_into / m[None, :]
@@ -325,7 +314,7 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
         masks = (half << 1) | 1  # vertex 0 always in A
         in_a = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
         same_side = np.zeros((len(masks), n))
-        for u, v, w in graph.edges:
+        for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
             agree_u = np.where(in_a[:, u] == in_a[:, v], w, 0.0)
             same_side[:, u] += agree_u
             same_side[:, v] += agree_u
@@ -344,31 +333,15 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
 def is_bipartite(graph: WeightedGraph) -> tuple[bool, tuple[int, int] | None]:
     """Two-colorability plus a bipartition ``(A, B)`` when one exists.
 
-    Components are colored independently, the least vertex of each getting
-    color A.  Returns ``(False, None)`` when some odd cycle obstructs.
+    Components are colored independently by search-tree depth parity, the
+    least vertex of each getting color A.  Returns ``(False, None)`` when
+    some edge joins two vertices of one color (an odd cycle obstructs).
     """
-    color = [-1] * graph.n
-    mask_a = 0
-    mask_b = 0
-    for start in range(graph.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w, _ in graph.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False, None
-    for v, c in enumerate(color):
-        if c == 0:
-            mask_a |= 1 << v
-        else:
-            mask_b |= 1 << v
-    return True, (mask_a, mask_b)
+    side = np.array(graph._search()[1], dtype=bool)
+    if np.any(side[graph.u] == side[graph.v]):
+        return False, None
+    mask_b = mask_of(np.flatnonzero(side).tolist())
+    return True, (((1 << graph.n) - 1) ^ mask_b, mask_b)
 
 
 # ----------------------------------------------- partition route to h

@@ -36,6 +36,7 @@ from .errors import (
     NumericalFailure,
     PoleProximity,
 )
+from .graph import WeightedGraph
 from .reports import CheckReport
 
 __all__ = [
@@ -596,18 +597,12 @@ def truncate_K(p: PSequence, size: int, renormalize: bool = False):
     float64 are omitted — for steep sequences distant pairs carry weights
     below 1e-324, and a zero-weight edge is indistinguishable from no edge.
     """
-    from .graph import WeightedGraph
-
     if size < 2:
         raise BadParameter("truncation needs at least two vertices")
-    ps = [p.p(i) for i in range(1, size + 1)]
+    ps = np.array([p.p(i) for i in range(1, size + 1)])
     if renormalize:
-        scale = 1.0 / math.fsum(ps)
-        ps = [x * scale for x in ps]
-    edges = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            w = ps[i] * ps[j]
-            if w > 0.0:
-                edges.append((i, j, w))
+        ps *= 1.0 / math.fsum(ps)
+    i, j = np.triu_indices(size, 1)
+    w = ps[i] * ps[j]
+    edges = np.column_stack([i, j, w])[w > 0.0]
     return WeightedGraph(edges, labels=list(range(1, size + 1)))

@@ -29,8 +29,6 @@ __all__ = [
     "laplacian_matrix",
     "symmetric_conjugate",
     "spectrum",
-    "spectral_gap",
-    "lambda_top",
     "rayleigh",
     "hausdorff_asymmetry",
     "signed_conjugation",
@@ -48,9 +46,8 @@ _ROUTE_TOL = 1e-12
 
 def weight_matrix(graph: WeightedGraph) -> np.ndarray:
     w = np.zeros((graph.n, graph.n))
-    for u, v, weight in graph.edges:
-        w[u, v] = weight
-        w[v, u] = weight
+    w[graph.u, graph.v] = graph.w
+    w[graph.v, graph.u] = graph.w
     return w
 
 
@@ -139,14 +136,6 @@ def spectrum(graph: WeightedGraph, eigenvectors: bool = False) -> Spectrum:
     nu = np.linalg.eigvalsh(sym)
     values = _clamp(1.0 - nu[::-1])
     return Spectrum(values, ZERO_THRESHOLD, graph.component_count)
-
-
-def spectral_gap(graph: WeightedGraph) -> float:
-    return spectrum(graph).gap
-
-
-def lambda_top(graph: WeightedGraph) -> float:
-    return spectrum(graph).top
 
 
 def rayleigh(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
@@ -283,23 +272,16 @@ def auxiliary_graph(
     graph: WeightedGraph, f: Sequence[float] | np.ndarray
 ) -> AuxiliaryGraph:
     arr = np.asarray(f, dtype=float)
-    needs_mirror = sorted(
-        {
-            x
-            for u, v, _ in graph.edges
-            if arr[u] * arr[v] > 0.0
-            for x in (u, v)
-        }
-    )
-    mirror = {v: graph.n + i for i, v in enumerate(needs_mirror)}
-    edges = []
-    for u, v, w in graph.edges:
-        if arr[u] * arr[v] > 0.0:
-            edges.append((u, mirror[v], w))
-            edges.append((mirror[u], v, w))
-        else:
-            edges.append((u, v, w))
-    aux = WeightedGraph(edges)
-    values = np.zeros(aux.n)
-    values[: graph.n] = np.abs(arr)
+    u, v, w = graph.u, graph.v, graph.w
+    same = arr[u] * arr[v] > 0.0
+    needs_mirror = np.unique(np.concatenate([u[same], v[same]]))
+    image = np.zeros(graph.n, dtype=np.int64)
+    image[needs_mirror] = graph.n + np.arange(len(needs_mirror))
+    aux = WeightedGraph(np.concatenate([
+        np.column_stack([u[~same], v[~same], w[~same]]),
+        np.column_stack([u[same], image[v[same]], w[same]]),
+        np.column_stack([image[u[same]], v[same], w[same]]),
+    ]))
+    values = np.concatenate([np.abs(arr), np.zeros(len(needs_mirror))])
+    mirror = dict(zip(needs_mirror.tolist(), image[needs_mirror].tolist()))
     return AuxiliaryGraph(aux, values, mirror)

@@ -8,7 +8,7 @@ the two routes check each other.
 import itertools
 import math
 
-from specgraph.graph import WeightedGraph, build_graph
+from specgraph.graph import WeightedGraph
 
 # Brute-force half-condition tie tolerance, mirroring the documented behavior
 # of the exact search (relative to the total measure).
@@ -16,19 +16,19 @@ TIE_RTOL = 1e-12
 
 
 def triangle(w01=1.0, w02=1.0, w12=1.0):
-    return build_graph([(0, 1, w01), (0, 2, w02), (1, 2, w12)])
+    return WeightedGraph([(0, 1, w01), (0, 2, w02), (1, 2, w12)])
 
 
 def complete(n, weight=1.0):
-    return build_graph([(i, j, weight) for i in range(n) for j in range(i + 1, n)])
+    return WeightedGraph([(i, j, weight) for i in range(n) for j in range(i + 1, n)])
 
 
 def cycle(n):
-    return build_graph([(i, (i + 1) % n, 1.0) for i in range(n)])
+    return WeightedGraph([(i, (i + 1) % n, 1.0) for i in range(n)])
 
 
 def path(n):
-    return build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
+    return WeightedGraph([(i, i + 1, 1.0) for i in range(n - 1)])
 
 
 def _measures(graph: WeightedGraph):

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import complete, cycle
 from specgraph.families import FamilySpec, generate, tail_ratio_trace
-from specgraph.graph import WeightedGraph, build_graph
+from specgraph.graph import WeightedGraph
 from specgraph.harness import RandomGraphSpec, SuiteConfig, run_suite, sample_graph
 from specgraph.invariants import (
     cheeger_constant_exact,
@@ -168,7 +168,7 @@ def test_acceptance_08_zero_defect_is_bipartiteness():
             edges = [(u, v, 1.0) for bit, (u, v) in enumerate(pairs) if keep >> bit & 1]
             if len({x for u, v, _ in edges for x in (u, v)}) < n:
                 continue
-            g = build_graph(edges)
+            g = WeightedGraph(edges)
             if not g.is_connected():
                 continue
             checked += 1

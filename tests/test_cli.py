@@ -194,6 +194,24 @@ def test_missing_input_file(capsys, tmp_path):
     assert diagnostic["message"]
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"edges": [[0, 1.5, 1.0], [0, 1, 1.0]]}', "MalformedGraph"),
+        ('{"edges": [[0, -1, 1.0]]}', "MalformedGraph"),
+        ('{"edges": 5}', "MalformedGraph"),
+        ("[[0, 1, 1.0]]", "MalformedGraph"),
+        ('{"edges": [[0, 1, 1.0]], "labels": "ab"}', "MalformedGraph"),
+        ('{"edges": [[0, 1000000000000000000, 1.0]]}', "IsolatedVertex"),
+    ],
+)
+def test_malformed_graph_gets_a_typed_diagnostic(capsys, monkeypatch, text, error):
+    code, out, err = run(capsys, ["spectrum", "-"], text, monkeypatch)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
 def test_environment_cap_applies(capsys, monkeypatch):
     monkeypatch.setenv("SPECGRAPH_MAX_N", "3")
     code, _, err = run(capsys, ["cheeger", "-"], K4_JSON, monkeypatch)

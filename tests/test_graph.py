@@ -14,6 +14,7 @@ from specgraph.errors import (
     DuplicateEdge,
     EmptySet,
     IsolatedVertex,
+    MalformedGraph,
     NonpositiveWeight,
     SelfLoop,
 )
@@ -21,7 +22,6 @@ from specgraph.graph import (
     WeightedGraph,
     _indicator,
     apply_laplacian,
-    build_graph,
     dirichlet_form,
     dump_graph,
     graph_from_json,
@@ -58,51 +58,98 @@ def test_path_measures_and_neighbors():
 
 
 def test_edges_are_canonicalized():
-    g = build_graph([(2, 0, 1.5), (1, 0, 0.5)])
+    g = WeightedGraph([(2, 0, 1.5), (1, 0, 0.5)])
     assert g.edges == ((0, 1, 0.5), (0, 2, 1.5))
 
 
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
-        build_graph([(0, 0, 1.0)])
+        WeightedGraph([(0, 0, 1.0)])
 
 
 def test_duplicate_edge_rejected_in_either_orientation():
     with pytest.raises(DuplicateEdge):
-        build_graph([(0, 1, 1.0), (1, 0, 2.0)])
+        WeightedGraph([(0, 1, 1.0), (1, 0, 2.0)])
 
 
 @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf])
 def test_bad_weight_rejected(w):
     with pytest.raises(NonpositiveWeight):
-        build_graph([(0, 1, w)])
+        WeightedGraph([(0, 1, w)])
 
 
 def test_isolated_vertex_rejected():
     with pytest.raises(IsolatedVertex):
-        build_graph([(0, 2, 1.0)])  # vertex 1 has no edge
+        WeightedGraph([(0, 2, 1.0)])  # vertex 1 has no edge
     with pytest.raises(IsolatedVertex):
-        build_graph([(0, 1, 1.0)], labels=["a", "b", "c"])
+        WeightedGraph([(0, 1, 1.0)], labels=["a", "b", "c"])
 
 
 def test_endpoint_beyond_labels_rejected():
     with pytest.raises(IsolatedVertex):
-        build_graph([(0, 5, 1.0)], labels=["a", "b"])
+        WeightedGraph([(0, 5, 1.0)], labels=["a", "b"])
+
+
+def test_first_offending_edge_in_input_order_is_reported():
+    # At one edge: self-loop before weight before repeat.
+    with pytest.raises(SelfLoop, match=r"edge \(1, 1\)"):
+        WeightedGraph([(0, 1, 1.0), (1, 1, -1.0)])
+    with pytest.raises(NonpositiveWeight, match=r"edge \(1, 0\) has weight -2.0"):
+        WeightedGraph([(0, 1, 1.0), (1, 0, -2.0), (2, 2, 1.0)])
+    with pytest.raises(DuplicateEdge, match=r"edge \(0, 2\) appears"):
+        WeightedGraph([(2, 0, 1.0), (0, 1, 1.0), (0, 2, 2.0), (1, 0, 1.0)])
+    with pytest.raises(IsolatedVertex, match="vertex 2 has"):
+        WeightedGraph([(0, 1, 1.0), (4, 3, 1.0), (1, 3, 1.0)])
+
+
+def test_huge_vertex_id_is_isolated_without_allocating_it():
+    with pytest.raises(IsolatedVertex, match="vertex 1 has no incident edge"):
+        WeightedGraph([(0, 10**18, 1.0)])
+
+
+def test_array_input_builds_the_same_graph():
+    edges = [(2, 0, 1.5), (1, 0, 0.5), (2, 1, 0.25)]
+    g = WeightedGraph(np.array(edges))
+    assert g == WeightedGraph(edges)
+    assert g.u.dtype == np.int64 and g.u.tolist() == [0, 0, 1]
+    assert g.v.tolist() == [1, 2, 2] and g.w.tolist() == [0.5, 1.5, 0.25]
+    with pytest.raises(ValueError):
+        g.w[0] = 2.0  # the stored arrays are read-only
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"nodes": []}',
+        "[[0, 1, 1.0]]",
+        '{"edges": 5}',
+        '{"edges": [[0, 1]]}',
+        '{"edges": [[0, 1, 1.0], [1, 2]]}',
+        '{"edges": [[0, 1, "1.0"]]}',
+        '{"edges": [[0, 1.5, 1.0]]}',
+        '{"edges": [[0, -1, 1.0]]}',
+        '{"edges": [[0, NaN, 1.0]]}',
+        '{"edges": [[0, 1, 1.0]], "labels": "ab"}',
+    ],
+)
+def test_malformed_input_is_typed(text):
+    with pytest.raises(MalformedGraph):
+        graph_from_json(text)
 
 
 def test_equality_and_hash():
     assert triangle() == triangle()
     assert hash(triangle()) == hash(triangle())
     assert triangle() != triangle(w12=2.0)
-    labelled = build_graph([(0, 1, 1.0)], labels=["x", "y"])
-    assert labelled != build_graph([(0, 1, 1.0)])
+    labelled = WeightedGraph([(0, 1, 1.0)], labels=["x", "y"])
+    assert labelled != WeightedGraph([(0, 1, 1.0)])
 
 
 # ----------------------------------------------------------- connectivity
 
 
 def test_components_of_disconnected_graph():
-    g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
+    g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)])
     assert g.component_masks() == [0b0011, 0b1100]
     assert g.component_count == 2
     assert not g.is_connected()
@@ -151,7 +198,7 @@ def test_transition_probability():
 
 
 def test_laplacian_on_hand_examples():
-    k2 = build_graph([(0, 1, 1.0)])
+    k2 = WeightedGraph([(0, 1, 1.0)])
     assert np.allclose(apply_laplacian(k2, [1.0, -1.0]), [2.0, -2.0])
     g = triangle()
     assert np.allclose(apply_laplacian(g, [1.0, 0.0, 0.0]), [1.0, -0.5, -0.5])
@@ -160,7 +207,7 @@ def test_laplacian_on_hand_examples():
 
 
 def test_forms_on_k2():
-    k2 = build_graph([(0, 1, 1.0)])
+    k2 = WeightedGraph([(0, 1, 1.0)])
     f = [1.0, -1.0]
     assert dirichlet_form(k2, f) == 4.0
     assert q_form(k2, f) == 0.0
@@ -178,7 +225,7 @@ def test_shape_mismatch_rejected():
     w=st.lists(WEIGHTS, min_size=4, max_size=4),
 )
 def test_dirichlet_matches_laplacian_pairing(f, w):
-    g = build_graph([(0, 1, w[0]), (1, 2, w[1]), (2, 3, w[2]), (3, 0, w[3])])
+    g = WeightedGraph([(0, 1, w[0]), (1, 2, w[1]), (2, 3, w[2]), (3, 0, w[3])])
     lhs = inner_product(g, apply_laplacian(g, f), f)
     assert lhs == pytest.approx(dirichlet_form(g, f), abs=1e-9)
 
@@ -206,7 +253,7 @@ def test_json_round_trip_plain():
 
 
 def test_json_round_trip_labelled():
-    g = build_graph([(0, 1, 0.1), (1, 2, 0.2)], labels=["a", "b", "c"])
+    g = WeightedGraph([(0, 1, 0.1), (1, 2, 0.2)], labels=["a", "b", "c"])
     again = graph_from_json(graph_to_json(g))
     assert again == g
     assert again.labels == ("a", "b", "c")
@@ -220,7 +267,7 @@ def test_json_shape():
 
 def test_weights_survive_json_bit_exactly():
     w = 0.1 + 0.2  # not exactly representable as a decimal literal
-    g = build_graph([(0, 1, w)])
+    g = WeightedGraph([(0, 1, w)])
     assert graph_from_json(graph_to_json(g)).edges[0][2] == w
 
 
@@ -235,7 +282,7 @@ def test_stream_round_trip():
 def test_from_json_rejects_garbage():
     with pytest.raises(ValueError):
         graph_from_json("not json at all")
-    with pytest.raises(KeyError):
+    with pytest.raises(MalformedGraph):
         graph_from_json('{"nodes": []}')
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from conftest import (
     triangle,
 )
 from specgraph.errors import DisconnectedGraph, EmptySet, NotDisjoint, TooLarge
-from specgraph.graph import build_graph, mask_of
+from specgraph.graph import WeightedGraph, mask_of, vertices_of
 from specgraph.harness import RandomGraphSpec, sample_graph
 from specgraph.invariants import (
     cheeger_constant_exact,
@@ -29,6 +30,7 @@ from specgraph.invariants import (
     kappa_pair,
     r_quantity,
 )
+from specgraph.spectral import spectrum
 
 ATOL = 1e-12
 
@@ -191,7 +193,7 @@ def test_size_caps_enforced():
 
 
 def test_cheeger_needs_connected_graph():
-    g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
+    g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraph):
         cheeger_constant_exact(g)
     with pytest.raises(DisconnectedGraph):
@@ -199,7 +201,7 @@ def test_cheeger_needs_connected_graph():
 
 
 def test_minimum_vertex_counts():
-    k2 = build_graph([(0, 1, 1.0)])
+    k2 = WeightedGraph([(0, 1, 1.0)])
     assert cheeger_constant_exact(k2).value == 1.0
     assert dual_cheeger_exact(k2).value == 1.0
     assert kappa_exact(k2).value == 0.0
@@ -235,3 +237,43 @@ def test_bipartite_dual_cheeger_is_one():
         assert rep.value == pytest.approx(1.0, abs=ATOL)
         mask_a, mask_b = rep.witness
         assert mask_a | mask_b == (1 << g.n) - 1
+
+
+# ---------------------------------------------------------------- relabelling
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A connected graph on n <= 9 vertices and a permutation of its vertices."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    edges = [(a, b, draw(WEIGHT)) for a, b in sorted(pairs)]
+    return edges, draw(st.permutations(range(n)))
+
+
+def _close(x, y):
+    return math.isclose(x, y, rel_tol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_graphs())
+def test_values_and_witnesses_survive_relabelling(case):
+    edges, perm = case
+    g = WeightedGraph(edges)
+    h = WeightedGraph([(perm[b], perm[a], w) for a, b, w in reversed(edges)])
+
+    def moved(mask):
+        return mask_of(perm[v] for v in vertices_of(mask))
+
+    assert np.allclose(spectrum(h).values, spectrum(g).values, rtol=1e-12, atol=1e-12)
+    cheeger = cheeger_constant_exact(g)
+    assert _close(cheeger_constant_exact(h).value, cheeger.value)
+    assert _close(cheeger_ratio(h, moved(cheeger.witness)), cheeger.value)
+    for exact, ratio in ((dual_cheeger_exact, dual_cheeger_ratio), (kappa_exact, kappa_pair)):
+        report = exact(g)
+        assert _close(exact(h).value, report.value)
+        mask_a, mask_b = report.witness
+        assert _close(ratio(h, moved(mask_a), moved(mask_b)), report.value)

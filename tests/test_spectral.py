@@ -9,7 +9,6 @@ from conftest import complete, cycle, path, triangle
 from specgraph.errors import EmptySet, EmptySpectrum, ZeroFunction
 from specgraph.graph import (
     WeightedGraph,
-    build_graph,
     dirichlet_form,
     inner_product,
     q_form,
@@ -21,12 +20,10 @@ from specgraph.spectral import (
     auxiliary_graph,
     hausdorff_asymmetry,
     laplacian_matrix,
-    lambda_top,
     p_psi_norm,
     random_walk_matrix,
     rayleigh,
     signed_conjugation,
-    spectral_gap,
     spectrum,
     symmetric_conjugate,
     weight_matrix,
@@ -68,8 +65,8 @@ def test_even_cycle_spectrum():
 def test_complete_graph_gap_and_top(n):
     g = complete(n)
     target = n / (n - 1)
-    assert spectral_gap(g) == pytest.approx(target, abs=EIG_ATOL)
-    assert lambda_top(g) == pytest.approx(target, abs=EIG_ATOL)
+    assert spectrum(g).gap == pytest.approx(target, abs=EIG_ATOL)
+    assert spectrum(g).top == pytest.approx(target, abs=EIG_ATOL)
 
 
 def test_values_stay_in_range():
@@ -81,7 +78,7 @@ def test_values_stay_in_range():
 
 
 def test_disconnected_graph_zero_multiplicity():
-    g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
+    g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)])
     s = spectrum(g)
     assert s.component_count == 2
     assert np.allclose(s.values, [0.0, 0.0, 2.0, 2.0], atol=EIG_ATOL)
@@ -116,7 +113,7 @@ def test_gap_of_a_zero_only_spectrum_raises():
 
 
 def test_rayleigh_extremes_on_k2():
-    k2 = build_graph([(0, 1, 1.0)])
+    k2 = WeightedGraph([(0, 1, 1.0)])
     assert rayleigh(k2, [1.0, -1.0]) == pytest.approx(2.0, abs=ATOL)
     assert rayleigh(k2, [1.0, 1.0]) == 0.0
     with pytest.raises(ZeroFunction):
