@@ -82,7 +82,6 @@ from .kgraph import (
     mu_top_refined,
     p_eigenvalue,
     secular_F,
-    secular_G,
     trivial_root,
     truncate_K,
 )

@@ -37,7 +37,6 @@ from .kgraph import (
     kappa_K,
     mu_top_refined,
     secular_F,
-    secular_G,
     trivial_root,
     truncate_K,
 )
@@ -223,16 +222,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not args.lo < args.hi:
         raise BadParameter(f"empty sample interval [{args.lo}, {args.hi}]")
     walk = args.variable == "walk"
-    evaluate = secular_F if walk else secular_G
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(("lambda", "F", "tail_bound") if walk else ("mu", "G", "tail_bound"))
-    for x in np.linspace(args.lo, args.hi, args.points):
+    for x in np.linspace(args.lo, args.hi, args.points).tolist():
         try:
-            value, tail = evaluate(p, float(x))
+            # The reciprocal-pole form is G(mu) = F(1 - mu), term by term.
+            value, tail = secular_F(p, x if walk else 1.0 - x)
         except PoleProximity:
             continue
-        writer.writerow([_fmt(float(x)), _fmt(value), _fmt(tail)])
+        writer.writerow([_fmt(x), _fmt(value), _fmt(tail)])
     _emit(buf.getvalue().rstrip("\r\n"), args.out)
     return 0
 

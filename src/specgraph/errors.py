@@ -9,7 +9,8 @@ class SpecgraphError(Exception):
 
 
 class MalformedGraph(SpecgraphError):
-    """Graph input has the wrong shape or types (edges, vertex ids, labels)."""
+    """Graph input has the wrong shape or types (edges, vertex ids, labels),
+    or weights so large that the total measure overflows float64."""
 
 
 class SelfLoop(SpecgraphError):

@@ -132,6 +132,10 @@ class WeightedGraph:
         # Each weight is added at u, then at v, in edge order (as _weight_into).
         both = np.ravel([self.u, self.v], order="F")
         self.vertex_measure = np.bincount(both, np.repeat(self.w, 2), minlength=n)
+        with np.errstate(over="ignore"):
+            total = self.vertex_measure.sum()
+        if not np.isfinite(total):
+            raise MalformedGraph("weights too large: the total measure overflows float64")
         for array in (self.u, self.v, self.w, self.vertex_measure):
             array.setflags(write=False)
         self._csr = None

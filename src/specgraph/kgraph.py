@@ -44,7 +44,6 @@ __all__ = [
     "SecularRoot",
     "KappaEstimate",
     "secular_F",
-    "secular_G",
     "p_eigenvalue",
     "delta_eigenvalue",
     "trivial_root",
@@ -209,14 +208,6 @@ def secular_F(p: PSequence, lam: float, tol: float = 1e-13) -> tuple[float, floa
     """``F(lam)`` with a certified truncation-error bound ``<= tol``."""
     value, tail, _, _ = _evaluate(p, lam, tol)
     return value, tail
-
-
-def secular_G(p: PSequence, mu: float, tol: float = 1e-13) -> tuple[float, float]:
-    """The reciprocal-pole form ``sum (r_j - 1)/(r_j - mu)``.
-
-    Term by term this is ``F(1 - mu)``, so it is evaluated exactly that way.
-    """
-    return secular_F(p, 1.0 - mu, tol)
 
 
 @dataclass(frozen=True)

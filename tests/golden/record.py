@@ -86,6 +86,11 @@ def command_list() -> list[dict]:
             add(f"{what}/{name}", argv, lapack=lapack, stdin_file=f"{name}.json")
     add("kappa/ladder_L-over-cap", ["kappa", "-", "--max-n", "4"],
         stdin_file="ladder_L.json")
+    # 17 vertices: the dual and kappa enumerations each cross a block of
+    # 2^16 masks.
+    add("dual-cheeger/random17", ["dual-cheeger", "-", "--max-n", "17"],
+        stdin_file="random17.json")
+    add("kappa/random17", ["kappa", "-"], stdin_file="random17.json")
 
     seq = ["--head", "0.5,0.25", "--tail-ratio", "0.5"]
     add("kgraph/dyadic", ["kgraph", *seq, "--roots", "5"])
@@ -180,6 +185,8 @@ def write_inputs() -> None:
         (INPUTS / f"{family}.json").write_text(text)
     random_graph = sample_graph(RandomGraphSpec(n=10, seed=7))
     (INPUTS / "random.json").write_text(graph_to_json(random_graph) + "\n")
+    sparse_graph = sample_graph(RandomGraphSpec(n=17, edge_probability=0.25, seed=17))
+    (INPUTS / "random17.json").write_text(graph_to_json(sparse_graph) + "\n")
     (INPUTS / "labelled.json").write_text(graph_to_json(_labelled_graph()) + "\n")
 
 

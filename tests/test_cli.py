@@ -203,6 +203,7 @@ def test_missing_input_file(capsys, tmp_path):
         ("[[0, 1, 1.0]]", "MalformedGraph"),
         ('{"edges": [[0, 1, 1.0]], "labels": "ab"}', "MalformedGraph"),
         ('{"edges": [[0, 1000000000000000000, 1.0]]}', "IsolatedVertex"),
+        ('{"edges": [[0, 1, 1e308], [1, 2, 1e308]]}', "MalformedGraph"),
     ],
 )
 def test_malformed_graph_gets_a_typed_diagnostic(capsys, monkeypatch, text, error):

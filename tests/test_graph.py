@@ -130,6 +130,7 @@ def test_array_input_builds_the_same_graph():
         '{"edges": [[0, -1, 1.0]]}',
         '{"edges": [[0, NaN, 1.0]]}',
         '{"edges": [[0, 1, 1.0]], "labels": "ab"}',
+        '{"edges": [[0, 1, 1e308], [1, 2, 1e308]]}',
     ],
 )
 def test_malformed_input_is_typed(text):

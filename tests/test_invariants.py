@@ -16,8 +16,17 @@ from conftest import (
     path,
     triangle,
 )
+from specgraph import invariants
 from specgraph.errors import DisconnectedGraph, EmptySet, NotDisjoint, TooLarge
-from specgraph.graph import WeightedGraph, mask_of, vertices_of
+from specgraph.families import FamilySpec, generate
+from specgraph.graph import (
+    WeightedGraph,
+    _indicator,
+    _sequential_sum,
+    _weight_into,
+    mask_of,
+    vertices_of,
+)
 from specgraph.harness import RandomGraphSpec, sample_graph
 from specgraph.invariants import (
     cheeger_constant_exact,
@@ -154,6 +163,41 @@ def test_weighted_triangle_matches_brute_force(w):
     )
     assert dual_cheeger_exact(g).value == pytest.approx(brute_dual(g), abs=ATOL)
     assert kappa_exact(g).value == pytest.approx(brute_kappa(g), abs=ATOL)
+
+
+def test_subset_sums_add_in_neighbour_order(monkeypatch):
+    """Each enumerated ``m_S(x)`` and ``m(S)`` equals the per-vertex sum in
+    neighbour order bit for bit, across block seams too."""
+    monkeypatch.setattr(invariants, "_CHUNK_BITS", 3)
+    g = sample_graph(RandomGraphSpec(n=7, seed=3))
+    full = (1 << g.n) - 1
+    measures = invariants._measure_table(g)
+    for masks, _, sums, sums_c in invariants._chunks(g):
+        for mask, row, row_c in zip(masks.tolist(), sums, sums_c):
+            for subset, got in ((mask, row), (full ^ mask, row_c)):
+                inside = _indicator(g.n, subset)
+                m_set = _sequential_sum(g.vertex_measure[inside])
+                assert got.tolist() == [*_weight_into(g, inside).tolist(), m_set]
+                assert measures[subset] == m_set
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_block_size_changes_no_value_or_witness(monkeypatch, bits):
+    """The dual and kappa searches read masks in blocks of ``2^_CHUNK_BITS``;
+    small blocks put many block seams inside graphs of 4 to 10 vertices."""
+    graphs = [sample_graph(RandomGraphSpec(n=n, seed=n)) for n in range(4, 11)]
+    graphs += [cycle(10), complete(8), generate(FamilySpec("ladder_L", 4, r=0.5))]
+
+    def results():
+        return [
+            (report.value, report.witness)
+            for g in graphs
+            for report in (dual_cheeger_exact(g), kappa_exact(g))
+        ]
+
+    default = results()
+    monkeypatch.setattr(invariants, "_CHUNK_BITS", bits)
+    assert results() == default
 
 
 # ------------------------------------------------------------- search modes

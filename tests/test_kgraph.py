@@ -28,7 +28,6 @@ from specgraph.kgraph import (
     mu_top_refined,
     p_eigenvalue,
     secular_F,
-    secular_G,
     trivial_root,
     truncate_K,
 )
@@ -93,12 +92,6 @@ def test_secular_sum_rule_at_one():
         value, tail = secular_F(p, 1.0)
         assert abs(value - 1.0) <= 1e-12 + tail
         assert tail <= 1e-13
-
-
-def test_secular_reciprocal_form_matches():
-    value_f, _ = secular_F(DYADIC, -0.5)
-    value_g, _ = secular_G(DYADIC, 1.5)
-    assert value_f == value_g
 
 
 def test_evaluation_near_poles_rejected():
