@@ -74,7 +74,7 @@ class WeightedGraph:
         at one edge, then for the least vertex without an edge.
     """
 
-    __slots__ = ("n", "u", "v", "w", "labels", "vertex_measure", "_csr")
+    __slots__ = ("n", "u", "v", "w", "labels", "vertex_measure", "_csr", "_tree")
 
     def __init__(self, edges: Sequence[Edge], labels: Sequence | None = None):
         if labels is not None and not isinstance(labels, (list, tuple)):
@@ -139,6 +139,7 @@ class WeightedGraph:
         for array in (self.u, self.v, self.w, self.vertex_measure):
             array.setflags(write=False)
         self._csr = None
+        self._tree = None
 
     # ------------------------------------------------------------- measures
 
@@ -175,9 +176,12 @@ class WeightedGraph:
 
     # --------------------------------------------------------- connectivity
 
-    def _search(self) -> tuple[list[int], list[int]]:
+    def _search(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per vertex: the least vertex of its component, and the parity of
-        its depth in a search tree grown from that vertex."""
+        its depth in a search tree grown from that vertex.  The graph is
+        immutable, so the search runs once and its result is kept."""
+        if self._tree is not None:
+            return self._tree
         indptr, nbr, _ = self._neighbour_index()
         starts, nbr = indptr.tolist(), nbr.tolist()
         root, parity = [-1] * self.n, [0] * self.n
@@ -193,7 +197,8 @@ class WeightedGraph:
                         root[y] = start
                         parity[y] = 1 - parity[x]
                         stack.append(y)
-        return root, parity
+        self._tree = (tuple(root), tuple(parity))
+        return self._tree
 
     def component_masks(self) -> list[int]:
         """Bitmasks of the connected components, ordered by least vertex."""

@@ -239,18 +239,12 @@ def cheeger_constant_exact(
     admissible[0] = False
     ratio = np.where(admissible, ratio, np.inf)
 
+    witness = int(np.argmin(ratio))  # first minimum = smallest bitmask
     if connected_only:
         neighbour_masks = [mask_of(w for w, _ in graph.neighbors(v)) for v in range(n)]
-        best = math.inf
-        witness = 0
-        for mask in range(1, 1 << n):
-            r = ratio[mask]
-            if r < best and _induced_connected(neighbour_masks, mask):
-                best = float(r)
-                witness = mask
-        return InvariantReport("h", best, witness)
-
-    witness = int(np.argmin(ratio))  # first minimum = smallest bitmask
+        while not _induced_connected(neighbour_masks, witness):
+            ratio[witness] = np.inf
+            witness = int(np.argmin(ratio))
     return InvariantReport("h", float(ratio[witness]), witness)
 
 
@@ -282,10 +276,13 @@ def dual_cheeger_exact(
         ratio = into / m
         ratio[in_a] = -1.0  # members of A cannot join B; sorted last
         order = np.argsort(-ratio, axis=1, kind="stable")
-        values = (
-            2.0 * np.cumsum(np.take_along_axis(into, order, 1), axis=1)
-            / (sums[:, n:] + np.cumsum(m[order], axis=1))
-        )
+        # Only the columns of A's own members can overflow (weights near the
+        # float64 maximum), and those are set to -inf just below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (
+                2.0 * np.cumsum(np.take_along_axis(into, order, 1), axis=1)
+                / (sums[:, n:] + np.cumsum(m[order], axis=1))
+            )
         values[np.take_along_axis(ratio, order, 1) < 0.0] = -math.inf
         values[(masks == 0) | (masks == full)] = -math.inf  # A or complement empty
         row, k = divmod(int(np.argmax(values)), n)  # smallest A, shortest prefix

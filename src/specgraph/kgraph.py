@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -153,19 +153,25 @@ class PSequence:
 
 
 @lru_cache(maxsize=128)
-def _tables(p: PSequence, terms: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """First ``terms`` weights and their poles ``alpha_i``, as flat tuples."""
-    ps = []
+def _tables(p: PSequence, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """First ``terms`` weights ``p_i`` and poles ``alpha_i``, as cached
+    read-only float64 arrays.  ``np.cumprod`` builds the tail left to right,
+    ``p_{N+k} = p_{N+k-1} * ratio``, which can differ in the last bit from the
+    ``head[-1] * ratio**k`` of ``PSequence.p``.  Sums over the table go through
+    ``math.fsum``, so they are exactly rounded whatever numpy's order."""
     n = len(p.head)
-    value = p.head[-1]
-    for i in range(1, terms + 1):
-        if i <= n:
-            value = p.head[i - 1]
-        else:
-            value = value * p.ratio
-        ps.append(value)
-    alphas = tuple(-x / (1.0 - x) for x in ps)
-    return tuple(ps), alphas
+    tail = np.cumprod([p.head[-1]] + [p.ratio] * (terms - n))[1:]
+    ps = np.concatenate([p.head[:terms], tail])
+    alphas = -ps / (1.0 - ps)
+    ps.flags.writeable = False
+    alphas.flags.writeable = False
+    return ps, alphas
+
+
+def _weights(p: PSequence, count: int) -> np.ndarray:
+    """First ``count`` weights in the ``head[-1] * ratio**k`` form of
+    ``PSequence.p``, as a fresh array."""
+    return np.array([p.p(i) for i in range(1, count + 1)])
 
 
 def _evaluate(p: PSequence, lam: float, tail_target: float):
@@ -189,7 +195,7 @@ def _evaluate(p: PSequence, lam: float, tail_target: float):
                 )
             terms = min(_MAX_TERMS, terms * 2)
             continue
-        delta = min(min(abs(lam - a) for a in alphas), abs(lam))
+        delta = min(float(np.abs(lam - alphas).min()), abs(lam))
         if delta < POLE_TOL:
             raise PoleProximity(f"evaluation point {lam} within {delta} of a pole")
         tail = p.remainder(terms) / ((1.0 - p.head[0]) * delta)
@@ -200,7 +206,7 @@ def _evaluate(p: PSequence, lam: float, tail_target: float):
         raise NumericalFailure(
             f"tail bound {tail} above target {tail_target} at {terms} terms"
         )
-    value = math.fsum(a / (a - lam) for a in alphas)
+    value = math.fsum((alphas / (alphas - lam)).tolist())
     return value, tail, terms, alphas
 
 
@@ -247,17 +253,17 @@ class SecularRoot:
 
 def _derivative(lam: float, alphas) -> float:
     """Truncated ``F'(lam) = sum alpha_j/(alpha_j - lam)^2`` (negative)."""
-    return math.fsum(a / ((a - lam) * (a - lam)) for a in alphas)
+    gap = alphas - lam
+    return math.fsum((alphas / (gap * gap)).tolist())
 
 
-def _membership(p: PSequence, lam: float, alphas, terms: int) -> float:
+def _membership(p: PSequence, lam: float, terms: int) -> float:
     """``sum_j p_j (lam - alpha_j)^{-2}`` — square-summability of the root's
     eigenfunction — truncated plus its certified tail."""
-    ps, _ = _tables(p, terms)
-    delta = min(min(abs(lam - a) for a in alphas), abs(lam))
-    partial = math.fsum(
-        pj / ((lam - a) * (lam - a)) for pj, a in zip(ps, alphas)
-    )
+    ps, alphas = _tables(p, terms)
+    delta = min(float(np.abs(lam - alphas).min()), abs(lam))
+    gap = lam - alphas
+    partial = math.fsum((ps / (gap * gap)).tolist())
     return partial + p.remainder(terms) / (delta * delta)
 
 
@@ -333,7 +339,7 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
             f"root {i}: residual + tail {residual + tail} above tolerance {tol}"
         )
     uncertainty = (hi - lo) + (residual + tail) / max(abs(deriv), 1e-300)
-    membership = _membership(p, lam, alphas, terms)
+    membership = _membership(p, lam, terms)
     return SecularRoot(
         i, "walk", (a_lo, a_hi), lam, residual, terms, tail, uncertainty, membership
     )
@@ -349,17 +355,7 @@ def delta_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
         raise NumericalFailure(
             f"transformed root {mu} escapes its bracket ({lo}, {hi})"
         )
-    return SecularRoot(
-        i,
-        "laplacian",
-        (lo, hi),
-        mu,
-        walk.residual,
-        walk.truncation_terms,
-        walk.tail_bound,
-        walk.uncertainty,
-        walk.membership_sum,
-    )
+    return replace(walk, kind="laplacian", bracket=(lo, hi), value=mu)
 
 
 def trivial_root(p: PSequence, tol: float = 1e-13) -> SecularRoot:
@@ -369,8 +365,8 @@ def trivial_root(p: PSequence, tol: float = 1e-13) -> SecularRoot:
     the returned residual is the evaluated defect, index 0 marks the root as
     sitting outside the pole intervals.
     """
-    val, tail, terms, alphas = _evaluate(p, 1.0, tol)
-    membership = _membership(p, 1.0, alphas, terms)
+    val, tail, terms, _ = _evaluate(p, 1.0, tol)
+    membership = _membership(p, 1.0, terms)
     return SecularRoot(
         0, "walk", (0.0, math.inf), 1.0, abs(val - 1.0), terms, tail,
         abs(val - 1.0) + tail, membership,
@@ -387,16 +383,20 @@ def eigenfunction(p: PSequence, root: SecularRoot, k: int) -> np.ndarray:
     if k < 1:
         raise BadParameter("need at least one eigenfunction value")
     lam = root.value if root.kind == "walk" else 1.0 - root.value
-    values = np.array([1.0 / (lam - p.alpha(i)) for i in range(1, k + 1)])
+    ws = _weights(p, k)
+    # lambda - alpha_i and p_i/q_i + lambda are this one sum, bit for bit.
+    gap = ws / (1.0 - ws) + lam
+    values = 1.0 / gap
     lhs, tail, _, _ = _evaluate(p, lam, _TAIL_TARGET)
     budget = root.residual + root.tail_bound + tail + RESIDUAL_BUDGET
-    for i in range(1, k + 1):
-        rhs = (p.p(i) / p.q(i) + lam) * values[i - 1]
-        if abs(lhs - rhs) > budget:
-            raise NumericalFailure(
-                f"eigenfunction relation fails at index {i}: "
-                f"|{lhs} - {rhs}| > {budget}"
-            )
+    rhs = gap * values
+    failing = np.flatnonzero(np.abs(lhs - rhs) > budget)
+    if failing.size:
+        i = int(failing[0])
+        raise NumericalFailure(
+            f"eigenfunction relation fails at index {i + 1}: "
+            f"|{lhs} - {float(rhs[i])}| > {budget}"
+        )
     return values
 
 
@@ -477,19 +477,13 @@ class KappaEstimate:
 def kappa_K(p: PSequence) -> KappaEstimate:
     if p.p(1) >= 0.5:
         return KappaEstimate(1.0 - p.p(1), True, 1)
-    best = math.inf
-    best_k = 1
-    partial = 0.0
-    for k in range(1, _KAPPA_SCAN + 1):
-        pk = p.p(k)
-        partial += pk
-        # Worst same-side return probability over the split {1..k} | rest:
-        # attained at index k on the head side and in the limit on the tail.
-        candidate = max((partial - pk) / (1.0 - pk), 1.0 - partial)
-        if candidate < best:
-            best = candidate
-            best_k = k
-    return KappaEstimate(best, False, best_k)
+    ps = _weights(p, _KAPPA_SCAN)
+    partial = np.cumsum(ps)
+    # Worst same-side return probability over the split {1..k} | rest:
+    # attained at index k on the head side and in the limit on the tail.
+    candidates = np.maximum((partial - ps) / (1.0 - ps), 1.0 - partial)
+    k = int(np.argmin(candidates))
+    return KappaEstimate(float(candidates[k]), False, k + 1)
 
 
 def asymmetry_K(
@@ -559,10 +553,10 @@ def hilbert_schmidt_sum(
     """
     terms = max(2 * len(p.head) + 16, 32)
     while True:
-        ps, _ = _tables(p, terms)
-        t = [x / (1.0 - x) for x in ps]
-        t1 = math.fsum(t)
-        t2 = math.fsum(x * x for x in t)
+        # p_i / q_i = -alpha_i exactly.
+        _, alphas = _tables(p, terms)
+        t1 = -math.fsum(alphas.tolist())
+        t2 = math.fsum((alphas * alphas).tolist())
         tail1 = p.remainder(terms) / (1.0 - p.head[0])
         err_up = 2.0 * (t1 + tail1) * tail1
         if err_up <= tol or terms >= _MAX_TERMS:
@@ -590,7 +584,7 @@ def truncate_K(p: PSequence, size: int, renormalize: bool = False):
     """
     if size < 2:
         raise BadParameter("truncation needs at least two vertices")
-    ps = np.array([p.p(i) for i in range(1, size + 1)])
+    ps = _weights(p, size)
     if renormalize:
         ps *= 1.0 / math.fsum(ps)
     i, j = np.triu_indices(size, 1)

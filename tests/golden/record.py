@@ -99,9 +99,16 @@ def command_list() -> list[dict]:
         ["kgraph", "--head", "0.9", "--tail-ratio", "0.1", "--roots", "2", "--asymmetry"])
     add("kgraph/geometric-40",
         ["kgraph", "--head", "0.3", "--tail-ratio", "0.7", "--roots", "40"])
+    # p_1 < 1/2: kappa comes from the threshold-partition scan.
+    add("kgraph/five-head",
+        ["kgraph", "--head", "0.41420118343195267,0.2485207100591716,0.1242603550295858,"
+         "0.08284023668639054,0.045562130177514794", "--tail-ratio", "0.65",
+         "--roots", "25", "--asymmetry"])
     add("trace/walk", ["trace", *seq, "--from", "-1.5", "--to", "0.5", "--points", "60"])
     add("trace/laplacian", ["trace", *seq, "--variable", "laplacian",
                             "--from", "1.2", "--to", "1.9", "--points", "50"])
+    add("trace/decimal", ["trace", "--head", "0.9", "--tail-ratio", "0.1",
+                          "--from", "-1.5", "--to", "0.9", "--points", "80"])
     add("verify/seeds-20", ["verify", "--seeds", "20"], lapack=True)
     return commands
 

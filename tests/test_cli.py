@@ -213,6 +213,13 @@ def test_malformed_graph_gets_a_typed_diagnostic(capsys, monkeypatch, text, erro
     assert json.loads(err)["error"] == error
 
 
+def test_dual_cheeger_near_the_float_maximum_writes_no_warning(capsys, monkeypatch):
+    text = '{"edges": [[0,1,4e307],[1,2,4e307]]}'
+    code, out, err = run(capsys, ["dual-cheeger", "-"], text, monkeypatch)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"invariant": "hbar", "value": 1, "witness": [[1], [0, 2]]}
+
+
 def test_environment_cap_applies(capsys, monkeypatch):
     monkeypatch.setenv("SPECGRAPH_MAX_N", "3")
     code, _, err = run(capsys, ["cheeger", "-"], K4_JSON, monkeypatch)

@@ -34,6 +34,8 @@ from specgraph.graph import (
     transition_probability,
     vertices_of,
 )
+from specgraph.invariants import is_bipartite
+from specgraph.spectral import spectrum
 
 ATOL = 1e-12
 
@@ -155,6 +157,23 @@ def test_components_of_disconnected_graph():
     assert g.component_count == 2
     assert not g.is_connected()
     assert cycle(5).is_connected()
+
+
+def test_component_search_runs_once_per_graph(monkeypatch):
+    # Among these queries only the search reads the neighbour index.
+    reads = []
+    index = WeightedGraph._neighbour_index
+    monkeypatch.setattr(
+        WeightedGraph, "_neighbour_index", lambda self: reads.append(1) or index(self)
+    )
+    g = WeightedGraph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 1.0)])
+    for _ in range(2):
+        assert not g.is_connected()
+        assert g.component_masks() == [0b00111, 0b11000]
+        assert g.component_count == 2
+        assert is_bipartite(g) == (False, None)
+        assert spectrum(g).component_count == 2
+    assert len(reads) == 1
 
 
 # -------------------------------------------------------------- set helpers

@@ -24,7 +24,9 @@ from specgraph.graph import (
     _indicator,
     _sequential_sum,
     _weight_into,
+    graph_from_json,
     mask_of,
+    set_measures,
     vertices_of,
 )
 from specgraph.harness import RandomGraphSpec, sample_graph
@@ -211,10 +213,69 @@ def test_connected_restriction_does_not_change_value(seed):
     assert restricted.value == pytest.approx(free.value, abs=ATOL)
 
 
+def _tie_heavy_graph(seed: int) -> WeightedGraph:
+    """A random spanning tree, plus sparse extra edges for every third seed,
+    with weights from a short menu, so that many sets share a ratio."""
+    rng = np.random.default_rng(seed)
+    n = 4 + seed % 7
+    extra = 0.0 if seed % 3 else 0.2
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    pairs |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < extra}
+    menu = ([0.3], [0.7], [0.1, 0.2, 0.3], [0.5, 1.0, 2.0])[seed % 4]
+    return WeightedGraph([(u, v, float(rng.choice(menu))) for u, v in sorted(pairs)])
+
+
+# The seeds below 400 whose first minimizer over all sets is disconnected:
+# rounding puts a union of tied sets at or below every connected set.
+_DISCONNECTED_FIRST = (230, 332, 341, 353, 361)
+
+
+def _first_connected_minimizer(graph: WeightedGraph) -> tuple[float, int]:
+    """The first connected admissible set in (ratio, mask) order, by a plain
+    loop over all masks."""
+    total = graph.total_measure
+    adjacent = {v: set() for v in range(graph.n)}
+    for u, v, _ in graph.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    best, witness = math.inf, 0
+    for mask in range(1, 1 << graph.n):
+        members = set(vertices_of(mask))
+        m_set, boundary, _ = set_measures(graph, mask)
+        if m_set > (total - m_set) + invariants.HALF_TIE_RTOL * total:
+            continue
+        reached, frontier = set(), [min(members)]
+        while frontier:
+            x = frontier.pop()
+            reached.add(x)
+            frontier += (adjacent[x] & members) - reached
+        if boundary / m_set < best and reached == members:
+            best, witness = boundary / m_set, mask
+    return best, witness
+
+
+@pytest.mark.parametrize("seed", [*range(16), *_DISCONNECTED_FIRST])
+def test_connected_search_matches_a_plain_loop(seed):
+    g = _tie_heavy_graph(seed)
+    report = cheeger_constant_exact(g, connected_only=True)
+    assert (report.value, report.witness) == _first_connected_minimizer(g)
+    if seed in _DISCONNECTED_FIRST:
+        assert cheeger_constant_exact(g).witness != report.witness
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_partition_route_reproduces_cheeger(seed):
     g = sample_graph(RandomGraphSpec(n=7, seed=seed))
     assert h_via_r(g) == pytest.approx(cheeger_constant_exact(g).value, abs=ATOL)
+
+
+def test_dual_cheeger_near_the_float_maximum_matches_the_scaled_graph():
+    """Prefix sums over A's own members overflow here; they are discarded,
+    and no RuntimeWarning (an error under this suite's settings) escapes."""
+    big = graph_from_json('{"edges": [[0,1,4e307],[1,2,4e307]]}')
+    small = WeightedGraph(np.column_stack([big.u, big.v, big.w * 2.0**-1000]))
+    got, expected = dual_cheeger_exact(big), dual_cheeger_exact(small)
+    assert (got.value, got.witness) == (expected.value, expected.witness)
 
 
 # ---------------------------------------------------------------- guard rails

@@ -15,11 +15,15 @@ from specgraph.errors import (
     BracketCollapse,
     InsufficientRoots,
     IsolatedVertex,
+    NumericalFailure,
     PoleProximity,
 )
 from specgraph.invariants import cheeger_constant_exact
 from specgraph.kgraph import (
+    RESIDUAL_BUDGET,
+    _TAIL_TARGET,
     PSequence,
+    _tables,
     asymmetry_K,
     delta_eigenvalue,
     eigenfunction,
@@ -36,6 +40,20 @@ from specgraph.spectral import spectrum
 DYADIC = PSequence((0.5, 0.25), 0.5)
 STEEP = PSequence((0.9,), 0.1)
 SLOW = PSequence((0.1,), 0.9)
+
+
+
+def _normalized(weights, ratio):
+    """The sequence with head ``weights`` rescaled so that the total is 1."""
+    total = math.fsum(weights) + weights[-1] * ratio / (1.0 - ratio)
+    return PSequence(tuple(x / total for x in weights), ratio)
+
+
+# Head lengths 1 to 8; every one of them has p_1 < 1/2.
+HEADS = [
+    _normalized([1.0 / (k + 2) for k in range(n)], ratio)
+    for n, ratio in zip(range(1, 9), (0.9, 0.85, 0.75, 0.8, 0.6, 0.95, 0.7, 0.85))
+]
 
 ROOT_TOL = 1e-9
 # dense 40-vertex sections reproduce the certified roots to ~1e-12
@@ -273,3 +291,88 @@ def test_truncation_cheeger_stays_above_infinite_bound():
     for size in (6, 8, 10):
         h = cheeger_constant_exact(truncate_K(DYADIC, size)).value
         assert h >= bound - 1e-12
+
+
+# --------------------------------------------------------------- pole table
+#
+# The loops below are the scalar forms the array code replaced; the arrays
+# must reproduce them bit for bit.
+
+
+def _tables_loop(p, terms):
+    ps, value = [], p.head[-1]
+    for i in range(1, terms + 1):
+        value = p.head[i - 1] if i <= len(p.head) else value * p.ratio
+        ps.append(value)
+    return ps, [-x / (1.0 - x) for x in ps]
+
+
+def _kappa_loop(p):
+    best, best_k, partial = math.inf, 1, 0.0
+    for k in range(1, 201):
+        pk = p.p(k)
+        partial += pk
+        candidate = max((partial - pk) / (1.0 - pk), 1.0 - partial)
+        if candidate < best:
+            best, best_k = candidate, k
+    return best, best_k
+
+
+def _eigenfunction_loop(p, root, k):
+    """The values, or the message of the first failing relation."""
+    lam = root.value if root.kind == "walk" else 1.0 - root.value
+    values = [1.0 / (lam - p.alpha(i)) for i in range(1, k + 1)]
+    lhs, tail = secular_F(p, lam, _TAIL_TARGET)
+    budget = root.residual + root.tail_bound + tail + RESIDUAL_BUDGET
+    for i in range(1, k + 1):
+        rhs = (p.p(i) / p.q(i) + lam) * values[i - 1]
+        if abs(lhs - rhs) > budget:
+            return f"eigenfunction relation fails at index {i}: |{lhs} - {rhs}| > {budget}"
+    return values
+
+
+@pytest.mark.parametrize("p", HEADS, ids=lambda p: f"head{len(p.head)}")
+def test_tables_match_the_scalar_loop_across_the_head_boundary(p):
+    n = len(p.head)
+    for terms in sorted({1, max(1, n - 1), n, n + 1, n + 2, 2 * n + 16, 100}):
+        ps, alphas = _tables(p, terms)
+        assert ps.dtype == alphas.dtype == np.float64
+        assert (ps.tolist(), alphas.tolist()) == _tables_loop(p, terms)
+
+
+def test_cached_tables_refuse_writes():
+    ps, alphas = _tables(DYADIC, 40)
+    assert _tables(DYADIC, 40)[0] is ps
+    for array in (ps, alphas):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
+def test_kappa_scan_matches_the_scalar_loop():
+    below_half = [p for p in (*HEADS, SLOW) if p.p(1) < 0.5]
+    assert len(below_half) == len(HEADS) + 1
+    splits = set()
+    for p in below_half:
+        est = kappa_K(p)
+        assert not est.certified
+        assert (est.value, est.split_index) == _kappa_loop(p)
+        splits.add(est.split_index > len(p.head))
+    assert splits == {False, True}  # splits in the head and in the tail
+
+
+@pytest.mark.parametrize("p", [DYADIC, STEEP, SLOW, HEADS[3], HEADS[7]])
+def test_eigenfunction_matches_the_scalar_loop(p):
+    roots = [trivial_root(p)]
+    for i in range(1, 9):
+        for solve in (p_eigenvalue, delta_eigenvalue):
+            try:
+                roots.append(solve(p, i))
+            except (BracketCollapse, PoleProximity):
+                pass
+    for root in roots:
+        expected = _eigenfunction_loop(p, root, 30)
+        try:
+            got = eigenfunction(p, root, 30).tolist()
+        except NumericalFailure as exc:
+            got = str(exc)
+        assert got == expected, (root.kind, root.index)
