@@ -35,11 +35,9 @@ from .graph import (
     WeightedGraph,
     apply_laplacian,
     dirichlet_form,
-    dump_graph,
     graph_from_json,
     graph_to_json,
     inner_product,
-    load_graph,
     mask_of,
     q_form,
     set_measures,
@@ -93,7 +91,6 @@ from .spectral import (
     auxiliary_graph,
     hausdorff_asymmetry,
     laplacian_matrix,
-    p_psi_norm,
     random_walk_matrix,
     rayleigh,
     signed_conjugation,

@@ -9,8 +9,8 @@ point output is fixed to 17 significant digits so runs compare bit-for-bit.
 
 Exit codes: 0 success, 1 computation error (a machine-readable
 ``{"error": ..., "message": ...}`` line goes to stderr), 2 usage error.
-The environment variable ``SPECGRAPH_MAX_N`` overrides the enumeration caps
-wherever a ``--max-n`` flag exists but is not given.
+The enumeration commands and ``verify`` take ``--max-n`` to move the
+enumeration caps.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -103,18 +102,6 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise BadParameter(f"expected comma-separated numbers, got {text!r}")
 
 
-def _resolve_cap(args: argparse.Namespace) -> int | None:
-    if getattr(args, "max_n", None) is not None:
-        return args.max_n
-    raw = os.environ.get("SPECGRAPH_MAX_N")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParameter(f"SPECGRAPH_MAX_N must be an integer, got {raw!r}")
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -154,7 +141,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_cheeger(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
     report = cheeger_constant_exact(
-        graph, _resolve_cap(args), connected_only=args.connected_only
+        graph, args.max_n, connected_only=args.connected_only
     )
     _emit(_to_json(report.to_payload()), args.out)
     return 0
@@ -162,14 +149,14 @@ def _cmd_cheeger(args: argparse.Namespace) -> int:
 
 def _cmd_dual_cheeger(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
-    report = dual_cheeger_exact(graph, _resolve_cap(args))
+    report = dual_cheeger_exact(graph, args.max_n)
     _emit(_to_json(report.to_payload()), args.out)
     return 0
 
 
 def _cmd_kappa(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
-    report = kappa_exact(graph, _resolve_cap(args))
+    report = kappa_exact(graph, args.max_n)
     _emit(_to_json(report.to_payload()), args.out)
     return 0
 
@@ -207,7 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         edge_probability=args.edge_probability,
         base_seed=args.base_seed,
-        max_n=_resolve_cap(args),
+        max_n=args.max_n,
         include_families=not args.no_families,
     )
     summary = run_suite(config)

@@ -9,8 +9,9 @@ class SpecgraphError(Exception):
 
 
 class MalformedGraph(SpecgraphError):
-    """Graph input has the wrong shape or types (edges, vertex ids, labels),
-    or weights so large that the total measure overflows float64."""
+    """Graph input is not JSON, has the wrong shape or types (edges, vertex
+    ids, labels), or has weights so large that the total measure overflows
+    float64."""
 
 
 class SelfLoop(SpecgraphError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,8 +44,6 @@ __all__ = [
     "vertices_of",
     "graph_to_json",
     "graph_from_json",
-    "load_graph",
-    "dump_graph",
 ]
 
 
@@ -152,10 +150,6 @@ class WeightedGraph:
     def total_measure(self) -> float:
         """``M = sum_v m(v)``; equals twice the total edge weight."""
         return float(self.vertex_measure.sum())
-
-    @property
-    def total_edge_weight(self) -> float:
-        return float(_sequential_sum(self.w))
 
     def _neighbour_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR ``(indptr, neighbour, weight)``, neighbours ascending per vertex
@@ -366,16 +360,11 @@ def graph_to_json(graph: WeightedGraph) -> str:
 
 def graph_from_json(text: str) -> WeightedGraph:
     """Parse the wire format produced by :func:`graph_to_json`."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedGraph(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "edges" not in payload:
         raise MalformedGraph('a graph is a JSON object with an "edges" list')
     return WeightedGraph(payload["edges"], payload.get("labels"))
 
-
-def load_graph(fp: IO[str]) -> WeightedGraph:
-    return graph_from_json(fp.read())
-
-
-def dump_graph(graph: WeightedGraph, fp: IO[str]) -> None:
-    fp.write(graph_to_json(graph))
-    fp.write("\n")

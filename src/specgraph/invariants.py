@@ -144,11 +144,6 @@ def _subset_sums(rows: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def _measure_table(graph: WeightedGraph) -> np.ndarray:
-    """``m(S)`` for every subset mask."""
-    return _subset_sums(graph.vertex_measure, graph.n)
-
-
 def _cut_table(graph: WeightedGraph) -> np.ndarray:
     """``m(boundary S)`` for every subset mask."""
     n = graph.n
@@ -230,7 +225,7 @@ def cheeger_constant_exact(
     if n < 2:
         raise EmptySet("cheeger constant needs at least two vertices")
 
-    m_table = _measure_table(graph)
+    m_table = _subset_sums(graph.vertex_measure, graph.n)
     cut = _cut_table(graph)
     total = graph.total_measure
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -348,7 +343,7 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
         raise DisconnectedGraph("cheeger constant needs a connected graph")
     if n < 2:
         raise EmptySet("partition route needs at least two vertices")
-    m_table = _measure_table(graph)
+    m_table = _subset_sums(graph.vertex_measure, graph.n)
     cut = _cut_table(graph)
     total = graph.total_measure
 

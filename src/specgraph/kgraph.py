@@ -61,8 +61,10 @@ POLE_TOL = 1e-13
 BRACKET_MIN = 1e-15
 # Allowed root residual beyond the certified truncation tail.
 RESIDUAL_BUDGET = 1e-12
-# Truncation-tail target used while root-finding.
+# Truncation-tail target used while root-finding and evaluating F.
 _TAIL_TARGET = 1e-13
+# Certified truncation error of the Hilbert-Schmidt sum.
+_HS_TAIL_TARGET = 1e-12
 _MAX_TERMS = 1_000_000
 # Threshold partitions scanned for the uncertified kappa estimate.
 _KAPPA_SCAN = 200
@@ -138,15 +140,6 @@ class PSequence:
     def to_payload(self) -> dict:
         return {"head": list(self.head), "tail": {"ratio": self.ratio}}
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "PSequence":
-        try:
-            head = payload["head"]
-            ratio = payload["tail"]["ratio"]
-        except (KeyError, TypeError) as exc:
-            raise BadParameter(f"malformed sequence payload: {exc}") from exc
-        return cls(tuple(head), ratio)
-
     def fingerprint(self) -> str:
         wire = json.dumps(self.to_payload(), sort_keys=True)
         return hashlib.md5(wire.encode()).hexdigest()[:12]
@@ -210,9 +203,9 @@ def _evaluate(p: PSequence, lam: float, tail_target: float):
     return value, tail, terms, alphas
 
 
-def secular_F(p: PSequence, lam: float, tol: float = 1e-13) -> tuple[float, float]:
-    """``F(lam)`` with a certified truncation-error bound ``<= tol``."""
-    value, tail, _, _ = _evaluate(p, lam, tol)
+def secular_F(p: PSequence, lam: float) -> tuple[float, float]:
+    """``F(lam)`` with a certified truncation-error bound ``<= 1e-13``."""
+    value, tail, _, _ = _evaluate(p, lam, _TAIL_TARGET)
     return value, tail
 
 
@@ -272,7 +265,8 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
 
     Bisection (valid because F decreases from +inf to -inf across the
     interval) down to 1e-10 of the bracket width, then at most five Newton
-    steps safeguarded by the bracket.  The result carries its residual,
+    steps safeguarded by the bracket, then more bisection only while the best
+    residual is over budget.  The result carries its residual,
     certified tail bound, and an enclosure half-width; their combination must
     stay within ``tol``.
     """
@@ -329,11 +323,22 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
         hi = min(hi, lam)
 
     residual, lam, tail, terms, alphas = best
+    # Still over budget: halve the bracket, keeping the best point, until the
+    # residual fits or the bracket is down to adjacent floats.
+    while residual > RESIDUAL_BUDGET + tail:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise NumericalFailure(
+                f"root {i} residual {residual} beyond budget {RESIDUAL_BUDGET + tail}"
+            )
+        val, *rest = _evaluate(p, mid, _TAIL_TARGET)
+        if val > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if abs(val - 1.0) < residual:
+            residual, lam, (tail, terms, alphas) = abs(val - 1.0), mid, rest
     deriv = _derivative(lam, alphas)
-    if residual > RESIDUAL_BUDGET + tail:
-        raise NumericalFailure(
-            f"root {i} residual {residual} beyond budget {RESIDUAL_BUDGET + tail}"
-        )
     if residual + tail > tol:
         raise NumericalFailure(
             f"root {i}: residual + tail {residual + tail} above tolerance {tol}"
@@ -358,14 +363,14 @@ def delta_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     return replace(walk, kind="laplacian", bracket=(lo, hi), value=mu)
 
 
-def trivial_root(p: PSequence, tol: float = 1e-13) -> SecularRoot:
+def trivial_root(p: PSequence) -> SecularRoot:
     """The root ``lambda = 1`` (constant functions; Laplacian eigenvalue 0).
 
     ``F(1) = 1`` holds term by term since ``alpha_j/(alpha_j - 1) = p_j``;
     the returned residual is the evaluated defect, index 0 marks the root as
     sitting outside the pole intervals.
     """
-    val, tail, terms, _ = _evaluate(p, 1.0, tol)
+    val, tail, terms, _ = _evaluate(p, 1.0, _TAIL_TARGET)
     membership = _membership(p, 1.0, terms)
     return SecularRoot(
         0, "walk", (0.0, math.inf), 1.0, abs(val - 1.0), terms, tail,
@@ -378,7 +383,8 @@ def eigenfunction(p: PSequence, root: SecularRoot, k: int) -> np.ndarray:
 
     Verifies the defining relation ``sum_j (p_j/q_j) f(j) = (p_i/q_i +
     lambda) f(i)`` for every returned index, to within the root's residual
-    plus truncation bounds.
+    plus truncation bounds (and, for a Laplacian root, ``|F'|`` times the
+    rounding of ``lambda = 1 - mu``).
     """
     if k < 1:
         raise BadParameter("need at least one eigenfunction value")
@@ -387,8 +393,12 @@ def eigenfunction(p: PSequence, root: SecularRoot, k: int) -> np.ndarray:
     # lambda - alpha_i and p_i/q_i + lambda are this one sum, bit for bit.
     gap = ws / (1.0 - ws) + lam
     values = 1.0 / gap
-    lhs, tail, _, _ = _evaluate(p, lam, _TAIL_TARGET)
+    lhs, tail, _, alphas = _evaluate(p, lam, _TAIL_TARGET)
     budget = root.residual + root.tail_bound + tail + RESIDUAL_BUDGET
+    if root.kind == "laplacian":
+        # Rounding in lam = 1 - mu moves lam off the root, and F with it.
+        shift = 2.0**-53 * (abs(root.value) + abs(lam))
+        budget += 2.0 * abs(_derivative(lam, alphas)) * shift
     rhs = gap * values
     failing = np.flatnonzero(np.abs(lhs - rhs) > budget)
     if failing.size:
@@ -541,15 +551,13 @@ def asymmetry_K(
     return max(0.0, out[0]), out[1]
 
 
-def hilbert_schmidt_sum(
-    p: PSequence, tol: float = 1e-12
-) -> tuple[float, CheckReport]:
+def hilbert_schmidt_sum(p: PSequence) -> tuple[float, CheckReport]:
     """Squared Hilbert–Schmidt mass of the walk operator, with its bound.
 
     The double sum ``sum_{i != j} (p_i p_j)^2 / (p_i q_i p_j q_j)``
     collapses to ``T1^2 - T2`` for ``T_k = sum (p_i/q_i)^k``; tails are
-    certified via the geometric remainder.  The accompanying report checks
-    the strict bound ``value < q_1^{-2}``.
+    certified via the geometric remainder, to ``_HS_TAIL_TARGET``.  The
+    accompanying report checks the strict bound ``value < q_1^{-2}``.
     """
     terms = max(2 * len(p.head) + 16, 32)
     while True:
@@ -559,7 +567,7 @@ def hilbert_schmidt_sum(
         t2 = math.fsum((alphas * alphas).tolist())
         tail1 = p.remainder(terms) / (1.0 - p.head[0])
         err_up = 2.0 * (t1 + tail1) * tail1
-        if err_up <= tol or terms >= _MAX_TERMS:
+        if err_up <= _HS_TAIL_TARGET or terms >= _MAX_TERMS:
             break
         terms = min(_MAX_TERMS, terms * 2)
     value = t1 * t1 - t2

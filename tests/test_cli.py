@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from specgraph.cli import main
+from specgraph.kgraph import RESIDUAL_BUDGET
 
 K4_JSON = json.dumps(
     {"edges": [[u, v, 1.0] for u in range(4) for v in range(u + 1, 4)]}
@@ -123,6 +124,27 @@ def test_sequence_report(capsys):
     assert 0.0 <= asym_lo <= asym_hi <= 2.0 * payload["kappa"]["value"]
 
 
+
+def test_root_over_budget_after_newton_is_bisected_further(capsys):
+    # Newton leaves root 19 of this sequence over the residual budget, so it
+    # is finished by the bisection that follows.
+    head = ("0.2765634789345257,0.2189565592165609,0.12948919770288178,"
+            "0.1051749873119179,0.08709230186312227")
+    code, out, err = run(
+        capsys,
+        ["kgraph", "--head", head, "--tail-ratio", "0.6772156806950997",
+         "--roots", "27"],
+    )
+    assert code == 0 and err == ""
+    roots = json.loads(out)["roots"]
+    assert len(roots) == 27
+    root = roots[18]
+    lo, hi = root["bracket"]
+    assert root["index"] == 19 and lo < root["value"] < hi
+    assert root["residual"] + root["tail_bound"] <= 1e-9
+    assert root["residual"] <= RESIDUAL_BUDGET + root["tail_bound"]
+
+
 def test_walk_trace_skips_poles(capsys):
     code, out, _ = run(
         capsys,
@@ -204,6 +226,7 @@ def test_missing_input_file(capsys, tmp_path):
         ('{"edges": [[0, 1, 1.0]], "labels": "ab"}', "MalformedGraph"),
         ('{"edges": [[0, 1000000000000000000, 1.0]]}', "IsolatedVertex"),
         ('{"edges": [[0, 1, 1e308], [1, 2, 1e308]]}', "MalformedGraph"),
+        ('{"edges": [', "MalformedGraph"),
     ],
 )
 def test_malformed_graph_gets_a_typed_diagnostic(capsys, monkeypatch, text, error):
@@ -220,25 +243,16 @@ def test_dual_cheeger_near_the_float_maximum_writes_no_warning(capsys, monkeypat
     assert json.loads(out) == {"invariant": "hbar", "value": 1, "witness": [[1], [0, 2]]}
 
 
-def test_environment_cap_applies(capsys, monkeypatch):
-    monkeypatch.setenv("SPECGRAPH_MAX_N", "3")
-    code, _, err = run(capsys, ["cheeger", "-"], K4_JSON, monkeypatch)
+def test_cap_flag_applies(capsys, monkeypatch):
+    code, _, err = run(capsys, ["cheeger", "-", "--max-n", "3"], K4_JSON, monkeypatch)
     assert code == 1
     assert json.loads(err)["error"] == "TooLarge"
 
 
-def test_explicit_flag_overrides_environment(capsys, monkeypatch):
-    monkeypatch.setenv("SPECGRAPH_MAX_N", "3")
+def test_cap_flag_admits_the_graph(capsys, monkeypatch):
     code, out, _ = run(capsys, ["cheeger", "-", "--max-n", "4"], K4_JSON, monkeypatch)
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-
-def test_garbage_environment_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SPECGRAPH_MAX_N", "soon")
-    code, _, err = run(capsys, ["cheeger", "-"], K4_JSON, monkeypatch)
-    assert code == 1
-    assert json.loads(err)["error"] == "BadParameter"
 
 
 def test_product_family_needs_its_sequence(capsys):

@@ -1,6 +1,5 @@
 """Graph container, measures, quadratic forms, and wire-format round trips."""
 
-import io
 import json
 import math
 
@@ -23,11 +22,9 @@ from specgraph.graph import (
     _indicator,
     apply_laplacian,
     dirichlet_form,
-    dump_graph,
     graph_from_json,
     graph_to_json,
     inner_product,
-    load_graph,
     mask_of,
     q_form,
     set_measures,
@@ -49,7 +46,7 @@ def test_triangle_measures():
     g = triangle()
     assert np.allclose(g.vertex_measure, [2.0, 2.0, 2.0])
     assert g.total_measure == 6.0
-    assert g.total_edge_weight == 3.0
+    assert g.w.sum() == 3.0
 
 
 def test_path_measures_and_neighbors():
@@ -133,6 +130,7 @@ def test_array_input_builds_the_same_graph():
         '{"edges": [[0, NaN, 1.0]]}',
         '{"edges": [[0, 1, 1.0]], "labels": "ab"}',
         '{"edges": [[0, 1, 1e308], [1, 2, 1e308]]}',
+        '{"edges": [',
     ],
 )
 def test_malformed_input_is_typed(text):
@@ -291,16 +289,8 @@ def test_weights_survive_json_bit_exactly():
     assert graph_from_json(graph_to_json(g)).edges[0][2] == w
 
 
-def test_stream_round_trip():
-    g = cycle(4)
-    buf = io.StringIO()
-    dump_graph(g, buf)
-    buf.seek(0)
-    assert load_graph(buf) == g
-
-
 def test_from_json_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedGraph):
         graph_from_json("not json at all")
     with pytest.raises(MalformedGraph):
         graph_from_json('{"nodes": []}')

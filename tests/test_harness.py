@@ -56,7 +56,6 @@ def test_samples_are_connected_with_bounded_weights():
         {"n": 1},
         {"n": 5, "edge_probability": 0.0},
         {"n": 5, "edge_probability": 1.5},
-        {"n": 5, "weight_low": 0.5, "weight_high": 0.1},
     ],
 )
 def test_bad_sampling_specs_rejected(kwargs):

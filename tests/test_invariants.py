@@ -173,7 +173,7 @@ def test_subset_sums_add_in_neighbour_order(monkeypatch):
     monkeypatch.setattr(invariants, "_CHUNK_BITS", 3)
     g = sample_graph(RandomGraphSpec(n=7, seed=3))
     full = (1 << g.n) - 1
-    measures = invariants._measure_table(g)
+    measures = invariants._subset_sums(g.vertex_measure, g.n)
     for masks, _, sums, sums_c in invariants._chunks(g):
         for mask, row, row_c in zip(masks.tolist(), sums, sums_c):
             for subset, got in ((mask, row), (full ^ mask, row_c)):

@@ -9,6 +9,7 @@ from conftest import complete, cycle, path, triangle
 from specgraph.errors import EmptySet, EmptySpectrum, ZeroFunction
 from specgraph.graph import (
     WeightedGraph,
+    _indicator,
     dirichlet_form,
     inner_product,
     q_form,
@@ -20,7 +21,6 @@ from specgraph.spectral import (
     auxiliary_graph,
     hausdorff_asymmetry,
     laplacian_matrix,
-    p_psi_norm,
     random_walk_matrix,
     rayleigh,
     signed_conjugation,
@@ -163,12 +163,11 @@ def test_asymmetry_bounded_by_twice_kappa():
 def test_signed_conjugation_on_triangle():
     op = signed_conjugation(triangle(), 0b001)
     assert op.mask_a == 0b001 and op.mask_b == 0b110
-    assert list(op.signs) == [1.0, -1.0, -1.0]
     assert op.identity_residual <= 1e-12
     assert np.abs(op.values - spectrum(triangle()).values).max() <= 1e-9
-    # blocked operator keeps only same-side transitions
-    walk = random_walk_matrix(triangle())
-    assert op.p_psi[0, 1] == 0.0 and op.p_psi[1, 2] == walk[1, 2]
+    # the blocked operator keeps only the transitions 1 -> 2 and 2 -> 1,
+    # each of probability 1/2, so its norm is 1/2
+    assert op.blocked_norm == pytest.approx(0.5, abs=ATOL)
 
 
 def test_signed_conjugation_rejects_trivial_partition():
@@ -181,14 +180,36 @@ def test_signed_conjugation_rejects_trivial_partition():
 def test_blocked_norm_vanishes_on_bipartition():
     g = cycle(6)
     _, masks = is_bipartite(g)
-    assert p_psi_norm(g, masks[0]) == 0.0
+    assert signed_conjugation(g, masks[0]).blocked_norm == 0.0
 
 
 def test_blocked_norm_below_kappa_pair():
     for seed in range(6):
         g = sample_graph(RandomGraphSpec(n=7, seed=seed))
         mask_a, mask_b = kappa_exact(g).witness
-        assert p_psi_norm(g, mask_a) <= kappa_pair(g, mask_a, mask_b) + 1e-9
+        norm = signed_conjugation(g, mask_a).blocked_norm
+        assert norm <= kappa_pair(g, mask_a, mask_b) + 1e-9
+
+
+def _blocked_norm_loop(graph, mask_a):
+    """Reference for ``blocked_norm``: the norm of ``N = D^{-1/2} W D^{-1/2}``
+    with its cross-class entries zeroed one by one."""
+    sym = symmetric_conjugate(graph)
+    side = _indicator(graph.n, mask_a)
+    for a in range(graph.n):
+        for b in range(graph.n):
+            if side[a] != side[b]:
+                sym[a, b] = 0.0
+    return float(np.abs(np.linalg.eigvalsh(sym)).max())
+
+
+def test_blocked_norm_matches_the_separate_route():
+    graphs = [triangle(1.0, 2.0, 4.0), cycle(6), complete(5)]
+    graphs += [sample_graph(RandomGraphSpec(n=n, seed=n)) for n in range(4, 9)]
+    for g in graphs:
+        for mask_a in range(1, (1 << g.n) - 1, 3):
+            got = signed_conjugation(g, mask_a).blocked_norm
+            assert got == _blocked_norm_loop(g, mask_a), (g.n, mask_a)
 
 
 # ------------------------------------------------------------------- co-area
@@ -217,7 +238,6 @@ def test_auxiliary_graph_without_same_sign_edges_is_identity():
     g = cycle(4)
     aux = auxiliary_graph(g, [1.0, -1.0, 1.0, -1.0])
     assert aux.graph.n == 4
-    assert aux.mirror == {}
     assert aux.graph.edges == g.edges
 
 
@@ -225,9 +245,11 @@ def test_auxiliary_graph_mirrors_same_sign_edges():
     g = triangle()
     f = np.array([1.0, 1.0, -1.0])
     aux = auxiliary_graph(g, f)
-    # the same-sign edge 01 forces mirrors of both endpoints
-    assert set(aux.mirror) == {0, 1}
+    # the same-sign edge 01 forces mirrors of both endpoints: 0' = 3 and
+    # 1' = 4, and 01 becomes the pair 0 1' and 0' 1
     assert aux.graph.n == 5
+    assert aux.graph.edges == ((0, 2, 1.0), (0, 4, 1.0), (1, 2, 1.0), (1, 3, 1.0))
+    assert aux.values.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
     assert inner_product(aux.graph, aux.values, aux.values) == pytest.approx(
         inner_product(g, f, f), abs=1e-10
     )
