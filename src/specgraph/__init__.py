@@ -33,7 +33,6 @@ from .errors import (
 from .families import FAMILIES, ClosedForm, FamilySpec, closed_form, generate, tail_ratio_trace
 from .graph import (
     WeightedGraph,
-    apply_laplacian,
     dirichlet_form,
     graph_from_json,
     graph_to_json,
@@ -41,7 +40,6 @@ from .graph import (
     mask_of,
     q_form,
     set_measures,
-    transition_probability,
     vertices_of,
 )
 from .harness import (

@@ -91,7 +91,8 @@ class InsufficientRoots(SpecgraphError):
 
 
 class BadParameter(SpecgraphError):
-    """A family or sequence parameter is outside its legal range."""
+    """A family, sequence or solver parameter is outside its legal range, or
+    an argument such as a vertex function has the wrong shape."""
 
 
 class NoClosedForm(SpecgraphError):

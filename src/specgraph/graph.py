@@ -7,8 +7,8 @@ Laplacian acts on functions by
 
     (Delta f)(v) = f(v) - sum_{w ~ v} m(vw)/m(v) * f(w).
 
-A graph is stored once, as sorted edge arrays ``u < v`` and weights ``w``, with
-a lazily built CSR neighbour index; ``edges`` is a view derived on demand.
+A graph is stored once, as sorted edge arrays ``u < v`` and weights ``w``;
+``edges`` is a view derived on demand.
 Vertex sets are plain Python integers used as bitmasks (bit ``i`` set means
 vertex ``i`` is in the set); vertex functions are numpy arrays of length ``n``.
 """
@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadParameter,
     DuplicateEdge,
     EmptySet,
     IsolatedVertex,
@@ -35,11 +36,9 @@ Edge = tuple[int, int, float]
 __all__ = [
     "WeightedGraph",
     "set_measures",
-    "apply_laplacian",
     "dirichlet_form",
     "q_form",
     "inner_product",
-    "transition_probability",
     "mask_of",
     "vertices_of",
     "graph_to_json",
@@ -51,7 +50,7 @@ class WeightedGraph:
     """Simple undirected graph with positive edge weights.
 
     Stored once, as arrays ``u < v`` (int64, sorted by ``(u, v)``), ``w`` and
-    ``vertex_measure``; a CSR neighbour index is built on first use, and
+    ``vertex_measure``, plus the component search once it has run;
     ``edges`` derives the ``(u, v, w)`` triples on demand.
 
     Parameters
@@ -72,7 +71,7 @@ class WeightedGraph:
         at one edge, then for the least vertex without an edge.
     """
 
-    __slots__ = ("n", "u", "v", "w", "labels", "vertex_measure", "_csr", "_tree")
+    __slots__ = ("n", "u", "v", "w", "labels", "vertex_measure", "_tree")
 
     def __init__(self, edges: Sequence[Edge], labels: Sequence | None = None):
         if labels is not None and not isinstance(labels, (list, tuple)):
@@ -136,7 +135,6 @@ class WeightedGraph:
             raise MalformedGraph("weights too large: the total measure overflows float64")
         for array in (self.u, self.v, self.w, self.vertex_measure):
             array.setflags(write=False)
-        self._csr = None
         self._tree = None
 
     # ------------------------------------------------------------- measures
@@ -151,47 +149,14 @@ class WeightedGraph:
         """``M = sum_v m(v)``; equals twice the total edge weight."""
         return float(self.vertex_measure.sum())
 
-    def _neighbour_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR ``(indptr, neighbour, weight)``, neighbours ascending per vertex
-        (lower neighbours first, each half ascending, then a stable sort)."""
-        if self._csr is None:
-            src = np.concatenate([self.v, self.u])
-            order = np.argsort(src, kind="stable")
-            indptr = np.searchsorted(src[order], np.arange(self.n + 1))
-            nbr = np.concatenate([self.u, self.v])[order]
-            self._csr = (indptr, nbr, np.concatenate([self.w, self.w])[order])
-        return self._csr
-
-    def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        """Pairs ``(w, m(vw))`` for the neighbors of ``v``, ascending in ``w``."""
-        indptr, nbr, weight = self._neighbour_index()
-        lo, hi = indptr[v], indptr[v + 1]
-        return tuple(zip(nbr[lo:hi].tolist(), weight[lo:hi].tolist()))
-
     # --------------------------------------------------------- connectivity
 
     def _search(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per vertex: the least vertex of its component, and the parity of
-        its depth in a search tree grown from that vertex.  The graph is
-        immutable, so the search runs once and its result is kept."""
-        if self._tree is not None:
-            return self._tree
-        indptr, nbr, _ = self._neighbour_index()
-        starts, nbr = indptr.tolist(), nbr.tolist()
-        root, parity = [-1] * self.n, [0] * self.n
-        for start in range(self.n):
-            if root[start] != -1:
-                continue
-            root[start] = start
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in nbr[starts[x]:starts[x + 1]]:
-                    if root[y] == -1:
-                        root[y] = start
-                        parity[y] = 1 - parity[x]
-                        stack.append(y)
-        self._tree = (tuple(root), tuple(parity))
+        """Per vertex: the least vertex of its component, and its parity
+        relative to that vertex.  The graph is immutable, so the search runs
+        once and its result is kept."""
+        if self._tree is None:
+            self._tree = _union_find(self.n, self.u.tolist(), self.v.tolist())
         return self._tree
 
     def component_masks(self) -> list[int]:
@@ -203,7 +168,7 @@ class WeightedGraph:
 
     @property
     def component_count(self) -> int:
-        return len(self.component_masks())
+        return len(set(self._search()[0]))
 
     def is_connected(self) -> bool:
         return self.n > 0 and self.component_count == 1
@@ -222,6 +187,36 @@ class WeightedGraph:
 
     def __hash__(self) -> int:
         return hash((self.u.tobytes(), self.v.tobytes(), self.w.tobytes(), self.labels))
+
+
+def _union_find(
+    n: int, u: list[int], v: list[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Union-find with a parity bit over the edges in stored order (Tarjan,
+    JACM 1975).  A larger root always hangs under a smaller one, so every
+    vertex's parent is below it and each root is its component's least
+    vertex; ``parity[x]`` is relative to ``parent[x]``, halved paths included.
+    """
+    parent, parity = list(range(n)), [0] * n
+    for a, b in zip(u, v):
+        pa = pb = 0  # parity of a and b relative to their roots
+        while (up := parent[a]) != a:  # path halving: a skips to its grandparent
+            parity[a] ^= parity[up]
+            pa ^= parity[a]
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parity[b] ^= parity[up]
+            pb ^= parity[b]
+            parent[b] = b = parent[up]
+        if a < b:
+            parent[b], parity[b] = a, pa ^ pb ^ 1
+        elif b < a:
+            parent[a], parity[a] = b, pa ^ pb ^ 1
+    # Parents precede their children, so one ascending pass resolves all.
+    for x in range(n):
+        parity[x] ^= parity[parent[x]]  # a root keeps 0
+        parent[x] = parent[parent[x]]
+    return tuple(parent), tuple(parity)
 
 
 # ------------------------------------------------------------------ set ops
@@ -279,32 +274,14 @@ def _weight_into(graph: WeightedGraph, inside: np.ndarray) -> np.ndarray:
     return np.bincount(np.ravel([u, v], order="F"), weights, minlength=graph.n)
 
 
-def transition_probability(graph: WeightedGraph, v: int, mask: int) -> float:
-    """Fraction ``m_S(v) / m(v)`` of the weight at ``v`` that points into S."""
-    into = _weight_into(graph, _indicator(graph.n, mask))[v]
-    return float(into / graph.vertex_measure[v])
-
-
 # ----------------------------------------------------------- quadratic forms
 
 
 def _as_function(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.shape != (graph.n,):
-        raise ValueError(f"function has shape {arr.shape}, expected ({graph.n},)")
+        raise BadParameter(f"function has shape {arr.shape}, expected ({graph.n},)")
     return arr
-
-
-def apply_laplacian(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Apply the normalized Laplacian to a vertex function."""
-    arr = _as_function(graph, f)
-    out = arr.copy()
-    for v in range(graph.n):
-        acc = 0.0
-        for u, w in graph.neighbors(v):
-            acc += w * arr[u]
-        out[v] -= acc / graph.vertex_measure[v]
-    return out
 
 
 def _edge_energy(graph: WeightedGraph, f, sign: float) -> float:

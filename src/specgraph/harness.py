@@ -44,6 +44,7 @@ from .invariants import (
 from .kgraph import PSequence
 from .reports import CheckReport, graph_fingerprint
 from .spectral import (
+    ZERO_THRESHOLD,
     Spectrum,
     auxiliary_graph,
     hausdorff_asymmetry,
@@ -487,7 +488,7 @@ def check_global_invariants(analysis: Analysis) -> list[CheckReport]:
     spec = analysis.spectrum
     best = analysis.h
     bipartite, _ = is_bipartite(graph)
-    zero_count = int(np.count_nonzero(spec.values <= spec.zero_threshold))
+    zero_count = int(np.count_nonzero(spec.values <= ZERO_THRESHOLD))
     return [
         CheckReport.inequality(
             "dual_kappa_complement",
@@ -520,7 +521,7 @@ def check_global_invariants(analysis: Analysis) -> list[CheckReport]:
         CheckReport.identity(
             "zero_multiplicity",
             float(zero_count),
-            float(spec.component_count),
+            float(graph.component_count),
             0.0,
             fp,
         ),
@@ -579,7 +580,7 @@ def graph_checks(
     reports += check_operator_partition(analysis, analysis.kappa.witness[0])
 
     eig = analysis.eigenbasis
-    gap_index = int(np.argmax(eig.values > eig.zero_threshold))
+    gap_index = int(np.argmax(eig.values > ZERO_THRESHOLD))
     g_gap = eig.eigenvectors[:, gap_index]
     g_top = eig.eigenvectors[:, -1]
     reports += check_plus_minus_split(analysis, g_gap)

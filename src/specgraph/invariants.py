@@ -222,8 +222,6 @@ def cheeger_constant_exact(
     _check_cap(n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
     if not graph.is_connected():
         raise DisconnectedGraph("cheeger constant needs a connected graph")
-    if n < 2:
-        raise EmptySet("cheeger constant needs at least two vertices")
 
     m_table = _subset_sums(graph.vertex_measure, graph.n)
     cut = _cut_table(graph)
@@ -236,7 +234,10 @@ def cheeger_constant_exact(
 
     witness = int(np.argmin(ratio))  # first minimum = smallest bitmask
     if connected_only:
-        neighbour_masks = [mask_of(w for w, _ in graph.neighbors(v)) for v in range(n)]
+        neighbour_masks = [0] * n
+        for a, b in zip(graph.u.tolist(), graph.v.tolist()):
+            neighbour_masks[a] |= 1 << b
+            neighbour_masks[b] |= 1 << a
         while not _induced_connected(neighbour_masks, witness):
             ratio[witness] = np.inf
             witness = int(np.argmin(ratio))
@@ -318,8 +319,8 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
 def is_bipartite(graph: WeightedGraph) -> tuple[bool, tuple[int, int] | None]:
     """Two-colorability plus a bipartition ``(A, B)`` when one exists.
 
-    Components are colored independently by search-tree depth parity, the
-    least vertex of each getting color A.  Returns ``(False, None)`` when
+    Components are colored independently by their union-find parity relative
+    to their least vertex, which gets color A.  Returns ``(False, None)`` when
     some edge joins two vertices of one color (an odd cycle obstructs).
     """
     side = np.array(graph._search()[1], dtype=bool)
@@ -341,8 +342,6 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
     _check_cap(n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
     if not graph.is_connected():
         raise DisconnectedGraph("cheeger constant needs a connected graph")
-    if n < 2:
-        raise EmptySet("partition route needs at least two vertices")
     m_table = _subset_sums(graph.vertex_measure, graph.n)
     cut = _cut_table(graph)
     total = graph.total_measure

@@ -268,10 +268,12 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     steps safeguarded by the bracket, then more bisection only while the best
     residual is over budget.  The result carries its residual,
     certified tail bound, and an enclosure half-width; their combination must
-    stay within ``tol``.
+    stay within ``tol``, which must be positive and finite.
     """
     if i < 1:
         raise BadParameter("root indices start at 1")
+    if not 0.0 < tol < math.inf:
+        raise BadParameter(f"tolerance must be positive and finite, got {tol!r}")
     a_lo, a_hi = p.alpha(i), p.alpha(i + 1)
     width = a_hi - a_lo
     if width < BRACKET_MIN:

@@ -67,18 +67,17 @@ def symmetric_conjugate(graph: WeightedGraph) -> np.ndarray:
 
 @dataclass
 class Spectrum:
-    """Eigenvalues of the Laplacian, ascending, clamped into ``[0, 2]``."""
+    """Laplacian eigenvalues, ascending and clamped into ``[0, 2]``, plus the
+    eigenfunctions and their worst residual when solved with vectors."""
 
     values: np.ndarray
-    zero_threshold: float
-    component_count: int
     eigenvectors: np.ndarray | None = None
     max_residual: float | None = None
 
     @property
     def gap(self) -> float:
-        """Smallest eigenvalue above the zero threshold."""
-        above = self.values[self.values > self.zero_threshold]
+        """Smallest eigenvalue above ``ZERO_THRESHOLD``."""
+        above = self.values[self.values > ZERO_THRESHOLD]
         if len(above) == 0:
             raise EmptySpectrum("no eigenvalue above the zero threshold")
         return float(above[0])
@@ -116,25 +115,22 @@ def spectrum(graph: WeightedGraph, eigenvectors: bool = False) -> Spectrum:
     if graph.n == 0:
         raise EmptySpectrum("graph has no vertices")
     sym = symmetric_conjugate(graph)
-    if eigenvectors:
-        nu, basis = np.linalg.eigh(sym)
-        order = slice(None, None, -1)
-        values = _clamp(1.0 - nu[order])
-        funcs = (basis / np.sqrt(graph.vertex_measure)[:, None])[:, order]
-        lap = laplacian_matrix(graph)
-        worst = 0.0
-        m = graph.vertex_measure
-        for k in range(graph.n):
-            f = funcs[:, k]
-            err = lap @ f - values[k] * f
-            rel = math.sqrt(float(m @ (err * err))) / math.sqrt(float(m @ (f * f)))
-            worst = max(worst, rel)
-        if worst > ZERO_THRESHOLD:
-            raise NumericalFailure(f"eigenpair residual {worst} above threshold")
-        return Spectrum(values, ZERO_THRESHOLD, graph.component_count, funcs, worst)
-    nu = np.linalg.eigvalsh(sym)
+    if not eigenvectors:
+        return Spectrum(_clamp(1.0 - np.linalg.eigvalsh(sym)[::-1]))
+    nu, basis = np.linalg.eigh(sym)
     values = _clamp(1.0 - nu[::-1])
-    return Spectrum(values, ZERO_THRESHOLD, graph.component_count)
+    funcs = (basis / np.sqrt(graph.vertex_measure)[:, None])[:, ::-1]
+    lap = laplacian_matrix(graph)
+    worst = 0.0
+    m = graph.vertex_measure
+    for k in range(graph.n):
+        f = funcs[:, k]
+        err = lap @ f - values[k] * f
+        rel = math.sqrt(float(m @ (err * err))) / math.sqrt(float(m @ (f * f)))
+        worst = max(worst, rel)
+    if worst > ZERO_THRESHOLD:
+        raise NumericalFailure(f"eigenpair residual {worst} above threshold")
+    return Spectrum(values, funcs, worst)
 
 
 def rayleigh(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:

@@ -2,11 +2,14 @@
 
 The ``brute_*`` functions recompute each invariant by raw enumeration with
 plain Python loops, sharing no code with the optimized search routines, so
-the two routes check each other.
+the two routes check each other.  ``apply_laplacian`` and
+``transition_probability`` are plain-loop reference routes over the edges.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 from specgraph.graph import WeightedGraph
 
@@ -37,6 +40,28 @@ def _measures(graph: WeightedGraph):
         m[u] += w
         m[v] += w
     return m
+
+
+def apply_laplacian(graph: WeightedGraph, f) -> np.ndarray:
+    """``(Delta f)(v) = f(v) - sum_{w ~ v} m(vw)/m(v) f(w)``."""
+    values = [float(x) for x in f]
+    assert len(values) == graph.n
+    m = _measures(graph)
+    acc = [0.0] * graph.n
+    for u, v, w in graph.edges:
+        acc[u] += w * values[v]
+        acc[v] += w * values[u]
+    return np.array([values[x] - acc[x] / m[x] for x in range(graph.n)])
+
+
+def transition_probability(graph: WeightedGraph, v: int, mask: int) -> float:
+    """Fraction ``m_S(v) / m(v)`` of the weight at ``v`` that points into S."""
+    into = 0.0
+    for a, b, w in graph.edges:
+        for x, y in ((a, b), (b, a)):
+            if x == v and (mask >> y) & 1:
+                into += w
+    return into / _measures(graph)[v]
 
 
 def brute_cheeger(graph: WeightedGraph) -> float:

@@ -266,6 +266,17 @@ def test_product_family_needs_its_sequence(capsys):
     assert json.loads(err)["error"] == "BadParameter"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_kgraph_tolerance_that_certifies_nothing_is_rejected(capsys, tol):
+    code, out, err = run(
+        capsys,
+        ["kgraph", "--head", "0.5,0.25", "--tail-ratio", "0.5", "--roots", "3",
+         f"--tol={tol}"],
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BadParameter"
+
+
 def test_renormalize_is_product_family_only(capsys):
     code, _, err = run(
         capsys, ["gen", "--family", "cycle", "--n", "5", "--renormalize"]

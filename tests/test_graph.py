@@ -1,5 +1,6 @@
 """Graph container, measures, quadratic forms, and wire-format round trips."""
 
+import itertools
 import json
 import math
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, cycle, path, triangle
+import specgraph.graph as graph_module
+from conftest import apply_laplacian, cycle, path, transition_probability, triangle
 from specgraph.errors import (
+    BadParameter,
     DuplicateEdge,
     EmptySet,
     IsolatedVertex,
@@ -20,7 +23,6 @@ from specgraph.errors import (
 from specgraph.graph import (
     WeightedGraph,
     _indicator,
-    apply_laplacian,
     dirichlet_form,
     graph_from_json,
     graph_to_json,
@@ -28,9 +30,9 @@ from specgraph.graph import (
     mask_of,
     q_form,
     set_measures,
-    transition_probability,
     vertices_of,
 )
+from specgraph.harness import RandomGraphSpec, _family_instances, sample_graph
 from specgraph.invariants import is_bipartite
 from specgraph.spectral import spectrum
 
@@ -52,8 +54,7 @@ def test_triangle_measures():
 def test_path_measures_and_neighbors():
     g = path(3)
     assert np.allclose(g.vertex_measure, [1.0, 2.0, 1.0])
-    assert g.neighbors(1) == ((0, 1.0), (2, 1.0))
-    assert g.neighbors(0) == ((1, 1.0),)
+    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
 
 
 def test_edges_are_canonicalized():
@@ -158,20 +159,131 @@ def test_components_of_disconnected_graph():
 
 
 def test_component_search_runs_once_per_graph(monkeypatch):
-    # Among these queries only the search reads the neighbour index.
-    reads = []
-    index = WeightedGraph._neighbour_index
+    runs = []
+    union_find = graph_module._union_find
     monkeypatch.setattr(
-        WeightedGraph, "_neighbour_index", lambda self: reads.append(1) or index(self)
+        graph_module, "_union_find", lambda *args: runs.append(1) or union_find(*args)
     )
-    g = WeightedGraph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 1.0)])
+    edges = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 1.0)]
+    g = WeightedGraph(edges)
     for _ in range(2):
         assert not g.is_connected()
         assert g.component_masks() == [0b00111, 0b11000]
         assert g.component_count == 2
         assert is_bipartite(g) == (False, None)
-        assert spectrum(g).component_count == 2
-    assert len(reads) == 1
+    assert len(runs) == 1
+    # A spectrum holds eigen-data only: it never searches the graph.
+    fresh = WeightedGraph(edges)
+    spectrum(fresh)
+    spectrum(fresh, eigenvectors=True)
+    assert len(runs) == 1
+
+
+def _search_reference(g):
+    """Independent route to ``WeightedGraph._search``: a CSR neighbour index
+    and a depth-first search give, per vertex, the least vertex of its
+    component and the parity of its depth in a tree grown from that vertex."""
+    src = np.concatenate([g.v, g.u])
+    order = np.argsort(src, kind="stable")
+    starts = np.searchsorted(src[order], np.arange(g.n + 1)).tolist()
+    nbr = np.concatenate([g.u, g.v])[order].tolist()
+    root, parity = [-1] * g.n, [0] * g.n
+    for start in range(g.n):
+        if root[start] != -1:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in nbr[starts[x]:starts[x + 1]]:
+                if root[y] == -1:
+                    root[y] = start
+                    parity[y] = 1 - parity[x]
+                    stack.append(y)
+    return tuple(root), tuple(parity)
+
+
+def _assert_search_matches_reference(g):
+    root, parity = _search_reference(g)
+    new_root, new_parity = g._search()
+    assert new_root == root
+    masks = {}
+    for v, r in enumerate(root):
+        masks[r] = masks.get(r, 0) | 1 << v
+    assert g.component_masks() == list(masks.values())
+    assert g.component_count == len(masks)
+    assert g.is_connected() == (len(masks) == 1)
+    # On a two-colourable component the colouring from its least vertex is
+    # unique, so the parities agree there vertex for vertex.
+    odd = {root[a] for a, b in zip(g.u, g.v) if parity[a] == parity[b]}
+    for v in range(g.n):
+        if root[v] not in odd:
+            assert new_parity[v] == parity[v]
+    side = np.array(parity, dtype=bool)
+    if odd:
+        expected = (False, None)
+    else:
+        mask_b = mask_of(np.flatnonzero(side).tolist())
+        expected = (True, (((1 << g.n) - 1) ^ mask_b, mask_b))
+    assert is_bipartite(g) == expected
+
+
+def test_search_matches_reference_on_every_small_graph():
+    checked = 0
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for picks in itertools.product((0, 1), repeat=len(pairs)):
+            edges = [(a, b, 1.0) for (a, b), pick in zip(pairs, picks) if pick]
+            if len({x for a, b, _ in edges for x in (a, b)}) < n:
+                continue
+            _assert_search_matches_reference(WeightedGraph(edges))
+            checked += 1
+    assert checked == 1 + 4 + 41 + 768
+
+
+def _scattered_components(seed):
+    """2-4 components on shuffled vertex ids, some two-colourable and some
+    not, with the edges listed in random order and orientation."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    n = int(rng.integers(2 * k, 31))
+    ids = rng.permutation(n).tolist()
+    cuts = sorted(rng.choice(np.arange(2, n - 1), k - 1, replace=False).tolist())
+    groups = [ids[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    if any(len(group) < 2 for group in groups):
+        return _scattered_components(seed + 1000)
+    pairs = set()
+    for group in groups:
+        two_colour = rng.random() < 0.6
+        depth = {group[0]: 0}
+        for i, x in enumerate(group[1:], 1):
+            y = group[int(rng.integers(0, i))]
+            depth[x] = depth[y] + 1
+            pairs.add((min(x, y), max(x, y)))
+        for _ in range(int(rng.integers(0, len(group)))):
+            x, y = rng.choice(group, 2, replace=False).tolist()
+            if not two_colour or (depth[x] - depth[y]) % 2:
+                pairs.add((min(x, y), max(x, y)))
+    edges = [
+        (b, a, w) if rng.random() < 0.5 else (a, b, w)
+        for (a, b), w in zip(sorted(pairs), rng.uniform(0.1, 2.0, len(pairs)))
+    ]
+    order = rng.permutation(len(edges)).tolist()
+    return WeightedGraph([edges[i] for i in order], labels=[f"v{i}" for i in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_search_matches_reference_on_scattered_components(seed):
+    g = _scattered_components(seed)
+    assert 2 <= g.component_count <= 4
+    _assert_search_matches_reference(g)
+
+
+def test_search_matches_reference_on_harness_graphs():
+    graphs = [g for _, g in _family_instances()]
+    graphs += [sample_graph(RandomGraphSpec(n=9, seed=seed)) for seed in range(10)]
+    for g in graphs:
+        _assert_search_matches_reference(g)
 
 
 # -------------------------------------------------------------- set helpers
@@ -233,7 +345,7 @@ def test_forms_on_k2():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         dirichlet_form(triangle(), [1.0, 2.0])
 
 

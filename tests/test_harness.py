@@ -161,9 +161,7 @@ def test_shifted_spectrum_is_caught(monkeypatch):
 
     def shifted(graph, eigenvectors=False):
         s = real(graph, eigenvectors=eigenvectors)
-        return Spectrum(
-            s.values + 0.2, s.zero_threshold, s.component_count, s.eigenvectors
-        )
+        return Spectrum(s.values + 0.2, s.eigenvectors)
 
     monkeypatch.setattr("specgraph.harness.spectrum", shifted)
     reports = check_global_invariants(analyze(triangle()))

@@ -183,6 +183,18 @@ def test_unresolvable_roots_raise():
         p_eigenvalue(DYADIC, 0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_tolerance_that_certifies_nothing_is_rejected(tol):
+    # `residual + tail > nan` is never true, so a NaN tolerance would pass
+    # every root unchecked.
+    with pytest.raises(BadParameter):
+        p_eigenvalue(DYADIC, 1, tol)
+    with pytest.raises(BadParameter):
+        delta_eigenvalue(DYADIC, 1, tol)
+    with pytest.raises(BadParameter):
+        asymmetry_K(DYADIC, tol)
+
+
 # ---------------------------------------------------------------- refinement
 
 
