@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import BadParameter, PoleProximity, SpecgraphError
-from .families import FAMILIES, FamilySpec, generate
+from .families import FAMILIES, FamilySpec, _check_edges, generate
 from .graph import WeightedGraph, _graph_payload, graph_from_json
 from .harness import SuiteConfig, run_suite
 from .invariants import cheeger_constant_exact, dual_cheeger_exact, kappa_exact
@@ -111,12 +111,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.p_head is None or args.p_ratio is None:
             raise BadParameter("--p-head and --p-ratio go together")
         p = PSequence(_parse_floats(args.p_head), args.p_ratio)
+    spec = FamilySpec(args.family, args.n, r=args.r, rho=args.rho, p=p)
     if args.renormalize:
         if args.family != "K_m1" or p is None:
             raise BadParameter("--renormalize applies to K_m1 only")
+        _check_edges(spec)
         graph = truncate_K(p, args.n, renormalize=True)
     else:
-        graph = generate(FamilySpec(args.family, args.n, r=args.r, rho=args.rho, p=p))
+        graph = generate(spec)
     _emit(_to_json(_graph_payload(graph)), args.out)
     return 0
 

@@ -46,7 +46,9 @@ class DisconnectedGraph(SpecgraphError):
 
 
 class TooLarge(SpecgraphError):
-    """An exact enumeration was asked for beyond its vertex-count cap."""
+    """An exact enumeration was asked for beyond its vertex-count cap or
+    beyond what its tables can hold in physical memory, or a generated graph
+    would have more edges than ``generate`` builds."""
 
 
 # ------------------------------------------------------------------- spectral

@@ -13,15 +13,20 @@ witnesses:
 All three respect vertex-count caps (``TooLarge`` beyond) because the search
 spaces grow exponentially.  The enumerations read mask-indexed numpy tables:
 ``m(S)`` and ``m_S(x)`` are subset sums built by doubling, split into a low
-table and per-block high rows for the dual and ``kappa`` sweeps, and the cut
-``m(boundary S)`` is accumulated edge by edge.  At the default caps one query
-takes from a fraction of a second to about two seconds (the Cheeger search
-on a dense 22-vertex graph is the slowest).
+table and per-block high rows for the dual and ``kappa`` sweeps.  The Cheeger
+search (and ``h_via_r``) reads a fast cut table ``m(boundary S)`` built by one
+matrix product over a low/high split of the vertices, keeps the sets within a
+rounding margin of its minimum, and recomputes only those edge by edge in edge
+order, so every value and witness is the one an edge-by-edge table gives.
+At the default caps one query takes from a few hundredths of a second (the
+dual search on 14 vertices) to about half a second (``kappa`` on 20
+vertices, the slowest); the Cheeger search on 22 vertices takes about a tenth.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import reduce
 
@@ -144,17 +149,6 @@ def _subset_sums(rows: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def _cut_table(graph: WeightedGraph) -> np.ndarray:
-    """``m(boundary S)`` for every subset mask."""
-    n = graph.n
-    table = np.zeros(1 << n)
-    for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
-        view = table.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)
-        view[:, 1, :, 0, :] += w
-        view[:, 0, :, 1, :] += w
-    return table
-
-
 def _chunks(graph: WeightedGraph, pick: slice = slice(None)):
     """Every mask ``S`` in ascending blocks of ``2^_CHUNK_BITS``, thinned by
     ``pick`` inside each block, as ``(masks, in_a, sums, sums_c)``: ``in_a``
@@ -192,6 +186,130 @@ def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
 
 # ------------------------------------------------------------------- Cheeger
 
+# Unit roundoff of float64, and Higham's gamma_k = k u / (1 - k u): a sum of
+# nonnegative terms rounded k times along each path is off by at most gamma_k
+# relative (Accuracy and Stability of Numerical Algorithms, 2002, ch. 3-4).
+_UNIT_ROUNDOFF = 2.0**-53
+# Absolute slack of the candidate filter: it covers the divisions whose
+# quotient underflows, the only place the relative bounds fail.
+_TINY = 2.0**-1000
+# Candidates per block of the exact finish.
+_FINISH_CHUNK = 256
+# Bytes per mask the Cheeger search holds at its peak: three float64 tables
+# (the measure table, the fast table and one temporary) and two boolean ones.
+_BYTES_PER_MASK = 3 * 8 + 2
+
+
+def _gamma(k: int) -> float:
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _fast_cut_table(graph: WeightedGraph) -> np.ndarray:
+    """``m(boundary S)`` for every mask, in any-order arithmetic.
+
+    With ``S = L + H`` split over the ``k = ceil(n/2)`` low and ``n - k``
+    high vertices, ``cut(S) = C_low[L] + C_high[H] + A[L].1_{H^c} +
+    A[L^c].1_H`` (a meet-in-the-middle split, Horowitz-Sahni 1974).
+    ``A[L]`` holds the weights from ``L`` into each high vertex, and
+    ``C_low``, ``C_high`` are the cuts inside the two halves, each the
+    weights from the set into the vertices of its half outside it.  All four
+    terms come out of one matrix product whose row ``H`` is ``(1_{H^c},
+    1_H, 1, C_high[H])`` and column ``L`` is ``(A[L], A[L^c], C_low[L],
+    1)``.  Every term is a nonnegative partial sum of the crossing weights
+    and each weight enters once.  A path from a weight to the result meets
+    at most ``|L| - 1`` additions in ``A`` (or ``k - 2`` in ``C_low``) and
+    ``n - k + 1`` in the product, where products with 0 add exact zeros: at
+    most ``n`` roundings, whatever order the BLAS adds in.
+    """
+    n = graph.n
+    k = (n + 1) // 2
+    weights = np.zeros((n, n))
+    weights[graph.u, graph.v] = graph.w
+    weights[graph.v, graph.u] = graph.w
+    low = _subset_sums(weights[:k], k)  # row L: weights from L into each vertex
+    high = _subset_sums(weights[k:, k:], n - k)
+    in_low = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)  # bits of L
+    in_high = in_low[: len(high), : n - k]
+    c_low = np.einsum("ij,ij->i", low[:, :k], 1.0 - in_low)
+    c_high = np.einsum("ij,ij->i", high, 1.0 - in_high)
+    cross = low[:, k:]
+    rows = np.column_stack([1.0 - in_high, in_high, np.ones(len(high)), c_high])
+    columns = np.column_stack([cross, cross[::-1], c_low, np.ones(len(low))])
+    return (rows @ columns.T).reshape(-1)  # row H, column L: mask L + (H << k)
+
+
+def _edge_order_cuts(graph: WeightedGraph, masks: np.ndarray) -> np.ndarray:
+    """``m(boundary S)`` of each mask, added edge by edge in edge order as
+    ``set_measures`` adds it: a running sum down the edges, with 0.0 in place
+    of each weight whose edge does not cross (``x + 0.0 == x``)."""
+    cuts = np.empty(len(masks))
+    shifts = np.arange(graph.n)[:, None]
+    for start in range(0, len(masks), _FINISH_CHUNK):
+        block = slice(start, start + _FINISH_CHUNK)
+        inside = ((masks[None, block] >> shifts) & 1).astype(bool)  # vertex x mask
+        crosses = inside[graph.u] != inside[graph.v]  # edge x mask
+        cuts[block] = np.cumsum(crosses * graph.w[:, None], axis=0)[-1]
+    return cuts
+
+
+def _search_tables(graph: WeightedGraph, max_n: int | None) -> np.ndarray:
+    """The checks every Cheeger search makes, then its ``m(S)`` table."""
+    n = graph.n
+    _check_cap(n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
+    if not graph.is_connected():
+        raise DisconnectedGraph("cheeger constant needs a connected graph")
+    need = _BYTES_PER_MASK << n
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise TooLarge(
+            f"cheeger enumeration over {n} vertices needs {need} bytes of tables,"
+            f" more than the {memory} bytes of physical memory"
+        )
+    return _subset_sums(graph.vertex_measure, n)
+
+
+def _ascending(graph: WeightedGraph, searched: np.ndarray, score):
+    """Yield ``(value, mask)`` over the ``searched`` masks in ascending
+    ``(value, mask)`` order, each value bit for bit the one an edge-order
+    cut table gives.  ``score(cut, masks)`` maps the cuts of ``masks`` (an
+    index array, or ``slice(None)`` for all) to the values and may overwrite
+    ``cut``; it must divide each cut by numbers that do not depend on it.
+
+    Filter.  Let ``c`` be a true cut, ``c~`` the fast one (``n`` roundings,
+    see ``_fast_cut_table``) and ``c^`` the edge-order one (fewer than
+    ``E`` roundings): ``c~ = c (1 + theta_n)`` and ``c^ = c (1 +
+    theta_E)`` with ``|theta_k| <= gamma_k``.  Both are divided by the same
+    numbers, so the fast value ``r~`` and the exact one ``r^`` satisfy ``r~
+    = r^ (1 + theta)`` and ``r^ = r~ (1 + theta')`` with ``|theta|,
+    |theta'| <= gamma_{n+E+3} <= eta = gamma_{n+E+6}`` (one more rounding
+    per division; ``1 / (1 - gamma_j) <= 1 + gamma_{j+1}``; Higham's Lemma
+    3.3 for the products), up to an absolute ``2^-1074`` per underflowing
+    quotient.  Let ``lo`` be the fast minimum over the masks still searched
+    and ``S*`` an exact minimizer: ``r~(S*) <= (1 + eta) r^(S*) <= (1 +
+    eta) r^(argmin r~) <= (1 + eta)^2 lo``.  So every mask with ``r~ <= lo
+    (1 + delta) + _TINY``, ``delta = 4 eta``, is kept, and the kept set
+    holds every exact minimizer whatever the BLAS.
+
+    Finish.  The kept masks are recomputed in edge order and sorted by
+    ``(value, mask)``; the first is the next one in the full order.  A
+    dropped mask has ``r^ > lo (1 + delta)(1 - eta) + _TINY / 2 > lo (1 + 2
+    eta) + _TINY / 2``, so the kept masks up to that bound follow it in the
+    full order too.  Past it, or when the kept masks run out, the filter
+    runs again without the masks already yielded.
+    """
+    fast = score(_fast_cut_table(graph), slice(None))
+    fast[~searched] = math.inf
+    eta = _gamma(graph.n + len(graph.w) + 6)
+    while (lo := fast.min()) < math.inf:
+        keep = np.flatnonzero(fast <= lo * (1.0 + 4.0 * eta) + _TINY)
+        exact = score(_edge_order_cuts(graph, keep), keep)
+        bound = lo * (1.0 + 2.0 * eta) + _TINY / 2
+        for j, i in enumerate(np.lexsort((keep, exact))):
+            if j and exact[i] > bound:
+                break
+            yield float(exact[i]), int(keep[i])
+            fast[keep[i]] = math.inf
+
 
 def _induced_connected(neighbour_masks: list[int], mask: int) -> bool:
     """Whether ``mask`` induces a connected subgraph, by a search over bits."""
@@ -217,31 +335,28 @@ def cheeger_constant_exact(
     total measure).  Ties on the value go to the smallest witness bitmask.
     With ``connected_only`` the search is restricted to sets inducing a
     connected subgraph; the minimum value is unchanged by that restriction.
+    ``TooLarge`` beyond the cap, or when the tables would not fit in
+    physical memory.
     """
-    n = graph.n
-    _check_cap(n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
-    if not graph.is_connected():
-        raise DisconnectedGraph("cheeger constant needs a connected graph")
-
-    m_table = _subset_sums(graph.vertex_measure, graph.n)
-    cut = _cut_table(graph)
+    m_table = _search_tables(graph, max_n)
     total = graph.total_measure
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = cut / m_table
     admissible = m_table <= (total - m_table) + HALF_TIE_RTOL * total
     admissible[0] = False
-    ratio = np.where(admissible, ratio, np.inf)
 
-    witness = int(np.argmin(ratio))  # first minimum = smallest bitmask
+    def ratio(cut, masks):
+        with np.errstate(invalid="ignore"):  # 0/0 at the empty set
+            return np.divide(cut, m_table[masks], out=cut)
+
+    ranked = _ascending(graph, admissible, ratio)
+    value, witness = next(ranked)
     if connected_only:
-        neighbour_masks = [0] * n
+        neighbour_masks = [0] * graph.n
         for a, b in zip(graph.u.tolist(), graph.v.tolist()):
             neighbour_masks[a] |= 1 << b
             neighbour_masks[b] |= 1 << a
         while not _induced_connected(neighbour_masks, witness):
-            ratio[witness] = np.inf
-            witness = int(np.argmin(ratio))
-    return InvariantReport("h", float(ratio[witness]), witness)
+            value, witness = next(ranked)
+    return InvariantReport("h", value, witness)
 
 
 # -------------------------------------------------------------- dual Cheeger
@@ -337,19 +452,23 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
     """Cheeger constant recomputed as ``1 - sup over partitions of
     min(R_A, R_B)`` — the smaller-measure side of any partition always has the
     larger boundary ratio, so this sup reproduces the half-condition infimum.
-    """
-    n = graph.n
-    _check_cap(n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
-    if not graph.is_connected():
-        raise DisconnectedGraph("cheeger constant needs a connected graph")
-    m_table = _subset_sums(graph.vertex_measure, graph.n)
-    cut = _cut_table(graph)
-    total = graph.total_measure
 
-    half = np.arange(1 << (n - 1), dtype=np.int64)
-    masks = (half << 1) | 1
-    masks = masks[masks != (1 << n) - 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r_a = 1.0 - cut[masks] / m_table[masks]
-        r_b = 1.0 - cut[masks] / (total - m_table[masks])
-    return float(1.0 - np.minimum(r_a, r_b).max())
+    ``R_A = 1 - c/m(A)`` with ``A`` the side holding vertex 0.  ``fl(1 - x)``
+    is monotone, so the sup is ``1 - (1 - q)`` with ``q`` the least
+    ``max(c/m(A), c/m(B))``, which the shared Cheeger search finds.
+    """
+    m_table = _search_tables(graph, max_n)
+    total = graph.total_measure
+    searched = np.zeros(len(m_table), dtype=bool)
+    searched[1:-1:2] = True  # vertex 0 in A, B nonempty
+
+    def larger_ratio(cut, masks):
+        m_a = m_table[masks]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            other = np.subtract(total, m_a)
+            np.divide(cut, other, out=other)
+            np.divide(cut, m_a, out=cut)
+        return np.maximum(cut, other, out=cut)
+
+    value, _ = next(_ascending(graph, searched, larger_ratio))
+    return float(1.0 - (1.0 - value))

@@ -255,6 +255,31 @@ def test_cap_flag_admits_the_graph(capsys, monkeypatch):
     assert json.loads(out)["value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+PATH40_JSON = json.dumps({"edges": [[v, v + 1, 1.0] for v in range(39)]})
+
+
+@pytest.mark.parametrize("extra", [[], ["--connected-only"]])
+def test_cheeger_beyond_physical_memory_is_too_large(capsys, monkeypatch, extra):
+    """A 40-vertex path under ``--max-n 40`` would need 2^40 table entries;
+    the command stops before allocating them."""
+    argv = ["cheeger", "-", "--max-n", "40", *extra]
+    code, out, err = run(capsys, argv, PATH40_JSON, monkeypatch)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "TooLarge"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--family", "cycle"],
+     ["--family", "K_m1", "--p-head", "0.5", "--p-ratio", "0.5", "--renormalize"]],
+)
+def test_gen_beyond_the_edge_bound_is_too_large(capsys, extra):
+    code, out, err = run(capsys, ["gen", "--n", "100000000000", *extra])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "TooLarge"
+
+
 def test_product_family_needs_its_sequence(capsys):
     code, _, err = run(capsys, ["gen", "--family", "K_m1", "--n", "6"])
     assert code == 1

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from specgraph.errors import BadParameter, NoTailStructure
+from specgraph.errors import BadParameter, NoTailStructure, TooLarge
 from specgraph.families import (
     EXACT,
     FAMILIES,
@@ -12,6 +12,7 @@ from specgraph.families import (
     LOWER_BOUND,
     ClosedForm,
     FamilySpec,
+    _check_edges,
     closed_form,
     generate,
     tail_ratio_trace,
@@ -105,6 +106,23 @@ def test_large_factorial_truncation_is_finite_and_connected():
 def test_generator_rejects_bad_specs(spec):
     with pytest.raises(BadParameter):
         generate(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec("cycle", 10**11), FamilySpec("halfline_m3", 10**11),
+     FamilySpec("complete_unit", 10**6), FamilySpec("K_m2", 3000),
+     FamilySpec("K_m1", 10**11, p=DYADIC)],
+)
+def test_generator_rejects_sizes_beyond_the_edge_bound(spec):
+    with pytest.raises(TooLarge):
+        generate(spec)
+
+
+def test_edge_bound_sits_between_complete_graphs_of_2896_and_2897_vertices():
+    _check_edges(FamilySpec("complete_unit", 2896))  # 4,191,880 edges
+    with pytest.raises(TooLarge):
+        _check_edges(FamilySpec("complete_unit", 2897))  # 4,194,856 edges
 
 
 def test_unknown_family_rejected_at_spec_construction():

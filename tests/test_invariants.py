@@ -269,6 +269,121 @@ def test_partition_route_reproduces_cheeger(seed):
     assert h_via_r(g) == pytest.approx(cheeger_constant_exact(g).value, abs=ATOL)
 
 
+# ------------------------------------------------- edge-order cut reference
+
+
+def _cut_table(graph: WeightedGraph) -> np.ndarray:
+    """``m(boundary S)`` for every subset mask, one strided pass over all
+    masks per edge in edge order: the table the Cheeger search read before
+    its fast filter."""
+    table = np.zeros(1 << graph.n)
+    for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
+        view = table.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)
+        view[:, 1, :, 0, :] += w
+        view[:, 0, :, 1, :] += w
+    return table
+
+
+def _reference_cheeger(graph: WeightedGraph):
+    """``(h hex, witness)`` without and with ``connected_only``, and the hex
+    of ``h_via_r``, by ``argmin`` over the full cut table."""
+    n = graph.n
+    m_table = invariants._subset_sums(graph.vertex_measure, n)
+    cut = _cut_table(graph)
+    total = graph.total_measure
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = cut / m_table
+    admissible = m_table <= (total - m_table) + invariants.HALF_TIE_RTOL * total
+    admissible[0] = False
+    ratio = np.where(admissible, ratio, np.inf)
+    witness = int(np.argmin(ratio))
+    free = (float(ratio[witness]).hex(), witness)
+    neighbour_masks = [0] * n
+    for a, b, _ in graph.edges:
+        neighbour_masks[a] |= 1 << b
+        neighbour_masks[b] |= 1 << a
+    while not invariants._induced_connected(neighbour_masks, witness):
+        ratio[witness] = np.inf
+        witness = int(np.argmin(ratio))
+    connected = (float(ratio[witness]).hex(), witness)
+
+    masks = (np.arange(1 << (n - 1), dtype=np.int64) << 1) | 1
+    masks = masks[masks != (1 << n) - 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r_a = 1.0 - cut[masks] / m_table[masks]
+        r_b = 1.0 - cut[masks] / (total - m_table[masks])
+    return free, connected, float(1.0 - np.minimum(r_a, r_b).max()).hex()
+
+
+def _cheeger_results(graph: WeightedGraph):
+    free = cheeger_constant_exact(graph)
+    connected = cheeger_constant_exact(graph, connected_only=True)
+    return (
+        (free.value.hex(), free.witness),
+        (connected.value.hex(), connected.witness),
+        h_via_r(graph).hex(),
+    )
+
+
+def _scaled(graph: WeightedGraph, k: int) -> WeightedGraph:
+    return WeightedGraph(np.column_stack([graph.u, graph.v, graph.w * 2.0**k]))
+
+
+def _unit_random(n: int, p: float, seed: int) -> WeightedGraph:
+    g = sample_graph(RandomGraphSpec(n=n, edge_probability=p, seed=seed))
+    return WeightedGraph(np.column_stack([g.u, g.v, np.ones(len(g.w))]))
+
+
+_REFERENCE_GRAPHS = {
+    **{f"random{n}": (lambda n=n: sample_graph(RandomGraphSpec(n=n, seed=n))) for n in range(2, 15)},
+    **{f"sparse{n}": (lambda n=n: sample_graph(RandomGraphSpec(n=n, edge_probability=0.3, seed=n)))
+       for n in (15, 17, 19)},
+    **{f"ties{seed}": (lambda seed=seed: _tie_heavy_graph(seed)) for seed in (*range(12), 230, 332)},
+    **{f"unit{n}": (lambda n=n: _unit_random(n, 0.4, n)) for n in (5, 9, 12, 16)},
+    **{f"cycle{n}": (lambda n=n: cycle(n)) for n in (3, 8, 13)},
+    **{f"complete{n}": (lambda n=n: complete(n)) for n in (2, 5, 9, 12)},
+    "ladder7": lambda: generate(FamilySpec("ladder_L", 3, r=0.5, rho=0.3)),
+    "ladder13": lambda: generate(FamilySpec("ladder_L", 6, r=0.5)),
+    "halfline10": lambda: generate(FamilySpec("halfline_m3", 9)),
+    "halfline13": lambda: generate(FamilySpec("halfline_m4", 12, r=0.5)),
+    # every weight subnormal, or near the float64 maximum in total
+    "subnormal9": lambda: _scaled(sample_graph(RandomGraphSpec(n=9, seed=9)), -1060),
+    "subnormal3": lambda: graph_from_json('{"edges": [[0,1,1e-310],[1,2,1e-310]]}'),
+    "huge3": lambda: graph_from_json('{"edges": [[0,1,4e307],[1,2,4e307]]}'),
+    "huge9": lambda: _scaled(sample_graph(RandomGraphSpec(n=9, seed=9)), 1016),
+    # n >= 20: a tie-heavy cycle, the acceptance-6 ladder, a sparse random graph
+    "cycle20": lambda: cycle(20),
+    "ladder21": lambda: generate(FamilySpec("ladder_L", 10, r=0.5)),
+    "sparse22": lambda: sample_graph(RandomGraphSpec(n=22, edge_probability=0.12, seed=5)),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_GRAPHS))
+def test_cheeger_search_matches_the_cut_table_reference(name):
+    g = _REFERENCE_GRAPHS[name]()
+    assert _cheeger_results(g) == _reference_cheeger(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fast_table_noise_inside_the_margin_changes_no_bit(monkeypatch, seed):
+    """Relative noise of up to half the filter margin ``delta = 4 eta`` on
+    every fast cut (far above the rounding the margin is derived for) still
+    keeps every minimizer, so values and witnesses stay the reference's."""
+    graphs = [_tie_heavy_graph(seed), _tie_heavy_graph(seed + 6),
+              sample_graph(RandomGraphSpec(n=8 + seed, seed=seed)), _unit_random(10, 0.5, seed)]
+    expected = [_reference_cheeger(g) for g in graphs]
+    rng = np.random.default_rng(seed)
+    fast = invariants._fast_cut_table
+
+    def noisy(graph):
+        delta = 4.0 * invariants._gamma(graph.n + len(graph.w) + 6)
+        table = fast(graph)
+        return table * (1.0 + rng.uniform(-delta / 2, delta / 2, len(table)))
+
+    monkeypatch.setattr(invariants, "_fast_cut_table", noisy)
+    assert [_cheeger_results(g) for g in graphs] == expected
+
+
 def test_dual_cheeger_near_the_float_maximum_matches_the_scaled_graph():
     """Prefix sums over A's own members overflow here; they are discarded,
     and no RuntimeWarning (an error under this suite's settings) escapes."""
@@ -295,6 +410,18 @@ def test_size_caps_enforced():
     assert cheeger_constant_exact(g, max_n=5).value == pytest.approx(
         0.75, abs=ATOL
     )
+
+
+def test_cheeger_tables_beyond_physical_memory_are_too_large():
+    """Forty vertices need 2^40 table entries: ``TooLarge`` before any
+    table is allocated."""
+    g = path(40)
+    with pytest.raises(TooLarge, match="physical memory"):
+        cheeger_constant_exact(g, max_n=40)
+    with pytest.raises(TooLarge, match="physical memory"):
+        cheeger_constant_exact(g, max_n=40, connected_only=True)
+    with pytest.raises(TooLarge, match="physical memory"):
+        h_via_r(g, max_n=40)
 
 
 def test_cheeger_needs_connected_graph():
@@ -382,3 +509,12 @@ def test_values_and_witnesses_survive_relabelling(case):
         assert _close(exact(h).value, report.value)
         mask_a, mask_b = report.witness
         assert _close(ratio(h, moved(mask_a), moved(mask_b)), report.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(relabelled_graphs(), st.integers(min_value=-60, max_value=60))
+def test_power_of_two_scaling_changes_no_bit(case, k):
+    """Scaling every weight by ``2^k`` scales every sum exactly, so the
+    search must return the same bits."""
+    g = WeightedGraph(case[0])
+    assert _cheeger_results(_scaled(g, k)) == _cheeger_results(g)
