@@ -28,6 +28,7 @@ from .errors import (
     IsolatedVertex,
     MalformedGraph,
     NonpositiveWeight,
+    NumericalFailure,
     SelfLoop,
 )
 
@@ -159,13 +160,6 @@ class WeightedGraph:
             self._tree = _union_find(self.n, self.u.tolist(), self.v.tolist())
         return self._tree
 
-    def component_masks(self) -> list[int]:
-        """Bitmasks of the connected components, ordered by least vertex."""
-        masks: dict[int, int] = {}
-        for v, r in enumerate(self._search()[0]):
-            masks[r] = masks.get(r, 0) | 1 << v
-        return list(masks.values())
-
     @property
     def component_count(self) -> int:
         return len(set(self._search()[0]))
@@ -284,12 +278,23 @@ def _as_function(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> np.nd
     return arr
 
 
+def _finite_fsum(terms, what: str) -> float:
+    """``math.fsum`` of ``terms``, which must round to a finite float."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # intermediate overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise NumericalFailure(f"{what} is not finite in float64")
+    return total
+
+
 def _edge_energy(graph: WeightedGraph, f, sign: float) -> float:
     """``sum_e m(e) (f(u) + sign f(v))^2``, exactly rounded."""
     arr = _as_function(graph, f)
     terms = arr[graph.u] + sign * arr[graph.v]
     # Scalar ``** 2`` is C ``pow``; the array square can differ in the last bit.
-    return float(math.fsum(w * t ** 2 for w, t in zip(graph.w, terms)))
+    return _finite_fsum((w * t ** 2 for w, t in zip(graph.w, terms)), "edge energy")
 
 
 def dirichlet_form(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
@@ -310,7 +315,7 @@ def inner_product(
     """Weighted inner product ``sum_v m(v) f(v) g(v)``."""
     fa = _as_function(graph, f)
     ga = _as_function(graph, g)
-    return float(math.fsum(graph.vertex_measure * fa * ga))
+    return _finite_fsum(graph.vertex_measure * fa * ga, "inner product")
 
 
 # -------------------------------------------------------------- JSON wire IO

@@ -14,10 +14,12 @@ All three respect vertex-count caps (``TooLarge`` beyond) because the search
 spaces grow exponentially.  The enumerations read mask-indexed numpy tables:
 ``m(S)`` and ``m_S(x)`` are subset sums built by doubling, split into a low
 table and per-block high rows for the dual and ``kappa`` sweeps.  The Cheeger
-search (and ``h_via_r``) reads a fast cut table ``m(boundary S)`` built by one
-matrix product over a low/high split of the vertices, keeps the sets within a
-rounding margin of its minimum, and recomputes only those edge by edge in edge
-order, so every value and witness is the one an edge-by-edge table gives.
+search (and ``h_via_r``) takes one certified minimum: it reads a fast cut table
+``m(boundary S)`` built by one matrix product over a low/high split of the
+vertices, keeps the sets within a rounding margin of its minimum, and
+recomputes only those edge by edge, so value and witness are the ones an
+edge-by-edge table gives.  ``connected_only`` excludes each disconnected
+witness and asks again.
 At the default caps one query takes from a few hundredths of a second (the
 dual search on 14 vertices) to about half a second (``kappa`` on 20
 vertices, the slowest); the Cheeger search on 22 vertices takes about a tenth.
@@ -42,6 +44,7 @@ from .graph import (
     set_measures,
     vertices_of,
 )
+from .spectral import weight_matrix
 
 __all__ = [
     "DEFAULT_MAX_CHEEGER",
@@ -105,12 +108,16 @@ def cheeger_ratio(graph: WeightedGraph, mask: int) -> float:
     return boundary / m_set
 
 
-def dual_cheeger_ratio(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
-    """``2 m(A,B) / (m(A) + m(B))`` for one disjoint nonempty pair."""
+def _check_pair(mask_a: int, mask_b: int, what: str) -> None:
     if mask_a == 0 or mask_b == 0:
-        raise EmptySet("dual_cheeger_ratio needs two nonempty sets")
+        raise EmptySet(f"{what} needs two nonempty sets")
     if mask_a & mask_b:
         raise NotDisjoint(f"sets share vertices {vertices_of(mask_a & mask_b)}")
+
+
+def dual_cheeger_ratio(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
+    """``2 m(A,B) / (m(A) + m(B))`` for one disjoint nonempty pair."""
+    _check_pair(mask_a, mask_b, "dual_cheeger_ratio")
     in_a = _indicator(graph.n, mask_a)
     in_b = _indicator(graph.n, mask_b)
     u, v = graph.u, graph.v
@@ -121,10 +128,7 @@ def dual_cheeger_ratio(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
 
 def kappa_pair(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
     """Worst same-side return probability of a disjoint pair ``(A, B)``."""
-    if mask_a == 0 or mask_b == 0:
-        raise EmptySet("kappa_pair needs two nonempty sets")
-    if mask_a & mask_b:
-        raise NotDisjoint(f"sets share vertices {vertices_of(mask_a & mask_b)}")
+    _check_pair(mask_a, mask_b, "kappa_pair")
     sides = [_indicator(graph.n, mask) for mask in (mask_a, mask_b)]
     ratios = [(_weight_into(graph, s) / graph.vertex_measure)[s].max() for s in sides]
     return float(max(0.0, *ratios))
@@ -149,6 +153,12 @@ def _subset_sums(rows: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
+def _members(masks: np.ndarray, n: int) -> np.ndarray:
+    """Membership matrix, vertex by mask: entry ``[x, i]`` says whether
+    vertex ``x < n`` is in ``masks[i]``."""
+    return ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
+
+
 def _chunks(graph: WeightedGraph, pick: slice = slice(None)):
     """Every mask ``S`` in ascending blocks of ``2^_CHUNK_BITS``, thinned by
     ``pick`` inside each block, as ``(masks, in_a, sums, sums_c)``: ``in_a``
@@ -159,10 +169,7 @@ def _chunks(graph: WeightedGraph, pick: slice = slice(None)):
     high rows in ascending order, so every sum is the one ``_subset_sums``
     gives."""
     n = graph.n
-    rows = np.zeros((n, n + 1))
-    rows[graph.u, graph.v] = graph.w
-    rows[graph.v, graph.u] = graph.w
-    rows[:, n] = graph.vertex_measure
+    rows = np.column_stack([weight_matrix(graph), graph.vertex_measure])
     k = min(n, _CHUNK_BITS)
     low = _subset_sums(rows, k)
     low_s, low_c = low[pick], low[::-1][pick]  # row i of low[::-1]: complement of i
@@ -174,7 +181,7 @@ def _chunks(graph: WeightedGraph, pick: slice = slice(None)):
 
     for high in range(top + 1):
         masks = (high << k) | offsets
-        in_a = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        in_a = _members(masks, n).T
         yield masks, in_a, plus_high(low_s, high), plus_high(low_c, top ^ high)
 
 
@@ -196,8 +203,8 @@ _TINY = 2.0**-1000
 # Candidates per block of the exact finish.
 _FINISH_CHUNK = 256
 # Bytes per mask the Cheeger search holds at its peak: three float64 tables
-# (the measure table, the fast table and one temporary) and two boolean ones.
-_BYTES_PER_MASK = 3 * 8 + 2
+# (the measure table, the fast table and one temporary) and a boolean one.
+_BYTES_PER_MASK = 3 * 8 + 1
 
 
 def _gamma(k: int) -> float:
@@ -223,12 +230,10 @@ def _fast_cut_table(graph: WeightedGraph) -> np.ndarray:
     """
     n = graph.n
     k = (n + 1) // 2
-    weights = np.zeros((n, n))
-    weights[graph.u, graph.v] = graph.w
-    weights[graph.v, graph.u] = graph.w
+    weights = weight_matrix(graph)
     low = _subset_sums(weights[:k], k)  # row L: weights from L into each vertex
     high = _subset_sums(weights[k:, k:], n - k)
-    in_low = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)  # bits of L
+    in_low = _members(np.arange(1 << k), k).T.astype(float)  # bits of L
     in_high = in_low[: len(high), : n - k]
     c_low = np.einsum("ij,ij->i", low[:, :k], 1.0 - in_low)
     c_high = np.einsum("ij,ij->i", high, 1.0 - in_high)
@@ -243,10 +248,9 @@ def _edge_order_cuts(graph: WeightedGraph, masks: np.ndarray) -> np.ndarray:
     ``set_measures`` adds it: a running sum down the edges, with 0.0 in place
     of each weight whose edge does not cross (``x + 0.0 == x``)."""
     cuts = np.empty(len(masks))
-    shifts = np.arange(graph.n)[:, None]
     for start in range(0, len(masks), _FINISH_CHUNK):
         block = slice(start, start + _FINISH_CHUNK)
-        inside = ((masks[None, block] >> shifts) & 1).astype(bool)  # vertex x mask
+        inside = _members(masks[block], graph.n)
         crosses = inside[graph.u] != inside[graph.v]  # edge x mask
         cuts[block] = np.cumsum(crosses * graph.w[:, None], axis=0)[-1]
     return cuts
@@ -268,12 +272,13 @@ def _search_tables(graph: WeightedGraph, max_n: int | None) -> np.ndarray:
     return _subset_sums(graph.vertex_measure, n)
 
 
-def _ascending(graph: WeightedGraph, searched: np.ndarray, score):
-    """Yield ``(value, mask)`` over the ``searched`` masks in ascending
-    ``(value, mask)`` order, each value bit for bit the one an edge-order
-    cut table gives.  ``score(cut, masks)`` maps the cuts of ``masks`` (an
-    index array, or ``slice(None)`` for all) to the values and may overwrite
-    ``cut``; it must divide each cut by numbers that do not depend on it.
+def _least(graph: WeightedGraph, fast: np.ndarray, score) -> tuple[float, int]:
+    """The least ``(value, mask)`` over the searched masks, the value bit
+    for bit the one an edge-order cut table gives.  ``fast`` holds the fast
+    value of each searched mask and ``inf`` at the others; ``score(cut,
+    masks)`` maps the cuts of the index array ``masks`` to their values, as
+    it mapped the fast cuts, and may overwrite ``cut``.  It must divide each
+    cut by numbers that do not depend on it.
 
     Filter.  Let ``c`` be a true cut, ``c~`` the fast one (``n`` roundings,
     see ``_fast_cut_table``) and ``c^`` the edge-order one (fewer than
@@ -284,31 +289,18 @@ def _ascending(graph: WeightedGraph, searched: np.ndarray, score):
     |theta'| <= gamma_{n+E+3} <= eta = gamma_{n+E+6}`` (one more rounding
     per division; ``1 / (1 - gamma_j) <= 1 + gamma_{j+1}``; Higham's Lemma
     3.3 for the products), up to an absolute ``2^-1074`` per underflowing
-    quotient.  Let ``lo`` be the fast minimum over the masks still searched
-    and ``S*`` an exact minimizer: ``r~(S*) <= (1 + eta) r^(S*) <= (1 +
-    eta) r^(argmin r~) <= (1 + eta)^2 lo``.  So every mask with ``r~ <= lo
-    (1 + delta) + _TINY``, ``delta = 4 eta``, is kept, and the kept set
-    holds every exact minimizer whatever the BLAS.
-
-    Finish.  The kept masks are recomputed in edge order and sorted by
-    ``(value, mask)``; the first is the next one in the full order.  A
-    dropped mask has ``r^ > lo (1 + delta)(1 - eta) + _TINY / 2 > lo (1 + 2
-    eta) + _TINY / 2``, so the kept masks up to that bound follow it in the
-    full order too.  Past it, or when the kept masks run out, the filter
-    runs again without the masks already yielded.
+    quotient.  Let ``lo`` be the least fast value and ``S*`` an exact
+    minimizer: ``r~(S*) <= (1 + eta) r^(S*) <= (1 + eta) r^(argmin r~) <=
+    (1 + eta)^2 lo``.  So every mask with ``r~ <= lo (1 + delta) + _TINY``,
+    ``delta = 4 eta``, is kept, and the kept set holds every exact minimizer
+    whatever the BLAS: the least kept ``(value, mask)`` after the exact
+    finish is the least searched one.
     """
-    fast = score(_fast_cut_table(graph), slice(None))
-    fast[~searched] = math.inf
     eta = _gamma(graph.n + len(graph.w) + 6)
-    while (lo := fast.min()) < math.inf:
-        keep = np.flatnonzero(fast <= lo * (1.0 + 4.0 * eta) + _TINY)
-        exact = score(_edge_order_cuts(graph, keep), keep)
-        bound = lo * (1.0 + 2.0 * eta) + _TINY / 2
-        for j, i in enumerate(np.lexsort((keep, exact))):
-            if j and exact[i] > bound:
-                break
-            yield float(exact[i]), int(keep[i])
-            fast[keep[i]] = math.inf
+    keep = np.flatnonzero(fast <= fast.min() * (1.0 + 4.0 * eta) + _TINY)
+    exact = score(_edge_order_cuts(graph, keep), keep)
+    i = np.lexsort((keep, exact))[0]
+    return float(exact[i]), int(keep[i])
 
 
 def _induced_connected(neighbour_masks: list[int], mask: int) -> bool:
@@ -340,22 +332,22 @@ def cheeger_constant_exact(
     """
     m_table = _search_tables(graph, max_n)
     total = graph.total_measure
-    admissible = m_table <= (total - m_table) + HALF_TIE_RTOL * total
-    admissible[0] = False
 
     def ratio(cut, masks):
         with np.errstate(invalid="ignore"):  # 0/0 at the empty set
             return np.divide(cut, m_table[masks], out=cut)
 
-    ranked = _ascending(graph, admissible, ratio)
-    value, witness = next(ranked)
+    heavy = m_table > (total - m_table) + HALF_TIE_RTOL * total
+    fast = ratio(_fast_cut_table(graph), slice(None))
+    fast[heavy] = fast[0] = math.inf  # over half the measure, or empty
+    value, witness = _least(graph, fast, ratio)
     if connected_only:
-        neighbour_masks = [0] * graph.n
-        for a, b in zip(graph.u.tolist(), graph.v.tolist()):
-            neighbour_masks[a] |= 1 << b
-            neighbour_masks[b] |= 1 << a
+        # Call k returns the k-th set in (value, mask) order; a singleton ends it.
+        rows = weight_matrix(graph)
+        neighbour_masks = [mask_of(np.flatnonzero(row).tolist()) for row in rows]
         while not _induced_connected(neighbour_masks, witness):
-            value, witness = next(ranked)
+            fast[witness] = math.inf
+            value, witness = _least(graph, fast, ratio)
     return InvariantReport("h", value, witness)
 
 
@@ -459,8 +451,6 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
     """
     m_table = _search_tables(graph, max_n)
     total = graph.total_measure
-    searched = np.zeros(len(m_table), dtype=bool)
-    searched[1:-1:2] = True  # vertex 0 in A, B nonempty
 
     def larger_ratio(cut, masks):
         m_a = m_table[masks]
@@ -470,5 +460,7 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
             np.divide(cut, m_a, out=cut)
         return np.maximum(cut, other, out=cut)
 
-    value, _ = next(_ascending(graph, searched, larger_ratio))
+    fast = larger_ratio(_fast_cut_table(graph), slice(None))
+    fast[::2] = fast[-1] = math.inf  # vertex 0 in A, B nonempty
+    value, _ = _least(graph, fast, larger_ratio)
     return float(1.0 - (1.0 - value))

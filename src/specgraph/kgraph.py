@@ -68,6 +68,8 @@ _HS_TAIL_TARGET = 1e-12
 _MAX_TERMS = 1_000_000
 # Threshold partitions scanned for the uncertified kappa estimate.
 _KAPPA_SCAN = 200
+# Roots ``asymmetry_K`` computes before it gives up certifying.
+_MAX_ROOTS = 400
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,6 @@ class PSequence:
         if i <= n:
             return self.head[i - 1]
         return self.head[-1] * self.ratio ** (i - n)
-
-    def q(self, i: int) -> float:
-        return 1.0 - self.p(i)
 
     def alpha(self, i: int) -> float:
         p = self.p(i)
@@ -167,14 +166,14 @@ def _weights(p: PSequence, count: int) -> np.ndarray:
     return np.array([p.p(i) for i in range(1, count + 1)])
 
 
-def _evaluate(p: PSequence, lam: float, tail_target: float):
+def _evaluate(p: PSequence, lam: float):
     """Truncated ``F(lam)`` with a certified bound on the dropped tail.
 
     Returns ``(value, tail_bound, terms, alphas)``.  The truncation count is
     grown until the unseen poles all lie strictly between the last computed
     pole and 0 on the far side of ``lam``, and the tail bound
-    ``remainder(J) / ((1 - p_1) * delta)`` meets the target, where ``delta``
-    is the distance from ``lam`` to the computed poles and 0.
+    ``remainder(J) / ((1 - p_1) * delta)`` meets ``_TAIL_TARGET``, where
+    ``delta`` is the distance from ``lam`` to the computed poles and 0.
     """
     terms = max(2 * len(p.head) + 16, 32)
     while True:
@@ -192,12 +191,12 @@ def _evaluate(p: PSequence, lam: float, tail_target: float):
         if delta < POLE_TOL:
             raise PoleProximity(f"evaluation point {lam} within {delta} of a pole")
         tail = p.remainder(terms) / ((1.0 - p.head[0]) * delta)
-        if tail <= tail_target or terms >= _MAX_TERMS:
+        if tail <= _TAIL_TARGET or terms >= _MAX_TERMS:
             break
         terms = min(_MAX_TERMS, terms * 2)
-    if tail > tail_target:
+    if tail > _TAIL_TARGET:
         raise NumericalFailure(
-            f"tail bound {tail} above target {tail_target} at {terms} terms"
+            f"tail bound {tail} above target {_TAIL_TARGET} at {terms} terms"
         )
     value = math.fsum((alphas / (alphas - lam)).tolist())
     return value, tail, terms, alphas
@@ -205,7 +204,7 @@ def _evaluate(p: PSequence, lam: float, tail_target: float):
 
 def secular_F(p: PSequence, lam: float) -> tuple[float, float]:
     """``F(lam)`` with a certified truncation-error bound ``<= 1e-13``."""
-    value, tail, _, _ = _evaluate(p, lam, _TAIL_TARGET)
+    value, tail, _, _ = _evaluate(p, lam)
     return value, tail
 
 
@@ -288,7 +287,7 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        val, _, _, _ = _evaluate(p, mid, _TAIL_TARGET)
+        val, _, _, _ = _evaluate(p, mid)
         if val > 1.0:
             lo = mid
         else:
@@ -297,7 +296,7 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     if not lo < lam < hi:
         lam = lo if lo > a_lo else hi
 
-    val, tail, terms, alphas = _evaluate(p, lam, _TAIL_TARGET)
+    val, tail, terms, alphas = _evaluate(p, lam)
     best = (abs(val - 1.0), lam, tail, terms, alphas)
     for _ in range(5):
         if val > 1.0:
@@ -316,7 +315,7 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
             if cand == lam:
                 break
         lam = cand
-        val, tail, terms, alphas = _evaluate(p, lam, _TAIL_TARGET)
+        val, tail, terms, alphas = _evaluate(p, lam)
         if abs(val - 1.0) < best[0]:
             best = (abs(val - 1.0), lam, tail, terms, alphas)
     if val > 1.0:
@@ -333,7 +332,7 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
             raise NumericalFailure(
                 f"root {i} residual {residual} beyond budget {RESIDUAL_BUDGET + tail}"
             )
-        val, *rest = _evaluate(p, mid, _TAIL_TARGET)
+        val, *rest = _evaluate(p, mid)
         if val > 1.0:
             lo = mid
         else:
@@ -372,7 +371,7 @@ def trivial_root(p: PSequence) -> SecularRoot:
     the returned residual is the evaluated defect, index 0 marks the root as
     sitting outside the pole intervals.
     """
-    val, tail, terms, _ = _evaluate(p, 1.0, _TAIL_TARGET)
+    val, tail, terms, _ = _evaluate(p, 1.0)
     membership = _membership(p, 1.0, terms)
     return SecularRoot(
         0, "walk", (0.0, math.inf), 1.0, abs(val - 1.0), terms, tail,
@@ -395,7 +394,7 @@ def eigenfunction(p: PSequence, root: SecularRoot, k: int) -> np.ndarray:
     # lambda - alpha_i and p_i/q_i + lambda are this one sum, bit for bit.
     gap = ws / (1.0 - ws) + lam
     values = 1.0 / gap
-    lhs, tail, _, alphas = _evaluate(p, lam, _TAIL_TARGET)
+    lhs, tail, _, alphas = _evaluate(p, lam)
     budget = root.residual + root.tail_bound + tail + RESIDUAL_BUDGET
     if root.kind == "laplacian":
         # Rounding in lam = 1 - mu moves lam off the root, and F with it.
@@ -498,9 +497,7 @@ def kappa_K(p: PSequence) -> KappaEstimate:
     return KappaEstimate(float(candidates[k]), False, k + 1)
 
 
-def asymmetry_K(
-    p: PSequence, tol: float = 1e-9, max_roots: int = 400
-) -> tuple[float, float]:
+def asymmetry_K(p: PSequence, tol: float = 1e-9) -> tuple[float, float]:
     """Certified enclosure of the spectral reflection asymmetry.
 
     If the top eigenvalue is at most 3/2 the distance is ``2 - mu_1``;
@@ -513,7 +510,7 @@ def asymmetry_K(
     first = None
     certified = False
     i = 0
-    while i < max_roots:
+    while i < _MAX_ROOTS:
         i += 1
         try:
             root = delta_eigenvalue(p, i, tol)
@@ -539,7 +536,7 @@ def asymmetry_K(
             break
     if not certified:
         raise InsufficientRoots(
-            f"{max_roots} roots do not certify the reflection minimum"
+            f"{_MAX_ROOTS} roots do not certify the reflection minimum"
         )
     lo1, hi1 = first
     tall = (2.0 - hi1, 2.0 - lo1)

@@ -110,7 +110,7 @@ def spectrum(graph: WeightedGraph, eigenvectors: bool = False) -> Spectrum:
     With ``eigenvectors`` the returned basis consists of Laplacian
     eigenfunctions (columns, aligned with ``values``), obtained from the
     symmetric eigenbasis by the ``D^{-1/2}`` transform; the worst relative
-    eigen-residual is computed and must stay within the zero threshold.
+    eigen-residual is computed and must be finite and within the zero threshold.
     """
     if graph.n == 0:
         raise EmptySpectrum("graph has no vertices")
@@ -123,11 +123,15 @@ def spectrum(graph: WeightedGraph, eigenvectors: bool = False) -> Spectrum:
     lap = laplacian_matrix(graph)
     worst = 0.0
     m = graph.vertex_measure
-    for k in range(graph.n):
-        f = funcs[:, k]
-        err = lap @ f - values[k] * f
-        rel = math.sqrt(float(m @ (err * err))) / math.sqrt(float(m @ (f * f)))
-        worst = max(worst, rel)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
+        for k in range(graph.n):
+            f = funcs[:, k]
+            err = lap @ f - values[k] * f
+            norm = float(m @ (f * f))
+            rel = math.sqrt(float(m @ (err * err))) / math.sqrt(norm)
+            if not (math.isfinite(rel) and math.isfinite(norm)):
+                raise NumericalFailure(f"eigenpair {k}: residual or norm overflows")
+            worst = max(worst, rel)
     if worst > ZERO_THRESHOLD:
         raise NumericalFailure(f"eigenpair residual {worst} above threshold")
     return Spectrum(values, funcs, worst)

@@ -236,6 +236,32 @@ def test_malformed_graph_gets_a_typed_diagnostic(capsys, monkeypatch, text, erro
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("dual-cheeger", "EmptySet"),
+        ("kappa", "EmptySet"),
+        ("cheeger", "DisconnectedGraph"),
+        ("spectrum", "EmptySpectrum"),
+    ],
+)
+def test_graph_without_vertices_gets_a_typed_diagnostic(capsys, monkeypatch, command, error):
+    code, out, err = run(capsys, [command, "-"], '{"edges": []}', monkeypatch)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+def test_eigenpair_residual_that_overflows_fails_closed(capsys, monkeypatch):
+    """Subnormal weights make the eigenfunction norms overflow; the residual
+    certificate must not read 0."""
+    text = '{"edges": [[0,1,1e-310],[1,2,1e-310]]}'
+    code, out, err = run(capsys, ["spectrum", "--eigenvectors", "-"], text, monkeypatch)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NumericalFailure"
+
+
 def test_dual_cheeger_near_the_float_maximum_writes_no_warning(capsys, monkeypatch):
     text = '{"edges": [[0,1,4e307],[1,2,4e307]]}'
     code, out, err = run(capsys, ["dual-cheeger", "-"], text, monkeypatch)

@@ -18,6 +18,7 @@ from specgraph.errors import (
     IsolatedVertex,
     MalformedGraph,
     NonpositiveWeight,
+    NumericalFailure,
     SelfLoop,
 )
 from specgraph.graph import (
@@ -152,7 +153,7 @@ def test_equality_and_hash():
 
 def test_components_of_disconnected_graph():
     g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)])
-    assert g.component_masks() == [0b0011, 0b1100]
+    assert g._search()[0] == (0, 0, 2, 2)
     assert g.component_count == 2
     assert not g.is_connected()
     assert cycle(5).is_connected()
@@ -168,7 +169,7 @@ def test_component_search_runs_once_per_graph(monkeypatch):
     g = WeightedGraph(edges)
     for _ in range(2):
         assert not g.is_connected()
-        assert g.component_masks() == [0b00111, 0b11000]
+        assert g._search()[0] == (0, 0, 0, 3, 3)
         assert g.component_count == 2
         assert is_bipartite(g) == (False, None)
     assert len(runs) == 1
@@ -207,12 +208,8 @@ def _assert_search_matches_reference(g):
     root, parity = _search_reference(g)
     new_root, new_parity = g._search()
     assert new_root == root
-    masks = {}
-    for v, r in enumerate(root):
-        masks[r] = masks.get(r, 0) | 1 << v
-    assert g.component_masks() == list(masks.values())
-    assert g.component_count == len(masks)
-    assert g.is_connected() == (len(masks) == 1)
+    assert g.component_count == len(set(root))
+    assert g.is_connected() == (len(set(root)) == 1)
     # On a two-colourable component the colouring from its least vertex is
     # unique, so the parities agree there vertex for vertex.
     odd = {root[a] for a, b in zip(g.u, g.v) if parity[a] == parity[b]}
@@ -347,6 +344,18 @@ def test_forms_on_k2():
 def test_shape_mismatch_rejected():
     with pytest.raises(BadParameter):
         dirichlet_form(triangle(), [1.0, 2.0])
+
+
+def test_forms_whose_sum_overflows_are_numerical_failures():
+    """Every term is finite, but the exactly rounded sum exceeds float64."""
+    g = graph_from_json('{"edges": [[0,1,4e307],[1,2,4e307]]}')
+    with pytest.raises(NumericalFailure):
+        dirichlet_form(g, [1.0, -1.0, 1.0])
+    with pytest.raises(NumericalFailure):
+        q_form(g, [1.0, 1.0, 1.0])
+    with pytest.raises(NumericalFailure):
+        inner_product(g, [1.1, 1.1, 1.1], [1.1, 1.1, 1.1])
+    assert inner_product(g, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) == 4 * 4e307
 
 
 @settings(max_examples=50, deadline=None)

@@ -26,6 +26,7 @@ from specgraph.harness import (
     sample_graph,
     tau_split,
 )
+from specgraph.graph import WeightedGraph
 from specgraph.invariants import kappa_exact
 from specgraph.reports import CheckReport, graph_fingerprint
 from specgraph.spectral import Spectrum, spectrum
@@ -128,6 +129,12 @@ def test_auxiliary_check_on_top_eigenfunction():
         reports = check_auxiliary(analyze(g), eig.eigenvectors[:, -1])
         assert [r.check_id for r in reports] == ["auxiliary_norm", "auxiliary_energy"]
         assert all(r.passed for r in reports)
+
+
+def test_checks_near_the_float_maximum_end_in_a_typed_error():
+    g = WeightedGraph([(0, 1, 4e307), (1, 2, 4e307)])
+    with pytest.raises(NumericalFailure, match="edge energy"):
+        graph_checks(analyze(g))
 
 
 def test_full_check_list_for_one_graph():

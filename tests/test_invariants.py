@@ -384,6 +384,16 @@ def test_fast_table_noise_inside_the_margin_changes_no_bit(monkeypatch, seed):
     assert [_cheeger_results(g) for g in graphs] == expected
 
 
+@pytest.mark.parametrize("seed", [*range(16), *_DISCONNECTED_FIRST])
+def test_a_wide_filter_changes_no_bit(monkeypatch, seed):
+    """A margin of about 4e-3 keeps many sets that are not minimizers, so
+    the exact finish and its tie rule alone choose the value and witness."""
+    graphs = [_tie_heavy_graph(seed), sample_graph(RandomGraphSpec(n=4 + seed % 7, seed=seed))]
+    expected = [_reference_cheeger(g) for g in graphs]
+    monkeypatch.setattr(invariants, "_gamma", lambda k: 1e-3)
+    assert [_cheeger_results(g) for g in graphs] == expected
+
+
 def test_dual_cheeger_near_the_float_maximum_matches_the_scaled_graph():
     """Prefix sums over A's own members overflow here; they are discarded,
     and no RuntimeWarning (an error under this suite's settings) escapes."""

@@ -18,10 +18,10 @@ from specgraph.errors import (
     NumericalFailure,
     PoleProximity,
 )
+from specgraph import kgraph
 from specgraph.invariants import cheeger_constant_exact
 from specgraph.kgraph import (
     RESIDUAL_BUDGET,
-    _TAIL_TARGET,
     PSequence,
     _evaluate,
     _tables,
@@ -67,7 +67,7 @@ SECTION_ATOL = 1e-10
 def test_dyadic_sequence_values():
     assert DYADIC.p(1) == 0.5
     assert DYADIC.p(3) == 0.125
-    assert DYADIC.q(3) == 0.875
+    assert 1.0 - DYADIC.p(3) == 0.875
     assert DYADIC.r(1) == 2.0
     assert DYADIC.r(3) == pytest.approx(8.0 / 7.0, abs=1e-15)
     assert DYADIC.alpha(3) == pytest.approx(-1.0 / 7.0, abs=1e-15)
@@ -126,7 +126,7 @@ def test_trivial_root_is_constant_eigenfunction():
     assert root.value == 1.0 and root.index == 0
     assert root.residual <= 1e-12
     values = eigenfunction(DYADIC, root, 6)
-    expected = [DYADIC.q(i) for i in range(1, 7)]
+    expected = [1.0 - DYADIC.p(i) for i in range(1, 7)]
     assert np.allclose(values, expected, atol=1e-12)
 
 
@@ -241,9 +241,10 @@ def test_asymmetry_bounded_by_twice_kappa():
         assert 0.0 <= lo <= hi <= 2.0 * kappa_K(p).value + 1e-12
 
 
-def test_asymmetry_needs_enough_roots():
+def test_asymmetry_needs_enough_roots(monkeypatch):
+    monkeypatch.setattr(kgraph, "_MAX_ROOTS", 1)
     with pytest.raises(InsufficientRoots):
-        asymmetry_K(STEEP, max_roots=1)
+        asymmetry_K(STEEP)
 
 
 # ------------------------------------------------------------ Hilbert-Schmidt
@@ -251,7 +252,7 @@ def test_asymmetry_needs_enough_roots():
 
 def test_hilbert_schmidt_closed_form_matches_double_sum():
     value, report = hilbert_schmidt_sum(DYADIC)
-    t = [DYADIC.p(i) / DYADIC.q(i) for i in range(1, 60)]
+    t = [DYADIC.p(i) / (1.0 - DYADIC.p(i)) for i in range(1, 60)]
     direct = math.fsum(t[i] * t[j] for i in range(59) for j in range(59) if i != j)
     assert value == pytest.approx(direct, abs=1e-12)
     assert report.rhs == DYADIC.r(1) ** 2 == 4.0
@@ -333,14 +334,14 @@ def _eigenfunction_loop(p, root, k):
     """The values, or the message of the first failing relation."""
     lam = root.value if root.kind == "walk" else 1.0 - root.value
     values = [1.0 / (lam - p.alpha(i)) for i in range(1, k + 1)]
-    lhs, tail, terms, _ = _evaluate(p, lam, _TAIL_TARGET)
+    lhs, tail, terms, _ = _evaluate(p, lam)
     budget = root.residual + root.tail_bound + tail + RESIDUAL_BUDGET
     if root.kind == "laplacian":
         alphas = _tables_loop(p, terms)[1]
         deriv = math.fsum(a / ((a - lam) * (a - lam)) for a in alphas)
         budget += 2.0 * abs(deriv) * (2.0**-53 * (abs(root.value) + abs(lam)))
     for i in range(1, k + 1):
-        rhs = (p.p(i) / p.q(i) + lam) * values[i - 1]
+        rhs = (p.p(i) / (1.0 - p.p(i)) + lam) * values[i - 1]
         if abs(lhs - rhs) > budget:
             return f"eigenfunction relation fails at index {i}: |{lhs} - {rhs}| > {budget}"
     return values
