@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -75,8 +76,9 @@ def _to_json(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_to_json(x) for x in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _to_json(obj.tolist())
+    if dataclasses.is_dataclass(obj):
+        # Shallow, in field order; ``asdict`` would deep-copy every field.
+        return _to_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -128,15 +130,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = spectrum(graph, eigenvectors=args.eigenvectors)
     if args.eigenvectors:
         payload = {
-            "values": spec.to_payload(),
-            "eigenvectors": [
-                spec.eigenvectors[:, k].tolist() for k in range(graph.n)
-            ],
+            "values": spec.values.tolist(),
+            "eigenvectors": spec.eigenvectors.T.tolist(),
             "max_residual": spec.max_residual,
         }
         _emit(_to_json(payload), args.out)
     else:
-        _emit(_to_json(spec.to_payload()), args.out)
+        _emit(_to_json(spec.values.tolist()), args.out)
     return 0
 
 
@@ -172,10 +172,10 @@ def _cmd_kgraph(args: argparse.Namespace) -> int:
     hs_value, hs_report = hilbert_schmidt_sum(p)
     payload = {
         "sequence": p.to_payload(),
-        "roots": [root.to_payload() for root in roots],
-        "trivial": trivial_root(p).to_payload(),
+        "roots": roots,
+        "trivial": trivial_root(p),
         "top_interval": [top_lo, top_hi],
-        "kappa": kappa_K(p).to_payload(),
+        "kappa": kappa_K(p),
         "hilbert_schmidt": {
             "value": hs_value,
             "bound": hs_report.rhs,

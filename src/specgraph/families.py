@@ -160,9 +160,6 @@ class ClosedForm:
     value: float
     mode: str
 
-    def to_payload(self) -> dict:
-        return {"invariant": self.invariant, "value": self.value, "mode": self.mode}
-
 
 def closed_form(spec: FamilySpec) -> list[ClosedForm]:
     """Known invariant targets for the family, tagged with how the finite

@@ -153,6 +153,10 @@ CHECK_MANIFEST = {
 
 # -------------------------------------------------------------- random graphs
 
+# Draws ``sample_graph`` makes before it gives up; the usual sweeps need at
+# most about ten.
+_MAX_DRAWS = 1000
+
 
 @dataclass(frozen=True)
 class RandomGraphSpec:
@@ -160,7 +164,8 @@ class RandomGraphSpec:
 
     Edges are kept independently with ``edge_probability``; weights are drawn
     log-uniformly from ``[1e-3, 1]`` to exercise several decades of dynamic
-    range.  Draws repeat until the graph is connected.
+    range.  Draws repeat until the graph is connected, at most
+    ``_MAX_DRAWS`` times.
     """
 
     n: int
@@ -177,11 +182,12 @@ class RandomGraphSpec:
 
 
 def sample_graph(spec: RandomGraphSpec) -> WeightedGraph:
-    """Draw the graph described by ``spec`` (deterministic in the seed)."""
+    """Draw the graph described by ``spec`` (deterministic in the seed).
+    ``BadParameter`` when ``_MAX_DRAWS`` draws give no connected graph."""
     rng = np.random.default_rng(spec.seed)
     lo = math.log10(1e-3)
     hi = math.log10(1.0)
-    while True:
+    for _ in range(_MAX_DRAWS):
         pairs = [
             (u, v)
             for u in range(spec.n)
@@ -195,6 +201,10 @@ def sample_graph(spec: RandomGraphSpec) -> WeightedGraph:
         graph = WeightedGraph(edges)
         if graph.is_connected():
             return graph
+    raise BadParameter(
+        f"no connected graph in {_MAX_DRAWS} draws with n={spec.n}, "
+        f"p={spec.edge_probability}, seed={spec.seed}"
+    )
 
 
 # ------------------------------------------------------- per-graph analysis

@@ -39,6 +39,7 @@ from .graph import (
     WeightedGraph,
     _indicator,
     _sequential_sum,
+    _union_find,
     _weight_into,
     mask_of,
     set_measures,
@@ -303,16 +304,14 @@ def _least(graph: WeightedGraph, fast: np.ndarray, score) -> tuple[float, int]:
     return float(exact[i]), int(keep[i])
 
 
-def _induced_connected(neighbour_masks: list[int], mask: int) -> bool:
-    """Whether ``mask`` induces a connected subgraph, by a search over bits."""
-    seen = frontier = mask & -mask
-    while frontier:
-        bit = frontier & -frontier
-        frontier ^= bit
-        new = neighbour_masks[bit.bit_length() - 1] & mask & ~seen
-        seen |= new
-        frontier |= new
-    return seen == mask
+def _induced_connected(graph: WeightedGraph, mask: int) -> bool:
+    """Whether the nonempty ``mask`` induces a connected subgraph: the graph's
+    union-find over the edges with both ends in ``mask``."""
+    inside = _indicator(graph.n, mask)
+    both = inside[graph.u] & inside[graph.v]
+    parent, _ = _union_find(graph.n, graph.u[both].tolist(), graph.v[both].tolist())
+    roots = np.array(parent)[inside]
+    return bool(np.all(roots == roots[0]))
 
 
 def cheeger_constant_exact(
@@ -343,9 +342,7 @@ def cheeger_constant_exact(
     value, witness = _least(graph, fast, ratio)
     if connected_only:
         # Call k returns the k-th set in (value, mask) order; a singleton ends it.
-        rows = weight_matrix(graph)
-        neighbour_masks = [mask_of(np.flatnonzero(row).tolist()) for row in rows]
-        while not _induced_connected(neighbour_masks, witness):
+        while not _induced_connected(graph, witness):
             fast[witness] = math.inf
             value, witness = _least(graph, fast, ratio)
     return InvariantReport("h", value, witness)

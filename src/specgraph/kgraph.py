@@ -229,19 +229,6 @@ class SecularRoot:
     uncertainty: float
     membership_sum: float
 
-    def to_payload(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "bracket": list(self.bracket),
-            "value": self.value,
-            "residual": self.residual,
-            "truncation_terms": self.truncation_terms,
-            "tail_bound": self.tail_bound,
-            "uncertainty": self.uncertainty,
-            "membership_sum": self.membership_sum,
-        }
-
 
 def _derivative(lam: float, alphas) -> float:
     """Truncated ``F'(lam) = sum alpha_j/(alpha_j - lam)^2`` (negative)."""
@@ -476,13 +463,6 @@ class KappaEstimate:
     value: float
     certified: bool
     split_index: int
-
-    def to_payload(self) -> dict:
-        return {
-            "value": self.value,
-            "certified": self.certified,
-            "split_index": self.split_index,
-        }
 
 
 def kappa_K(p: PSequence) -> KappaEstimate:

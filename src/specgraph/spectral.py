@@ -86,9 +86,6 @@ class Spectrum:
     def top(self) -> float:
         return float(self.values[-1])
 
-    def to_payload(self) -> list[float]:
-        return [float(x) for x in self.values]
-
 
 def _clamp(values: np.ndarray) -> np.ndarray:
     low = values.min(initial=0.0)
@@ -126,6 +123,12 @@ def spectrum(graph: WeightedGraph, eigenvectors: bool = False) -> Spectrum:
     with np.errstate(over="ignore", invalid="ignore"):  # judged just below
         for k in range(graph.n):
             f = funcs[:, k]
+            # Weights near the float64 maximum make f tiny and err * err
+            # underflow.  A power-of-two scale up is exact, so a residual
+            # that did not underflow keeps its bits.
+            _, exponent = math.frexp(float(np.abs(f).max()))
+            if exponent < 0:
+                f = np.ldexp(f, -exponent)
             err = lap @ f - values[k] * f
             norm = float(m @ (f * f))
             rel = math.sqrt(float(m @ (err * err))) / math.sqrt(norm)

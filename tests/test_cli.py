@@ -1,11 +1,17 @@
 """End-to-end command-line coverage, run in process through ``main``."""
 
+import contextlib
 import io
 import json
+import math
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specgraph import errors
 from specgraph.cli import main
 from specgraph.kgraph import RESIDUAL_BUDGET
 
@@ -194,6 +200,15 @@ def test_verify_small_sweep(capsys):
     assert summary["uncovered_checks"] == []
 
 
+def test_verify_gives_up_on_graphs_that_never_connect(capsys):
+    argv = ["verify", "--seeds", "1", "--edge-probability", "1e-9", "--no-families"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "BadParameter"
+    assert "n=4, p=1e-09, seed=0" in diagnostic["message"]
+
+
 # ------------------------------------------------------------ error handling
 
 
@@ -334,3 +349,72 @@ def test_renormalize_is_product_family_only(capsys):
     )
     assert code == 1
     assert json.loads(err)["error"] == "BadParameter"
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_ODD_NUMBERS = st.sampled_from(
+    [0, -1, 1.5, -0.0, 5e-324, 1e-310, 4e307, 1e308, 10**20, math.inf, -math.inf, math.nan]
+)
+_ID = st.one_of(st.integers(0, 6), _ODD_NUMBERS, st.text(max_size=2), st.none(), st.booleans())
+_WEIGHT = st.one_of(
+    st.floats(0.05, 20.0), _ODD_NUMBERS, st.floats(), st.text(max_size=2), st.none()
+)
+_EDGE = st.one_of(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.floats(0.05, 20.0)).map(list),
+    st.tuples(_ID, _ID, _WEIGHT).map(list),
+    st.lists(st.one_of(_ID, _WEIGHT), max_size=4),
+    _WEIGHT,
+)
+_LABELS = st.one_of(
+    st.lists(st.one_of(st.integers(), st.text(max_size=2), st.none()), max_size=8),
+    st.text(max_size=3),
+    st.integers(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_DOCUMENT = st.one_of(
+    st.fixed_dictionaries({"edges": st.lists(_EDGE, max_size=8)}, optional={"labels": _LABELS}),
+    st.fixed_dictionaries({"edges": _WEIGHT}),
+    st.lists(_EDGE, max_size=4),
+    _WEIGHT,
+)
+_COMMANDS = [
+    ["spectrum"],
+    ["spectrum", "--eigenvectors"],
+    ["cheeger"],
+    ["cheeger", "--connected-only"],
+    ["dual-cheeger"],
+    ["kappa"],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(_COMMANDS),
+    document=_DOCUMENT,
+    cut=st.one_of(st.none(), st.integers(0, 40)),
+)
+def test_malformed_payloads_end_in_an_answer_or_one_typed_diagnostic(command, document, cut):
+    """Whatever the payload, the CLI answers (exit 0) or writes exactly one
+    JSON line naming a ``SpecgraphError`` (exit 1): never a traceback, a
+    warning, or a builtin error type."""
+    text = json.dumps(document)[:cut]
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1), text
+    if code == 0:
+        assert err.getvalue() == "", text
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "", text
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, text
+        name = json.loads(lines[0])["error"]
+        assert issubclass(getattr(errors, name, type(None)), errors.SpecgraphError), text

@@ -284,6 +284,38 @@ def _cut_table(graph: WeightedGraph) -> np.ndarray:
     return table
 
 
+def _bitmask_connected(neighbour_masks: list[int], mask: int) -> bool:
+    """Whether ``mask`` induces a connected subgraph, by a breadth-first
+    search over bits: the search ``cheeger_constant_exact`` ran before it
+    used the graph's union-find."""
+    seen = frontier = mask & -mask
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        new = neighbour_masks[bit.bit_length() - 1] & mask & ~seen
+        seen |= new
+        frontier |= new
+    return seen == mask
+
+
+def _neighbour_masks(graph: WeightedGraph) -> list[int]:
+    masks = [0] * graph.n
+    for a, b, _ in graph.edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
+@pytest.mark.parametrize("seed", [*range(8), *_DISCONNECTED_FIRST])
+def test_induced_connectivity_matches_the_bitmask_search(seed):
+    for g in (_tie_heavy_graph(seed), sample_graph(RandomGraphSpec(n=4 + seed % 7, seed=seed))):
+        neighbour_masks = _neighbour_masks(g)
+        for mask in range(1, 1 << g.n):
+            assert invariants._induced_connected(g, mask) == _bitmask_connected(
+                neighbour_masks, mask
+            ), (seed, mask)
+
+
 def _reference_cheeger(graph: WeightedGraph):
     """``(h hex, witness)`` without and with ``connected_only``, and the hex
     of ``h_via_r``, by ``argmin`` over the full cut table."""
@@ -298,11 +330,8 @@ def _reference_cheeger(graph: WeightedGraph):
     ratio = np.where(admissible, ratio, np.inf)
     witness = int(np.argmin(ratio))
     free = (float(ratio[witness]).hex(), witness)
-    neighbour_masks = [0] * n
-    for a, b, _ in graph.edges:
-        neighbour_masks[a] |= 1 << b
-        neighbour_masks[b] |= 1 << a
-    while not invariants._induced_connected(neighbour_masks, witness):
+    neighbour_masks = _neighbour_masks(graph)
+    while not _bitmask_connected(neighbour_masks, witness):
         ratio[witness] = np.inf
         witness = int(np.argmin(ratio))
     connected = (float(ratio[witness]).hex(), witness)

@@ -36,7 +36,7 @@ from specgraph.kgraph import (
     trivial_root,
     truncate_K,
 )
-from specgraph.spectral import spectrum
+from specgraph.spectral import hausdorff_asymmetry, spectrum
 
 DYADIC = PSequence((0.5, 0.25), 0.5)
 STEEP = PSequence((0.9,), 0.1)
@@ -233,6 +233,16 @@ def test_asymmetry_encloses_reflection_distance():
     assert mu1 > 1.5  # tall spectrum: the distance is 2 - mu_1
     assert lo <= 2.0 - mu1 <= hi
     assert hi - lo < 1e-8
+
+
+def test_asymmetry_of_a_spectrum_below_three_halves():
+    p = PSequence((0.3,), 0.7)
+    lo, hi = asymmetry_K(p)
+    mu1 = delta_eigenvalue(p, 1).value
+    assert mu1 <= 1.5  # the distance is 2 - mu_1
+    assert lo <= 2.0 - mu1 <= hi
+    # A 400-vertex truncation lands inside the certified enclosure.
+    assert lo <= hausdorff_asymmetry(spectrum(truncate_K(p, 400)).values) <= hi
 
 
 def test_asymmetry_bounded_by_twice_kappa():

@@ -98,6 +98,19 @@ def test_eigenvectors_have_certified_residuals():
         assert np.allclose(zero_vec, zero_vec[0])
 
 
+def test_residual_near_the_float_maximum_is_that_of_a_scaled_copy():
+    """Weights near the float64 maximum make the eigenfunctions about 1e-154;
+    the residual must not underflow to 0, and a power-of-two rescaling of the
+    weights must leave its bits alone."""
+    g = WeightedGraph(
+        [(0, 1, 3e307), (1, 2, 2e307), (2, 3, 1.5e307), (0, 3, 7e306), (1, 3, 5e306)]
+    )
+    scaled = WeightedGraph(np.column_stack([g.u, g.v, g.w * 2.0**-1000]))
+    residual = spectrum(g, eigenvectors=True).max_residual
+    assert 0.0 < residual <= EIG_ATOL
+    assert residual.hex() == spectrum(scaled, eigenvectors=True).max_residual.hex()
+
+
 def test_empty_graph_has_no_spectrum():
     with pytest.raises(EmptySpectrum):
         spectrum(WeightedGraph([], labels=[]))
