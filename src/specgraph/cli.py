@@ -11,6 +11,11 @@ Exit codes: 0 success, 1 computation error (a machine-readable
 ``{"error": ..., "message": ...}`` line goes to stderr), 2 usage error.
 The enumeration commands and ``verify`` take ``--max-n`` to move the
 enumeration caps.
+
+The parser is built once per process.  Each subcommand names its handler
+with ``set_defaults``; ``cheeger``, ``dual-cheeger`` and ``kappa`` share one
+handler that finds its solver by name in this module when it runs, as every
+handler finds the library functions it calls.
 """
 
 from __future__ import annotations
@@ -18,18 +23,20 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
 
 import numpy as np
 
-from .errors import BadParameter, PoleProximity, SpecgraphError
-from .families import FAMILIES, FamilySpec, _check_edges, generate
+from .errors import BadParameter, MalformedGraph, PoleProximity, SpecgraphError, TooLarge
+from .families import FAMILIES, FamilySpec, generate
 from .graph import WeightedGraph, _graph_payload, graph_from_json
 from .harness import SuiteConfig, run_suite
 from .invariants import cheeger_constant_exact, dual_cheeger_exact, kappa_exact
 from .kgraph import (
+    SIZE_LIMIT,
     PSequence,
     asymmetry_K,
     delta_eigenvalue,
@@ -91,10 +98,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_graph(path: str) -> WeightedGraph:
-    if path == "-":
-        return graph_from_json(sys.stdin.read())
-    with open(path) as fh:
-        return graph_from_json(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedGraph(f"not UTF-8 text: {exc}") from None
+    return graph_from_json(text)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -117,7 +129,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.renormalize:
         if args.family != "K_m1" or p is None:
             raise BadParameter("--renormalize applies to K_m1 only")
-        _check_edges(spec)
         graph = truncate_K(p, args.n, renormalize=True)
     else:
         graph = generate(spec)
@@ -140,25 +151,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cheeger(args: argparse.Namespace) -> int:
+def _cmd_invariant(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
-    report = cheeger_constant_exact(
-        graph, args.max_n, connected_only=args.connected_only
-    )
-    _emit(_to_json(report.to_payload()), args.out)
-    return 0
-
-
-def _cmd_dual_cheeger(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.input)
-    report = dual_cheeger_exact(graph, args.max_n)
-    _emit(_to_json(report.to_payload()), args.out)
-    return 0
-
-
-def _cmd_kappa(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.input)
-    report = kappa_exact(graph, args.max_n)
+    options = {"connected_only": args.connected_only} if "connected_only" in args else {}
+    report = globals()[args.solver](graph, args.max_n, **options)
     _emit(_to_json(report.to_payload()), args.out)
     return 0
 
@@ -190,15 +186,8 @@ def _cmd_kgraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = SuiteConfig(
-        seeds=args.seeds,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        edge_probability=args.edge_probability,
-        base_seed=args.base_seed,
-        max_n=args.max_n,
-        include_families=not args.no_families,
-    )
+    fields = dataclasses.fields(SuiteConfig)
+    config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields if f.name in args})
     summary = run_suite(config)
     _emit(_to_json(summary), args.out)
     return 0 if summary["ok"] else 1
@@ -208,6 +197,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     p = PSequence(_parse_floats(args.head), args.tail_ratio)
     if args.points < 2:
         raise BadParameter("need at least two sample points")
+    if args.points > SIZE_LIMIT:
+        raise TooLarge(f"{args.points} sample points, more than the {SIZE_LIMIT} a trace may take")
     if not args.lo < args.hi:
         raise BadParameter(f"empty sample interval [{args.lo}, {args.hi}]")
     walk = args.variable == "walk"
@@ -228,35 +219,34 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _add_graph_input(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report here instead of stdout")
+    graph_input = argparse.ArgumentParser(add_help=False, parents=[out])
+    graph_input.add_argument(
         "input", nargs="?", default="-", help="graph JSON path (- for stdin)"
     )
-    parser.add_argument("--out", help="write the report here instead of stdout")
-
-
-def _add_sequence_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    sequence = argparse.ArgumentParser(add_help=False, parents=[out])
+    sequence.add_argument(
         "--head",
         required=True,
         help="comma-separated explicit weights, e.g. 0.9,0.09,0.009",
     )
-    parser.add_argument(
+    sequence.add_argument(
         "--tail-ratio",
         type=float,
         required=True,
         help="geometric ratio continuing the head",
     )
 
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specgraph",
         description="spectral and isoperimetric analysis of weighted graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a family graph as JSON")
+    gen = sub.add_parser("gen", help="generate a family graph as JSON", parents=[out])
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", type=int, required=True, help="truncation size")
     gen.add_argument("--r", type=float, help="geometric weight ratio")
@@ -268,37 +258,38 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale kept K_m1 weights to sum to 1",
     )
-    gen.add_argument("--out")
+    gen.set_defaults(handler=_cmd_gen)
 
-    spect = sub.add_parser("spectrum", help="Laplacian spectrum of a graph")
-    _add_graph_input(spect)
+    spect = sub.add_parser(
+        "spectrum", help="Laplacian spectrum of a graph", parents=[graph_input]
+    )
     spect.add_argument(
         "--eigenvectors",
         action="store_true",
         help="include eigenfunctions and the worst eigenpair residual",
     )
+    spect.set_defaults(handler=_cmd_spectrum)
 
-    cheeger = sub.add_parser("cheeger", help="exact Cheeger constant")
-    _add_graph_input(cheeger)
-    cheeger.add_argument("--max-n", type=int, help="enumeration cap override")
-    cheeger.add_argument(
+    # Solvers go by name: a parser default must not hold a library function.
+    for name, solver, about in (
+        ("cheeger", "cheeger_constant_exact", "exact Cheeger constant"),
+        ("dual-cheeger", "dual_cheeger_exact", "exact dual Cheeger constant"),
+        ("kappa", "kappa_exact", "exact bipartiteness defect"),
+    ):
+        invariant = sub.add_parser(name, help=about, parents=[graph_input])
+        invariant.add_argument("--max-n", type=int, help="enumeration cap override")
+        invariant.set_defaults(handler=_cmd_invariant, solver=solver)
+    sub.choices["cheeger"].add_argument(
         "--connected-only",
         action="store_true",
         help="restrict the search to connected witnesses",
     )
 
-    dual = sub.add_parser("dual-cheeger", help="exact dual Cheeger constant")
-    _add_graph_input(dual)
-    dual.add_argument("--max-n", type=int, help="enumeration cap override")
-
-    kappa = sub.add_parser("kappa", help="exact bipartiteness defect")
-    _add_graph_input(kappa)
-    kappa.add_argument("--max-n", type=int, help="enumeration cap override")
-
     kgraph = sub.add_parser(
-        "kgraph", help="certified eigenvalues of the summable complete graph"
+        "kgraph",
+        help="certified eigenvalues of the summable complete graph",
+        parents=[sequence],
     )
-    _add_sequence_flags(kgraph)
     kgraph.add_argument("--roots", type=int, default=2, help="eigenvalues to solve")
     kgraph.add_argument("--tol", type=float, default=1e-9, help="residual target")
     kgraph.add_argument(
@@ -306,26 +297,34 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also certify the spectral reflection asymmetry",
     )
-    kgraph.add_argument("--out")
+    kgraph.set_defaults(handler=_cmd_kgraph)
 
-    verify = sub.add_parser("verify", help="run the full check suite")
-    verify.add_argument("--seeds", type=int, default=200)
-    verify.add_argument("--n-min", type=int, default=4)
-    verify.add_argument("--n-max", type=int, default=12)
-    verify.add_argument("--edge-probability", type=float, default=0.5)
-    verify.add_argument("--base-seed", type=int, default=0)
+    # Options left off stay off the namespace, so SuiteConfig fills them in.
+    verify = sub.add_parser(
+        "verify",
+        help="run the full check suite",
+        parents=[out],
+        argument_default=argparse.SUPPRESS,
+    )
+    verify.add_argument("--seeds", type=int)
+    verify.add_argument("--n-min", type=int)
+    verify.add_argument("--n-max", type=int)
+    verify.add_argument("--edge-probability", type=float)
+    verify.add_argument("--base-seed", type=int)
     verify.add_argument("--max-n", type=int, help="enumeration cap override")
     verify.add_argument(
         "--no-families",
-        action="store_true",
+        dest="include_families",
+        action="store_false",
         help="sweep random graphs only",
     )
-    verify.add_argument("--out")
+    verify.set_defaults(handler=_cmd_verify)
 
     trace = sub.add_parser(
-        "trace", help="CSV samples of the secular function over an interval"
+        "trace",
+        help="CSV samples of the secular function over an interval",
+        parents=[sequence],
     )
-    _add_sequence_flags(trace)
     trace.add_argument(
         "--variable",
         choices=("walk", "laplacian"),
@@ -335,27 +334,15 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--from", dest="lo", type=float, required=True)
     trace.add_argument("--to", dest="hi", type=float, required=True)
     trace.add_argument("--points", type=int, default=200)
-    trace.add_argument("--out")
+    trace.set_defaults(handler=_cmd_trace)
 
     return parser
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "spectrum": _cmd_spectrum,
-    "cheeger": _cmd_cheeger,
-    "dual-cheeger": _cmd_dual_cheeger,
-    "kappa": _cmd_kappa,
-    "kgraph": _cmd_kgraph,
-    "verify": _cmd_verify,
-    "trace": _cmd_trace,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (SpecgraphError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import BadParameter, NoClosedForm, NoTailStructure, TooLarge
 from .graph import WeightedGraph
-from .kgraph import PSequence, truncate_K
+from .kgraph import SIZE_LIMIT, PSequence, truncate_K
 
 __all__ = ["FAMILIES", "FamilySpec", "ClosedForm", "generate", "closed_form",
            "tail_ratio_trace"]
@@ -80,28 +80,23 @@ def _check_size(spec: FamilySpec, minimum: int):
         )
 
 
-# Most edges ``generate`` builds: the edge list is held as Python tuples
-# first, so a size of 10^11 would exhaust memory before any check ran.
-_MAX_EDGES = 1 << 22
-
-
 def _check_edges(spec: FamilySpec):
-    """``TooLarge`` when the truncation would have more than ``_MAX_EDGES``
+    """``TooLarge`` when the truncation would have more than ``SIZE_LIMIT``
     edges (an upper bound; the complete families may drop underflowed
     weights)."""
     n = max(spec.size, 0)
     complete = spec.family in ("complete_unit", "K_m1", "K_m2")
     edges = n * (n - 1) // 2 if complete else 2 * n + 1
-    if edges > _MAX_EDGES:
+    if edges > SIZE_LIMIT:
         raise TooLarge(
             f"{spec.family} of size {n} has up to {edges} edges,"
-            f" more than the {_MAX_EDGES} a generated graph may have"
+            f" more than the {SIZE_LIMIT} a generated graph may have"
         )
 
 
 def generate(spec: FamilySpec) -> WeightedGraph:
     """Build the finite truncation described by ``spec``; ``TooLarge`` beyond
-    ``_MAX_EDGES`` edges."""
+    ``SIZE_LIMIT`` edges."""
     _check_edges(spec)
     n = spec.size
     if spec.family == "complete_unit":

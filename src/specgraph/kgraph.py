@@ -35,6 +35,7 @@ from .errors import (
     InsufficientRoots,
     NumericalFailure,
     PoleProximity,
+    TooLarge,
 )
 from .graph import WeightedGraph
 from .reports import CheckReport
@@ -70,6 +71,10 @@ _MAX_TERMS = 1_000_000
 _KAPPA_SCAN = 200
 # Roots ``asymmetry_K`` computes before it gives up certifying.
 _MAX_ROOTS = 400
+# Most edges ``truncate_K`` and ``families.generate`` build, and most points
+# ``specgraph trace`` samples: each is held as Python objects or dense arrays
+# first, so a size of 10^11 would exhaust memory before any later check ran.
+SIZE_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -568,9 +573,16 @@ def truncate_K(p: PSequence, size: int, renormalize: bool = False):
     unchanged by that global rescaling).  Products that underflow to zero in
     float64 are omitted — for steep sequences distant pairs carry weights
     below 1e-324, and a zero-weight edge is indistinguishable from no edge.
+    ``TooLarge`` beyond ``SIZE_LIMIT`` edges.
     """
     if size < 2:
         raise BadParameter("truncation needs at least two vertices")
+    edges = size * (size - 1) // 2
+    if edges > SIZE_LIMIT:
+        raise TooLarge(
+            f"truncation to {size} vertices has up to {edges} edges,"
+            f" more than the {SIZE_LIMIT} a generated graph may have"
+        )
     ps = _weights(p, size)
     if renormalize:
         ps *= 1.0 / math.fsum(ps)

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgraph import errors
+from specgraph import cli, errors
 from specgraph.cli import main
+from specgraph.graph import graph_to_json
+from specgraph.invariants import cheeger_constant_exact
 from specgraph.kgraph import RESIDUAL_BUDGET
+from test_invariants import _DISCONNECTED_FIRST, _tie_heavy_graph
 
 K4_JSON = json.dumps(
     {"edges": [[u, v, 1.0] for u in range(4) for v in range(u + 1, 4)]}
@@ -188,6 +191,16 @@ def test_trace_rejects_empty_interval(capsys):
     assert json.loads(err)["error"] == "BadParameter"
 
 
+def test_trace_beyond_the_size_limit_is_too_large(capsys):
+    code, out, err = run(
+        capsys,
+        ["trace", "--head", "0.5,0.25", "--tail-ratio", "0.5",
+         "--from", "0", "--to", "1", "--points", "100000000000"],
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "TooLarge"
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -198,6 +211,26 @@ def test_verify_small_sweep(capsys):
     assert summary["ok"] is True
     assert summary["instances"] == 12
     assert summary["uncovered_checks"] == []
+
+
+def test_verify_options_fill_the_suite_config(capsys):
+    """Flags left off keep the ``SuiteConfig`` defaults; ``--no-families``
+    clears ``include_families``."""
+    _, out, _ = run(capsys, ["verify", "--seeds", "0"])
+    assert json.loads(out)["config"] == {
+        "seeds": 0, "n_min": 4, "n_max": 12, "edge_probability": 0.5,
+        "base_seed": 0, "max_n": None, "include_families": True,
+    }
+    argv = ["verify", "--seeds", "1", "--n-min", "5", "--n-max", "5",
+            "--edge-probability", "0.75", "--base-seed", "3", "--max-n", "9",
+            "--no-families"]
+    code, out, _ = run(capsys, argv)
+    summary = json.loads(out)
+    assert code == 0 and summary["instances"] == 1
+    assert summary["config"] == {
+        "seeds": 1, "n_min": 5, "n_max": 5, "edge_probability": 0.75,
+        "base_seed": 3, "max_n": 9, "include_families": False,
+    }
 
 
 def test_verify_gives_up_on_graphs_that_never_connect(capsys):
@@ -229,6 +262,20 @@ def test_missing_input_file(capsys, tmp_path):
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "FileNotFoundError"
     assert diagnostic["message"]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_is_a_malformed_graph(capsys, monkeypatch, tmp_path, source):
+    data = b'{"edges": [\xff]}'
+    path = tmp_path / "graph.json"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run(capsys, ["spectrum", "-" if source == "stdin" else str(path)])
+    assert code == 1 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "MalformedGraph"
+    assert diagnostic["message"].startswith("not UTF-8 text: ")
 
 
 @pytest.mark.parametrize(
@@ -349,6 +396,52 @@ def test_renormalize_is_product_family_only(capsys):
     )
     assert code == 1
     assert json.loads(err)["error"] == "BadParameter"
+
+
+# ----------------------------------------------------------- parser reuse
+
+
+def test_two_calls_build_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run(capsys, ["gen", "--family", "cycle", "--n", "3"])
+        assert code == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("seed", _DISCONNECTED_FIRST)
+def test_connected_only_does_not_stick_to_the_next_call(capsys, tmp_path, seed):
+    """On these graphs the least witness is disconnected, so a leaked
+    ``--connected-only`` would change the plain call's witness."""
+    graph = _tie_heavy_graph(seed)
+    path = tmp_path / "graph.json"
+    path.write_text(graph_to_json(graph))
+    outs = []
+    for connected_only in (True, False):
+        argv = ["cheeger", str(path), *(["--connected-only"] if connected_only else [])]
+        code, out, err = run(capsys, argv)
+        report = cheeger_constant_exact(graph, connected_only=connected_only)
+        assert code == 0 and err == ""
+        assert out == cli._to_json(report.to_payload()) + "\n"
+        outs.append(out)
+    assert outs[0] != outs[1]
+
+
+def test_out_does_not_stick_to_the_next_call(capsys, monkeypatch, tmp_path):
+    report_file = tmp_path / "report.json"
+    code, out, _ = run(capsys, ["kappa", "-", "--out", str(report_file)], K4_JSON, monkeypatch)
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, ["kappa", "-"], K4_JSON, monkeypatch)
+    assert code == 0 and out == report_file.read_text()
+
+
+@pytest.mark.parametrize("command", ["dual-cheeger", "kappa"])
+def test_connected_only_belongs_to_cheeger_alone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-", "--connected-only"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------- fuzzing

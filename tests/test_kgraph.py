@@ -17,6 +17,7 @@ from specgraph.errors import (
     IsolatedVertex,
     NumericalFailure,
     PoleProximity,
+    TooLarge,
 )
 from specgraph import kgraph
 from specgraph.invariants import cheeger_constant_exact
@@ -306,6 +307,14 @@ def test_truncation_guards():
     # leaving a vertex with no representable edge at all
     with pytest.raises(IsolatedVertex):
         truncate_K(STEEP, 400)
+
+
+@pytest.mark.parametrize("size", [2897, 10**6])
+def test_truncation_beyond_the_size_limit_is_too_large(size):
+    """2897 vertices have 4,194,856 pairs, just over 2^22; a million would
+    need terabytes of index arrays.  Both stop before any weight is made."""
+    with pytest.raises(TooLarge):
+        truncate_K(DYADIC, size)
 
 
 def test_truncation_cheeger_stays_above_infinite_bound():
