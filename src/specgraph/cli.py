@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -199,6 +200,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise BadParameter("need at least two sample points")
     if args.points > SIZE_LIMIT:
         raise TooLarge(f"{args.points} sample points, more than the {SIZE_LIMIT} a trace may take")
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
+        raise BadParameter(f"sample interval [{args.lo}, {args.hi}] is not finite")
     if not args.lo < args.hi:
         raise BadParameter(f"empty sample interval [{args.lo}, {args.hi}]")
     walk = args.variable == "walk"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BadParameter, NoClosedForm, NoTailStructure, TooLarge
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _integer
 from .kgraph import SIZE_LIMIT, PSequence, truncate_K
 
 __all__ = ["FAMILIES", "FamilySpec", "ClosedForm", "generate", "closed_form",
@@ -57,6 +57,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise BadParameter(f"unknown family {self.family!r}")
+        object.__setattr__(self, "size", _integer(self.size, "size"))
 
 
 def _need_ratio(spec: FamilySpec) -> float:

@@ -11,12 +11,22 @@ A graph is stored once, as sorted edge arrays ``u < v`` and weights ``w``;
 ``edges`` is a view derived on demand.
 Vertex sets are plain Python integers used as bitmasks (bit ``i`` set means
 vertex ``i`` is in the set); vertex functions are numpy arrays of length ``n``.
+
+Every public query reads its vertex arguments through one of two readers, so
+the rule lives here alone.  A vertex set is anything ``operator.index``
+accepts: a float or a string raises ``BadParameter``, 0 raises ``EmptySet``,
+and a negative mask or one with a bit at or above ``n`` raises
+``BadParameter``.  A vertex function is anything numpy converts to float64 of
+shape ``(n,)`` with finite entries; anything else raises ``BadParameter``.
+``mask_of`` and ``vertices_of`` refuse negative or non-integer ids the same
+way.  The enumeration searches build their own masks and skip the readers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -216,17 +226,48 @@ def _union_find(
 # ------------------------------------------------------------------ set ops
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int, read with ``operator.index``: a float, a
+    string or any other non-integer raises ``BadParameter``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameter(f"{what} must be an integer, got {value!r}") from None
+
+
 def mask_of(vertices: Iterable[int]) -> int:
-    """Bitmask of a collection of vertex indices."""
+    """Bitmask of a collection of nonnegative integer vertex ids."""
     mask = 0
     for v in vertices:
+        v = _integer(v, "a vertex id")
+        if v < 0:
+            raise BadParameter("a vertex id must be nonnegative")
         mask |= 1 << v
     return mask
 
 
 def vertices_of(mask: int) -> list[int]:
-    """Sorted vertex indices of a bitmask."""
-    return np.flatnonzero(_indicator(int(mask).bit_length(), mask)).tolist()
+    """Sorted vertex indices of a nonnegative bitmask."""
+    mask = _integer(mask, "a vertex set")
+    if mask < 0:
+        raise BadParameter("a vertex set must be nonnegative")
+    return np.flatnonzero(_indicator(mask.bit_length(), mask)).tolist()
+
+
+def _as_set(graph: WeightedGraph, mask: int) -> np.ndarray:
+    """Boolean vertex array of the nonempty vertex set ``mask`` of ``graph``;
+    ``EmptySet`` for 0, ``BadParameter`` for a non-integer, a negative mask or
+    one with a vertex outside the graph."""
+    mask = _integer(mask, "a vertex set")
+    if mask == 0:
+        raise EmptySet("the vertex set is empty")
+    if mask < 0:
+        raise BadParameter("a vertex set must be nonnegative")
+    if mask >> graph.n:
+        raise BadParameter(
+            f"vertex set holds vertex {mask.bit_length() - 1}, outside 0..{graph.n - 1}"
+        )
+    return _indicator(graph.n, mask)
 
 
 def _indicator(n: int, mask: int) -> np.ndarray:
@@ -249,9 +290,7 @@ def set_measures(graph: WeightedGraph, mask: int) -> tuple[float, float, float]:
     ``m(S) = m(boundary S) + 2 m(interior S)`` holds exactly in exact
     arithmetic and to rounding here.
     """
-    if mask == 0:
-        raise EmptySet("set_measures of the empty set")
-    inside = _indicator(graph.n, mask)
+    inside = _as_set(graph, mask)
     ends_inside = inside[graph.u].astype(int) + inside[graph.v]
     return (
         float(_sequential_sum(graph.vertex_measure[inside])),
@@ -272,9 +311,16 @@ def _weight_into(graph: WeightedGraph, inside: np.ndarray) -> np.ndarray:
 
 
 def _as_function(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(f, dtype=float)
+    """``f`` as a float64 array of shape ``(n,)`` with finite entries;
+    ``BadParameter`` otherwise."""
+    try:
+        arr = np.asarray(f, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"function is not an array of numbers: {exc}") from None
     if arr.shape != (graph.n,):
         raise BadParameter(f"function has shape {arr.shape}, expected ({graph.n},)")
+    if not np.isfinite(arr).all():
+        raise BadParameter("function has an entry that is not finite")
     return arr
 
 

@@ -22,7 +22,9 @@ from .errors import BadParameter, NotOrthogonal, SpecgraphError, ZeroFunction
 from .families import FamilySpec, generate
 from .graph import (
     WeightedGraph,
+    _as_function,
     _indicator,
+    _integer,
     _sequential_sum,
     dirichlet_form,
     inner_product,
@@ -173,6 +175,8 @@ class RandomGraphSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.n < 2:
             raise BadParameter("random graphs need at least two vertices")
         if not 0.0 < self.edge_probability <= 1.0:
@@ -360,7 +364,7 @@ def tau_split(
     the sorted cumulative measure reaches ``M/2``.  Returns ``(tau, g_plus,
     g_minus)`` with ``g - tau = g_plus - g_minus`` and disjoint supports.
     """
-    arr = np.asarray(g, dtype=float)
+    arr = _as_function(graph, g)
     order = np.argsort(arr, kind="stable")
     cum = np.cumsum(graph.vertex_measure[order])
     k = int(np.searchsorted(cum, graph.total_measure / 2.0))
@@ -377,7 +381,7 @@ def check_plus_minus_split(analysis: Analysis, g: np.ndarray) -> list[CheckRepor
     the parts, and the norm and energy domination relations.
     """
     graph = analysis.graph
-    arr = np.asarray(g, dtype=float)
+    arr = _as_function(graph, g)
     norm = inner_product(graph, arr, arr)
     if norm == 0.0:
         raise ZeroFunction("split of the zero function")
@@ -434,7 +438,7 @@ def coarea_check(
     """
     graph = analysis.graph
     fp = analysis.fingerprint
-    arr = np.asarray(f, dtype=float)
+    arr = _as_function(graph, f)
     g = arr * arr
     levels = np.concatenate(([0.0], np.unique(g)))
     widths = np.diff(levels)
@@ -549,7 +553,7 @@ def check_auxiliary(analysis: Analysis, f: np.ndarray) -> list[CheckReport]:
     """Norm preservation and energy domination of the companion graph."""
     graph = analysis.graph
     fp = analysis.fingerprint
-    arr = np.asarray(f, dtype=float)
+    arr = _as_function(graph, f)
     aux = auxiliary_graph(graph, arr)
     norm = inner_product(graph, arr, arr)
     norm_aux = inner_product(aux.graph, aux.values, aux.values)
@@ -618,6 +622,10 @@ class SuiteConfig:
     include_families: bool = True
 
     def __post_init__(self):
+        for name in ("seeds", "n_min", "n_max", "base_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.max_n is not None:
+            object.__setattr__(self, "max_n", _integer(self.max_n, "max_n"))
         if self.seeds < 0:
             raise BadParameter("seed count must be nonnegative")
         if not 2 <= self.n_min <= self.n_max:

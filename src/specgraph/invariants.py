@@ -37,6 +37,7 @@ import numpy as np
 from .errors import DisconnectedGraph, EmptySet, NotDisjoint, TooLarge
 from .graph import (
     WeightedGraph,
+    _as_set,
     _indicator,
     _sequential_sum,
     _union_find,
@@ -109,18 +110,20 @@ def cheeger_ratio(graph: WeightedGraph, mask: int) -> float:
     return boundary / m_set
 
 
-def _check_pair(mask_a: int, mask_b: int, what: str) -> None:
-    if mask_a == 0 or mask_b == 0:
-        raise EmptySet(f"{what} needs two nonempty sets")
-    if mask_a & mask_b:
-        raise NotDisjoint(f"sets share vertices {vertices_of(mask_a & mask_b)}")
+def _check_pair(
+    graph: WeightedGraph, mask_a: int, mask_b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indicators of a disjoint pair of vertex sets; ``NotDisjoint`` when
+    they overlap."""
+    in_a, in_b = _as_set(graph, mask_a), _as_set(graph, mask_b)
+    if (shared := in_a & in_b).any():
+        raise NotDisjoint(f"sets share vertices {np.flatnonzero(shared).tolist()}")
+    return in_a, in_b
 
 
 def dual_cheeger_ratio(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
     """``2 m(A,B) / (m(A) + m(B))`` for one disjoint nonempty pair."""
-    _check_pair(mask_a, mask_b, "dual_cheeger_ratio")
-    in_a = _indicator(graph.n, mask_a)
-    in_b = _indicator(graph.n, mask_b)
+    in_a, in_b = _check_pair(graph, mask_a, mask_b)
     u, v = graph.u, graph.v
     cross = _sequential_sum(graph.w[(in_a[u] & in_b[v]) | (in_b[u] & in_a[v])])
     denom = _sequential_sum(graph.vertex_measure[in_a | in_b])
@@ -129,8 +132,7 @@ def dual_cheeger_ratio(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
 
 def kappa_pair(graph: WeightedGraph, mask_a: int, mask_b: int) -> float:
     """Worst same-side return probability of a disjoint pair ``(A, B)``."""
-    _check_pair(mask_a, mask_b, "kappa_pair")
-    sides = [_indicator(graph.n, mask) for mask in (mask_a, mask_b)]
+    sides = _check_pair(graph, mask_a, mask_b)
     ratios = [(_weight_into(graph, s) / graph.vertex_measure)[s].max() for s in sides]
     return float(max(0.0, *ratios))
 

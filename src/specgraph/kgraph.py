@@ -37,7 +37,7 @@ from .errors import (
     PoleProximity,
     TooLarge,
 )
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _integer
 from .reports import CheckReport
 
 __all__ = [
@@ -90,9 +90,13 @@ class PSequence:
     ratio: float
 
     def __post_init__(self):
-        head = tuple(float(x) for x in self.head)
+        try:
+            head = tuple(float(x) for x in self.head)
+            ratio = float(self.ratio)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadParameter(f"sequence weights must be numbers: {exc}") from None
         object.__setattr__(self, "head", head)
-        object.__setattr__(self, "ratio", float(self.ratio))
+        object.__setattr__(self, "ratio", ratio)
         if len(head) == 0:
             raise BadParameter("sequence head is empty")
         if not 0.0 < self.ratio < 1.0:
@@ -179,7 +183,10 @@ def _evaluate(p: PSequence, lam: float):
     pole and 0 on the far side of ``lam``, and the tail bound
     ``remainder(J) / ((1 - p_1) * delta)`` meets ``_TAIL_TARGET``, where
     ``delta`` is the distance from ``lam`` to the computed poles and 0.
+    ``BadParameter`` when ``lam`` is not finite.
     """
+    if not math.isfinite(lam):
+        raise BadParameter(f"evaluation point {lam} is not finite")
     terms = max(2 * len(p.head) + 16, 32)
     while True:
         _, alphas = _tables(p, terms)
@@ -261,6 +268,7 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     certified tail bound, and an enclosure half-width; their combination must
     stay within ``tol``, which must be positive and finite.
     """
+    i = _integer(i, "root index")
     if i < 1:
         raise BadParameter("root indices start at 1")
     if not 0.0 < tol < math.inf:
@@ -379,6 +387,7 @@ def eigenfunction(p: PSequence, root: SecularRoot, k: int) -> np.ndarray:
     plus truncation bounds (and, for a Laplacian root, ``|F'|`` times the
     rounding of ``lambda = 1 - mu``).
     """
+    k = _integer(k, "value count")
     if k < 1:
         raise BadParameter("need at least one eigenfunction value")
     lam = root.value if root.kind == "walk" else 1.0 - root.value
@@ -575,6 +584,7 @@ def truncate_K(p: PSequence, size: int, renormalize: bool = False):
     below 1e-324, and a zero-weight edge is indistinguishable from no edge.
     ``TooLarge`` beyond ``SIZE_LIMIT`` edges.
     """
+    size = _integer(size, "truncation size")
     if size < 2:
         raise BadParameter("truncation needs at least two vertices")
     edges = size * (size - 1) // 2

@@ -10,13 +10,14 @@ anything larger is a hard error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySet, EmptySpectrum, NumericalFailure, ZeroFunction
-from .graph import WeightedGraph, _indicator, dirichlet_form, inner_product
+from .errors import BadParameter, EmptySet, EmptySpectrum, NumericalFailure, ZeroFunction
+from .graph import WeightedGraph, _as_function, _as_set, dirichlet_form, inner_product
 
 __all__ = [
     "ZERO_THRESHOLD",
@@ -168,11 +169,14 @@ def hausdorff_asymmetry(values: Sequence[float] | np.ndarray) -> float:
 
     Computed twice — as the full two-sided Hausdorff distance, and as the
     one-sided sup over reflected points (sufficient because the reflection is
-    an isometric involution) — and the routes must agree to 1e-12.
+    an isometric involution) — and the routes must agree to 1e-12.  A value
+    that is not finite raises ``BadParameter``.
     """
     sigma = np.sort(np.asarray(values, dtype=float))
     if len(sigma) == 0:
         raise EmptySpectrum("asymmetry of an empty spectrum")
+    if not np.isfinite(sigma).all():
+        raise BadParameter("asymmetry of a spectrum with a value that is not finite")
     reflected = np.sort(2.0 - sigma)
     one_sided = _sup_distance(reflected, sigma)
     full = max(_sup_distance(sigma, reflected), one_sided)
@@ -206,15 +210,6 @@ class SignedBlockOperator:
     blocked_norm: float
 
 
-def _partition_masks(graph: WeightedGraph, mask_a: int) -> tuple[int, int]:
-    full = (1 << graph.n) - 1
-    mask_a &= full
-    mask_b = full ^ mask_a
-    if mask_a == 0 or mask_b == 0:
-        raise EmptySet("partition classes must both be nonempty")
-    return mask_a, mask_b
-
-
 def _blocked(matrix: np.ndarray, side: np.ndarray) -> np.ndarray:
     """Zero out all entries that cross between the two classes."""
     same = side[:, None] == side[None, :]
@@ -222,8 +217,13 @@ def _blocked(matrix: np.ndarray, side: np.ndarray) -> np.ndarray:
 
 
 def signed_conjugation(graph: WeightedGraph, mask_a: int) -> SignedBlockOperator:
-    mask_a, mask_b = _partition_masks(graph, mask_a)
-    side = _indicator(graph.n, mask_a)
+    """Conjugate by the partition ``(A, complement of A)``; ``EmptySet`` when
+    ``A`` is empty or the whole vertex set."""
+    side = _as_set(graph, mask_a)
+    if side.all():
+        raise EmptySet("partition classes must both be nonempty")
+    mask_a = operator.index(mask_a)
+    mask_b = ((1 << graph.n) - 1) ^ mask_a
     signs = np.where(side, 1.0, -1.0)
 
     walk = random_walk_matrix(graph)
@@ -266,7 +266,7 @@ class AuxiliaryGraph:
 def auxiliary_graph(
     graph: WeightedGraph, f: Sequence[float] | np.ndarray
 ) -> AuxiliaryGraph:
-    arr = np.asarray(f, dtype=float)
+    arr = _as_function(graph, f)
     u, v, w = graph.u, graph.v, graph.w
     same = arr[u] * arr[v] > 0.0
     needs_mirror = np.unique(np.concatenate([u[same], v[same]]))

@@ -191,6 +191,21 @@ def test_trace_rejects_empty_interval(capsys):
     assert json.loads(err)["error"] == "BadParameter"
 
 
+@pytest.mark.parametrize(
+    "ends", [["--from", "-1.5", "--to", "inf"], ["--from=-inf", "--to", "0.5"]]
+)
+def test_trace_rejects_an_infinite_end(capsys, ends):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys,
+            ["trace", "--head", "0.5,0.25", "--tail-ratio", "0.5", *ends,
+             "--points", "3"],
+        )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BadParameter"
+
+
 def test_trace_beyond_the_size_limit_is_too_large(capsys):
     code, out, err = run(
         capsys,

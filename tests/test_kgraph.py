@@ -119,6 +119,16 @@ def test_evaluation_near_poles_rejected():
         secular_F(DYADIC, 0.0)  # pole accumulation point
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_evaluation_at_a_point_that_is_not_finite_rejected(lam):
+    """Refused before any pole table is built."""
+    p = PSequence((0.5, 0.125), 0.75)
+    p_misses = _tables.cache_info().misses
+    with pytest.raises(BadParameter):
+        secular_F(p, lam)
+    assert _tables.cache_info().misses == p_misses
+
+
 # -------------------------------------------------------------------- roots
 
 

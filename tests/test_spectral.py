@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import complete, cycle, path, triangle
-from specgraph.errors import EmptySet, EmptySpectrum, ZeroFunction
+from specgraph.errors import BadParameter, EmptySet, EmptySpectrum, ZeroFunction
 from specgraph.graph import (
     WeightedGraph,
     _indicator,
@@ -156,6 +156,12 @@ def test_hausdorff_hand_values():
 def test_hausdorff_rejects_empty():
     with pytest.raises(EmptySpectrum):
         hausdorff_asymmetry([])
+
+
+@pytest.mark.parametrize("values", [[math.nan, 1.0], [0.0, math.inf]])
+def test_hausdorff_rejects_values_that_are_not_finite(values):
+    with pytest.raises(BadParameter):
+        hausdorff_asymmetry(values)
 
 
 def test_bipartite_spectrum_is_reflection_symmetric():
