@@ -26,14 +26,13 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from .errors import BadParameter, MalformedGraph, PoleProximity, SpecgraphError, TooLarge
 from .families import FAMILIES, FamilySpec, generate
-from .graph import WeightedGraph, _graph_payload, graph_from_json
+from .graph import WeightedGraph, _graph_payload, _real, graph_from_json
 from .harness import SuiteConfig, run_suite
 from .invariants import cheeger_constant_exact, dual_cheeger_exact, kappa_exact
 from .kgraph import (
@@ -200,15 +199,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise BadParameter("need at least two sample points")
     if args.points > SIZE_LIMIT:
         raise TooLarge(f"{args.points} sample points, more than the {SIZE_LIMIT} a trace may take")
-    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
-        raise BadParameter(f"sample interval [{args.lo}, {args.hi}] is not finite")
-    if not args.lo < args.hi:
-        raise BadParameter(f"empty sample interval [{args.lo}, {args.hi}]")
+    lo, hi = _real(args.lo, "--from"), _real(args.hi, "--to")
+    if not lo < hi:
+        raise BadParameter(f"empty sample interval [{lo}, {hi}]")
     walk = args.variable == "walk"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(("lambda", "F", "tail_bound") if walk else ("mu", "G", "tail_bound"))
-    for x in np.linspace(args.lo, args.hi, args.points).tolist():
+    for x in np.linspace(lo, hi, args.points).tolist():
         try:
             # The reciprocal-pole form is G(mu) = F(1 - mu), term by term.
             value, tail = secular_F(p, x if walk else 1.0 - x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BadParameter, NoClosedForm, NoTailStructure, TooLarge
-from .graph import WeightedGraph, _integer
+from .graph import WeightedGraph, _integer, _real
 from .kgraph import SIZE_LIMIT, PSequence, truncate_K
 
 __all__ = ["FAMILIES", "FamilySpec", "ClosedForm", "generate", "closed_form",
@@ -45,7 +45,9 @@ class FamilySpec:
     ``size`` counts edges for the half-lines, rungs for the ladder, and
     vertices elsewhere.  ``r`` is the geometric ratio (half-line m4, ladder
     rungs), ``rho`` the ladder rail ratio (0 < rho <= r), and ``p`` the
-    probability sequence for the product-weight complete graph.
+    probability sequence for the product-weight complete graph.  Given
+    ratios are stored as Python floats, checked against their ranges when a
+    family uses them.
     """
 
     family: str
@@ -58,6 +60,11 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise BadParameter(f"unknown family {self.family!r}")
         object.__setattr__(self, "size", _integer(self.size, "size"))
+        for name in ("r", "rho"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _real(value, name))
+        if self.p is not None and not isinstance(self.p, PSequence):
+            raise BadParameter(f"p must be a PSequence, got {self.p!r}")
 
 
 def _need_ratio(spec: FamilySpec) -> float:
@@ -221,7 +228,7 @@ def tail_ratio_trace(spec: FamilySpec, n_range: Iterable[int]) -> list[float]:
     ``T_n = {n, n+1, ...}``; for the ladder they are the two-sided mass
     ratios of the standard split partitions starting at index ``n``.
     """
-    ns = list(n_range)
+    ns = [_integer(n, "tail index") for n in n_range]
     if spec.family == "halfline_m4":
         r = _need_ratio(spec)
         value = (1.0 - r) / (1.0 + r)

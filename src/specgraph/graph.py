@@ -20,12 +20,24 @@ and a negative mask or one with a bit at or above ``n`` raises
 shape ``(n,)`` with finite entries; anything else raises ``BadParameter``.
 ``mask_of`` and ``vertices_of`` refuse negative or non-integer ids the same
 way.  The enumeration searches build their own masks and skip the readers.
+
+Scalar parameters follow two more readers kept here.  An integer (a count,
+size, sequence index, seed or enumeration cap) is anything
+``operator.index`` accepts, bools and numpy integers included; a float such
+as ``5.5`` or a string such as ``"5"`` raises ``BadParameter``.  A real (a
+weight, ratio, probability, tolerance or evaluation point) is any finite
+``numbers.Real``, bools and numpy scalars included, read as a Python
+``float``; a string, ``None``, a complex number, an array or a value that is
+not finite raises ``BadParameter``.  Range checks, such as a ratio in
+``(0, 1)`` or a seed that must be nonnegative, stay with the object whose
+domain they describe.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from typing import Iterable, Sequence
 
@@ -235,6 +247,21 @@ def _integer(value, what: str) -> int:
         raise BadParameter(f"{what} must be an integer, got {value!r}") from None
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a finite Python float: any ``numbers.Real`` is read, and
+    anything else, or a value that is not finite, raises ``BadParameter``."""
+    # float and int first: the numbers.Real check alone costs about 1 us.
+    if not isinstance(value, (float, int, numbers.Real)):
+        raise BadParameter(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise BadParameter(f"{what} must be finite, got {value!r}")
+    return x
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask of a collection of nonnegative integer vertex ids."""
     mask = 0
@@ -310,17 +337,26 @@ def _weight_into(graph: WeightedGraph, inside: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------- quadratic forms
 
 
+def _as_values(values, what: str) -> np.ndarray:
+    """``values`` as a one-axis float64 array with finite entries;
+    ``BadParameter`` otherwise."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"{what} is not an array of numbers: {exc}") from None
+    if arr.ndim != 1:
+        raise BadParameter(f"{what} has shape {arr.shape}, expected one axis")
+    if not np.isfinite(arr).all():
+        raise BadParameter(f"{what} has an entry that is not finite")
+    return arr
+
+
 def _as_function(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> np.ndarray:
     """``f`` as a float64 array of shape ``(n,)`` with finite entries;
     ``BadParameter`` otherwise."""
-    try:
-        arr = np.asarray(f, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadParameter(f"function is not an array of numbers: {exc}") from None
+    arr = _as_values(f, "function")
     if arr.shape != (graph.n,):
         raise BadParameter(f"function has shape {arr.shape}, expected ({graph.n},)")
-    if not np.isfinite(arr).all():
-        raise BadParameter("function has an entry that is not finite")
     return arr
 
 

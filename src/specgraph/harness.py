@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .graph import (
     _as_function,
     _indicator,
     _integer,
+    _real,
     _sequential_sum,
     dirichlet_form,
     inner_product,
@@ -167,7 +168,8 @@ class RandomGraphSpec:
     Edges are kept independently with ``edge_probability``; weights are drawn
     log-uniformly from ``[1e-3, 1]`` to exercise several decades of dynamic
     range.  Draws repeat until the graph is connected, at most
-    ``_MAX_DRAWS`` times.
+    ``_MAX_DRAWS`` times.  ``n`` and ``seed`` are integers, ``seed`` at least
+    0, and ``edge_probability`` is a real number in ``(0, 1]``.
     """
 
     n: int
@@ -177,8 +179,13 @@ class RandomGraphSpec:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(
+            self, "edge_probability", _real(self.edge_probability, "edge probability")
+        )
         if self.n < 2:
             raise BadParameter("random graphs need at least two vertices")
+        if self.seed < 0:
+            raise BadParameter(f"seed {self.seed} is negative")
         if not 0.0 < self.edge_probability <= 1.0:
             raise BadParameter(
                 f"edge probability {self.edge_probability} outside (0, 1]"
@@ -611,7 +618,11 @@ def graph_checks(
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Sweep parameters for :func:`run_suite`; defaults match the CI gate."""
+    """Sweep parameters for :func:`run_suite`; defaults match the CI gate.
+
+    The random-graph fields are checked by building the sweep's first
+    :class:`RandomGraphSpec`, so a bad configuration fails before any draw.
+    """
 
     seeds: int = 200
     n_min: int = 4
@@ -632,6 +643,8 @@ class SuiteConfig:
             raise BadParameter(
                 f"size range [{self.n_min}, {self.n_max}] is not usable"
             )
+        first = RandomGraphSpec(self.n_min, self.edge_probability, self.base_seed)
+        object.__setattr__(self, "edge_probability", first.edge_probability)
 
 
 def _family_instances() -> list[tuple[str, WeightedGraph]]:
@@ -651,23 +664,12 @@ def _family_instances() -> list[tuple[str, WeightedGraph]]:
     return [(f"{spec.family}/{spec.size}", generate(spec)) for spec in specs]
 
 
-def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
-    """Sweep every check over family and seeded random graphs.
-
-    The summary aggregates per check id (count, failures, minimum slack and
-    the instance attaining it) and lists every failing report in full.  An
-    instance whose analysis or checks raise a ``SpecgraphError`` becomes one
-    failure row with the error type, message and fingerprint, and the sweep
-    goes on with the next instance.  The summary is a pure function of the
-    config.  A report with an id missing from
-    ``CHECK_MANIFEST`` is a hard error; manifest ids the sweep never produced
-    are listed and fail the suite.
-    """
-    instances: list[tuple[str, WeightedGraph, int | None, np.random.Generator | None]]
-    instances = []
+def _instances(config: SuiteConfig) -> Iterator[tuple]:
+    """The sweep's instances in order, as ``(name, draw, seed, rng)``; a random
+    graph is drawn only when the sweep calls its ``draw``."""
     if config.include_families:
         for name, graph in _family_instances():
-            instances.append((name, graph, None, None))
+            yield name, lambda graph=graph: graph, None, None
     span = config.n_max - config.n_min + 1
     for i in range(config.seeds):
         seed = config.base_seed + i
@@ -677,13 +679,31 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
             seed=seed,
         )
         rng = np.random.default_rng((seed, 0x5EED))
-        instances.append((f"random/{spec.n}", sample_graph(spec), seed, rng))
+        yield f"random/{spec.n}", lambda spec=spec: sample_graph(spec), seed, rng
 
+
+def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
+    """Sweep every check over family and seeded random graphs.
+
+    The summary aggregates per check id (count, failures, minimum slack and
+    the instance attaining it) and lists every failing report in full.  An
+    instance whose draw, analysis or checks raise a ``SpecgraphError``
+    becomes one failure row with the error type, message and fingerprint
+    (``None`` when the draw failed, as there is no graph), and the sweep goes
+    on with the next instance.  Random graphs are drawn one at a time, as
+    the sweep reaches them.  The summary is a pure function of the config.
+    A report with an id missing from
+    ``CHECK_MANIFEST`` is a hard error; manifest ids the sweep never produced
+    are listed and fail the suite.
+    """
     stats: dict[str, dict] = {}
     failures: list[dict] = []
     kappa_max = 0.0
-    for name, graph, seed, rng in instances:
+    count = 0
+    for count, (name, draw, seed, rng) in enumerate(_instances(config), 1):
+        graph = None
         try:
+            graph = draw()
             analysis = analyze(graph, config.max_n, seed)
             reports = graph_checks(analysis, rng)
         except SpecgraphError as exc:
@@ -691,7 +711,7 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
                 "instance": name,
                 "error": type(exc).__name__,
                 "message": str(exc),
-                "fingerprint": graph_fingerprint(graph, seed),
+                "fingerprint": None if graph is None else graph_fingerprint(graph, seed),
             })
             continue
         kappa_max = max(kappa_max, analysis.kappa.value)
@@ -721,7 +741,7 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
     uncovered = sorted(set(CHECK_MANIFEST) - set(stats))
     return {
         "config": asdict(config),
-        "instances": len(instances),
+        "instances": count,
         "observed_kappa_max": kappa_max,
         "checks": {key: stats[key] for key in sorted(stats)},
         "failures": failures,

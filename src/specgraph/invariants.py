@@ -39,6 +39,7 @@ from .graph import (
     WeightedGraph,
     _as_set,
     _indicator,
+    _integer,
     _sequential_sum,
     _union_find,
     _weight_into,
@@ -189,7 +190,7 @@ def _chunks(graph: WeightedGraph, pick: slice = slice(None)):
 
 
 def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
-    cap = default if max_n is None else max_n
+    cap = default if max_n is None else _integer(max_n, "max_n")
     if n > cap:
         raise TooLarge(f"{what} enumeration capped at {cap} vertices, got {n}")
 

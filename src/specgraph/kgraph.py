@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
     PoleProximity,
     TooLarge,
 )
-from .graph import WeightedGraph, _integer
+from .graph import WeightedGraph, _integer, _real
 from .reports import CheckReport
 
 __all__ = [
@@ -71,9 +72,10 @@ _MAX_TERMS = 1_000_000
 _KAPPA_SCAN = 200
 # Roots ``asymmetry_K`` computes before it gives up certifying.
 _MAX_ROOTS = 400
-# Most edges ``truncate_K`` and ``families.generate`` build, and most points
-# ``specgraph trace`` samples: each is held as Python objects or dense arrays
-# first, so a size of 10^11 would exhaust memory before any later check ran.
+# Most edges ``truncate_K`` and ``families.generate`` build, most values
+# ``eigenfunction`` returns, and most points ``specgraph trace`` samples: each
+# is held as Python objects or dense arrays first, so a size of 10^11 would
+# exhaust memory before any later check ran.
 SIZE_LIMIT = 1 << 22
 
 
@@ -90,11 +92,10 @@ class PSequence:
     ratio: float
 
     def __post_init__(self):
-        try:
-            head = tuple(float(x) for x in self.head)
-            ratio = float(self.ratio)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadParameter(f"sequence weights must be numbers: {exc}") from None
+        if not isinstance(self.head, Iterable):
+            raise BadParameter(f"sequence head must be a sequence, got {self.head!r}")
+        head = tuple(_real(x, "a sequence weight") for x in self.head)
+        ratio = _real(self.ratio, "the tail ratio")
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "ratio", ratio)
         if len(head) == 0:
@@ -117,6 +118,7 @@ class PSequence:
         return self.head[-1] * self.ratio / (1.0 - self.ratio)
 
     def p(self, i: int) -> float:
+        i = _integer(i, "sequence index")
         if i < 1:
             raise BadParameter("sequence indices start at 1")
         n = len(self.head)
@@ -138,6 +140,7 @@ class PSequence:
 
     def remainder(self, j: int) -> float:
         """Closed-form ``sum_{i > j} p_i`` (``j = 0`` gives the full sum)."""
+        j = _integer(j, "remainder index")
         if j < 0:
             raise BadParameter("remainder index must be nonnegative")
         n = len(self.head)
@@ -183,10 +186,9 @@ def _evaluate(p: PSequence, lam: float):
     pole and 0 on the far side of ``lam``, and the tail bound
     ``remainder(J) / ((1 - p_1) * delta)`` meets ``_TAIL_TARGET``, where
     ``delta`` is the distance from ``lam`` to the computed poles and 0.
-    ``BadParameter`` when ``lam`` is not finite.
+    ``BadParameter`` when ``lam`` is not a finite real number.
     """
-    if not math.isfinite(lam):
-        raise BadParameter(f"evaluation point {lam} is not finite")
+    lam = _real(lam, "evaluation point")
     terms = max(2 * len(p.head) + 16, 32)
     while True:
         _, alphas = _tables(p, terms)
@@ -271,8 +273,9 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     i = _integer(i, "root index")
     if i < 1:
         raise BadParameter("root indices start at 1")
-    if not 0.0 < tol < math.inf:
-        raise BadParameter(f"tolerance must be positive and finite, got {tol!r}")
+    tol = _real(tol, "tolerance")
+    if not tol > 0.0:
+        raise BadParameter(f"tolerance must be positive, got {tol!r}")
     a_lo, a_hi = p.alpha(i), p.alpha(i + 1)
     width = a_hi - a_lo
     if width < BRACKET_MIN:
@@ -385,11 +388,14 @@ def eigenfunction(p: PSequence, root: SecularRoot, k: int) -> np.ndarray:
     Verifies the defining relation ``sum_j (p_j/q_j) f(j) = (p_i/q_i +
     lambda) f(i)`` for every returned index, to within the root's residual
     plus truncation bounds (and, for a Laplacian root, ``|F'|`` times the
-    rounding of ``lambda = 1 - mu``).
+    rounding of ``lambda = 1 - mu``).  ``TooLarge`` beyond ``SIZE_LIMIT``
+    values.
     """
     k = _integer(k, "value count")
     if k < 1:
         raise BadParameter("need at least one eigenfunction value")
+    if k > SIZE_LIMIT:
+        raise TooLarge(f"{k} eigenfunction values, more than the {SIZE_LIMIT} it builds")
     lam = root.value if root.kind == "walk" else 1.0 - root.value
     ws = _weights(p, k)
     # lambda - alpha_i and p_i/q_i + lambda are this one sum, bit for bit.

@@ -5,15 +5,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .graph import WeightedGraph, graph_to_json
+from .graph import WeightedGraph, _integer, graph_to_json
 
 __all__ = ["CheckReport", "graph_fingerprint"]
 
 
 def graph_fingerprint(graph: WeightedGraph, seed: int | None = None) -> str:
-    """Short stable identifier of a graph (plus the seed that produced it)."""
+    """Short stable identifier of a graph (plus the integer seed that made it)."""
     digest = hashlib.md5(graph_to_json(graph).encode()).hexdigest()[:12]
-    return digest if seed is None else f"{digest}:{seed}"
+    return digest if seed is None else f"{digest}:{_integer(seed, 'seed')}"
 
 
 @dataclass(frozen=True)

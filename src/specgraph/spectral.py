@@ -16,8 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, EmptySet, EmptySpectrum, NumericalFailure, ZeroFunction
-from .graph import WeightedGraph, _as_function, _as_set, dirichlet_form, inner_product
+from .errors import EmptySet, EmptySpectrum, NumericalFailure, ZeroFunction
+from .graph import (
+    WeightedGraph,
+    _as_function,
+    _as_set,
+    _as_values,
+    dirichlet_form,
+    inner_product,
+)
 
 __all__ = [
     "ZERO_THRESHOLD",
@@ -169,14 +176,12 @@ def hausdorff_asymmetry(values: Sequence[float] | np.ndarray) -> float:
 
     Computed twice — as the full two-sided Hausdorff distance, and as the
     one-sided sup over reflected points (sufficient because the reflection is
-    an isometric involution) — and the routes must agree to 1e-12.  A value
-    that is not finite raises ``BadParameter``.
+    an isometric involution) — and the routes must agree to 1e-12.  Values
+    that are not a one-axis array of finite numbers raise ``BadParameter``.
     """
-    sigma = np.sort(np.asarray(values, dtype=float))
+    sigma = np.sort(_as_values(values, "spectrum"))
     if len(sigma) == 0:
         raise EmptySpectrum("asymmetry of an empty spectrum")
-    if not np.isfinite(sigma).all():
-        raise BadParameter("asymmetry of a spectrum with a value that is not finite")
     reflected = np.sort(2.0 - sigma)
     one_sided = _sup_distance(reflected, sigma)
     full = max(_sup_distance(sigma, reflected), one_sided)

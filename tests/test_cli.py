@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from specgraph import cli, errors
 from specgraph.cli import main
+from specgraph.families import FAMILIES
 from specgraph.graph import graph_to_json
 from specgraph.invariants import cheeger_constant_exact
 from specgraph.kgraph import RESIDUAL_BUDGET
@@ -251,10 +252,28 @@ def test_verify_options_fill_the_suite_config(capsys):
 def test_verify_gives_up_on_graphs_that_never_connect(capsys):
     argv = ["verify", "--seeds", "1", "--edge-probability", "1e-9", "--no-families"]
     code, out, err = run(capsys, argv)
-    assert code == 1 and out == ""
-    diagnostic = json.loads(err)
+    assert code == 1 and err == ""
+    [diagnostic] = json.loads(out)["failures"]
     assert diagnostic["error"] == "BadParameter"
     assert "n=4, p=1e-09, seed=0" in diagnostic["message"]
+
+
+def test_a_failed_draw_is_a_failure_row_and_the_sweep_goes_on(capsys):
+    argv = ["verify", "--seeds", "2", "--n-min", "12", "--n-max", "12",
+            "--edge-probability", "0.01", "--no-families"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err == ""
+    summary = json.loads(out)
+    assert summary["instances"] == 2 and not summary["ok"]
+    assert summary["failures"] == [
+        {
+            "instance": "random/12",
+            "error": "BadParameter",
+            "message": f"no connected graph in 1000 draws with n=12, p=0.01, seed={seed}",
+            "fingerprint": None,
+        }
+        for seed in (0, 1)
+    ]
 
 
 # ------------------------------------------------------------ error handling
@@ -496,6 +515,32 @@ _COMMANDS = [
 ]
 
 
+def _run_strict(argv, stdin_text=""):
+    """``main(argv)`` with warnings raised as errors: ``(code, stdout,
+    stderr)``."""
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _is_typed(name):
+    return issubclass(getattr(errors, name, type(None)), errors.SpecgraphError)
+
+
+def _assert_one_typed_diagnostic(out, err, context):
+    assert out == "", context
+    lines = err.splitlines()
+    assert len(lines) == 1, context
+    assert _is_typed(json.loads(lines[0])["error"]), context
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(_COMMANDS),
@@ -507,22 +552,98 @@ def test_malformed_payloads_end_in_an_answer_or_one_typed_diagnostic(command, do
     JSON line naming a ``SpecgraphError`` (exit 1): never a traceback, a
     warning, or a builtin error type."""
     text = json.dumps(document)[:cut]
-    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
-    sys.stdin = io.StringIO(text)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*command, "-"])
-    finally:
-        sys.stdin = stdin
+    code, out, err = _run_strict([*command, "-"], text)
     assert code in (0, 1), text
     if code == 0:
-        assert err.getvalue() == "", text
-        json.loads(out.getvalue())
+        assert err == "", text
+        json.loads(out)
     else:
-        assert out.getvalue() == "", text
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1, text
-        name = json.loads(lines[0])["error"]
-        assert issubclass(getattr(errors, name, type(None)), errors.SpecgraphError), text
+        _assert_one_typed_diagnostic(out, err, text)
+
+
+_ODD_INTS = ("-1", "0", str(10**20))
+_ODD_REALS = ("nan", "inf", "-1", "0", "1e308")
+
+
+def _scalar(valid, odd):
+    """A flag value: one of ``valid``, or one of ``odd``."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(odd))
+
+
+_SEQUENCE = {
+    "--head": _scalar(["0.5,0.25", "0.9"], _ODD_REALS),
+    "--tail-ratio": _scalar(["0.5", "0.1"], _ODD_REALS),
+}
+_CAP = {"--max-n": _scalar(["4", "10"], _ODD_INTS)}
+# Sizes stay small: a valid run takes milliseconds, and an odd value that
+# would mean a long run (10^20 seeds or roots) is left out.
+_SCALAR_FLAGS = {
+    "gen": st.fixed_dictionaries(
+        {
+            "--family": st.sampled_from(FAMILIES),
+            "--n": _scalar([str(n) for n in range(1, 7)], _ODD_INTS),
+        },
+        optional={
+            "--r": _scalar(["0.5", "0.9"], _ODD_REALS),
+            "--rho": _scalar(["0.3", "0.5"], _ODD_REALS),
+            "--p-head": _scalar(["0.5,0.25"], _ODD_REALS),
+            "--p-ratio": _scalar(["0.5"], _ODD_REALS),
+        },
+    ),
+    "kgraph": st.fixed_dictionaries(
+        {
+            **_SEQUENCE,
+            "--roots": _scalar([str(n) for n in range(1, 6)], _ODD_INTS[:2]),
+            "--tol": _scalar(["1e-9", "1e-6"], _ODD_REALS),
+        }
+    ),
+    "trace": st.fixed_dictionaries(
+        {
+            **_SEQUENCE,
+            "--from": _scalar(["-0.5", "0.1", "1.2"], _ODD_REALS),
+            "--to": _scalar(["0.9", "1.9"], _ODD_REALS),
+            "--points": _scalar([str(n) for n in (2, 7, 50)], _ODD_INTS),
+            "--variable": st.sampled_from(["walk", "laplacian"]),
+        }
+    ),
+    "cheeger": st.fixed_dictionaries(_CAP),
+    "dual-cheeger": st.fixed_dictionaries(_CAP),
+    "kappa": st.fixed_dictionaries(_CAP),
+    "verify": st.fixed_dictionaries(
+        {
+            "--seeds": _scalar(["1", "2"], _ODD_INTS[:2]),
+            "--base-seed": _scalar(["0", "5"], _ODD_INTS),
+            "--edge-probability": _scalar(["0.5", "1"], _ODD_REALS),
+            "--n-min": _scalar(["2", "4"], _ODD_INTS[:2]),
+            "--n-max": _scalar(["5", "6"], _ODD_INTS),
+        }
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_SCALAR_FLAGS)), data=st.data())
+def test_scalar_flags_end_in_an_answer_or_one_typed_diagnostic(command, data):
+    """Whatever the numbers on the command line, the CLI answers (exit 0) or
+    writes exactly one JSON line naming a ``SpecgraphError`` (exit 1); a
+    ``verify`` sweep with failing instances prints its summary and exits 1."""
+    flags = data.draw(_SCALAR_FLAGS[command], label="flags")
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+    if command == "verify":
+        argv.append("--no-families")
+    code, out, err = _run_strict(argv, K4_JSON)
+    assert code in (0, 1), argv
+    if code == 0:
+        assert err == "" and out, argv
+    elif command == "verify" and out:
+        summary = json.loads(out)
+        assert err == "" and not summary["ok"], argv
+        assert all(_is_typed(row["error"]) for row in summary["failures"] if "error" in row)
+    else:
+        _assert_one_typed_diagnostic(out, err, argv)
+
+
+def test_verify_refuses_a_negative_base_seed(capsys):
+    code, out, err = run(capsys, ["verify", "--seeds", "1", "--base-seed=-1"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BadParameter"

@@ -251,9 +251,11 @@ def test_an_erroring_instance_becomes_a_failure_row(monkeypatch):
 
 def test_each_result_is_computed_once_per_graph(monkeypatch):
     calls: dict[str, Counter] = {}
+    seen = []  # the sweep drops each graph when done; held here, ids stay unique
 
     def counted(name, func):
         def wrapper(graph, *args, **kwargs):
+            seen.append(graph)
             calls.setdefault(name, Counter())[id(graph)] += 1
             return func(graph, *args, **kwargs)
 

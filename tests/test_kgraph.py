@@ -327,6 +327,14 @@ def test_truncation_beyond_the_size_limit_is_too_large(size):
         truncate_K(DYADIC, size)
 
 
+def test_eigenfunction_beyond_the_size_limit_is_too_large(monkeypatch):
+    """The refusal comes before the ``k`` weights are built."""
+    root = delta_eigenvalue(DYADIC, 1)
+    monkeypatch.setattr(kgraph, "_weights", lambda p, count: pytest.fail("weights built"))
+    with pytest.raises(TooLarge):
+        eigenfunction(DYADIC, root, kgraph.SIZE_LIMIT + 1)
+
+
 def test_truncation_cheeger_stays_above_infinite_bound():
     bound = (1.0 - DYADIC.sum_squares()) / 2.0
     for size in (6, 8, 10):

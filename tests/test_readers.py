@@ -1,16 +1,20 @@
-"""Vertex-argument readers: every public query that takes a vertex set or a
-vertex function answers, or raises one ``SpecgraphError``, and an invalid
-argument always raises.
+"""Argument readers: every public query that takes a vertex set, a vertex
+function or a scalar parameter answers, or raises one ``SpecgraphError``, and
+an argument that can never be usable always raises.
 
 The ``ref_*`` functions are the bodies these queries had before they read
-their arguments through ``graph._as_set`` and ``graph._as_function``; on valid
+their arguments through ``graph._as_set`` and ``graph._as_function`` (vertex
+arguments) or ``graph._real`` and ``graph._integer`` (scalars); on valid
 arguments each query must return their result bit for bit (value hex, array
 bytes).  The fuzz table ``FUZZ`` names every public function of ``graph``,
-``invariants``, ``spectral`` and ``harness`` with a vertex argument, and a
-guard test keeps it complete.
+``invariants``, ``spectral`` and ``harness`` with a vertex argument, and
+``SCALAR_FUZZ`` every public function, checked record and method of those
+modules, ``kgraph`` and ``families`` with a parameter annotated ``int`` or
+``float``; a guard test keeps each complete.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import math
 import warnings
@@ -20,18 +24,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgraph import families, harness, invariants, kgraph, spectral
 from specgraph import graph as graph_module
-from specgraph import harness, invariants, spectral
-from specgraph.errors import BadParameter, EmptySet, NotDisjoint, NotOrthogonal
-from specgraph.errors import SpecgraphError, ZeroFunction
-from specgraph.families import FamilySpec, generate
+from specgraph.errors import BadParameter, EmptySet, EmptySpectrum, NotDisjoint
+from specgraph.errors import NotOrthogonal, NumericalFailure, PoleProximity
+from specgraph.errors import SpecgraphError, TooLarge, ZeroFunction
+from specgraph.families import FAMILIES, FamilySpec, closed_form, generate, tail_ratio_trace
 from specgraph.graph import (
     WeightedGraph,
     _finite_fsum,
     _indicator,
+    _integer,
     _sequential_sum,
     _weight_into,
     dirichlet_form,
+    graph_to_json,
     inner_product,
     mask_of,
     q_form,
@@ -53,12 +60,21 @@ from specgraph.harness import (
     sample_graph,
     tau_split,
 )
-from specgraph.invariants import cheeger_ratio, dual_cheeger_ratio, kappa_pair, r_quantity
+from specgraph.invariants import (
+    cheeger_constant_exact,
+    cheeger_ratio,
+    dual_cheeger_ratio,
+    kappa_exact,
+    kappa_pair,
+    r_quantity,
+)
 from specgraph.kgraph import (
     PSequence,
+    asymmetry_K,
     delta_eigenvalue,
     eigenfunction,
     p_eigenvalue,
+    secular_F,
     truncate_K,
 )
 from specgraph.reports import CheckReport
@@ -68,6 +84,7 @@ from specgraph.spectral import (
     _blocked,
     _clamp,
     auxiliary_graph,
+    hausdorff_asymmetry,
     random_walk_matrix,
     rayleigh,
     signed_conjugation,
@@ -427,7 +444,7 @@ def _bits(x):
         return (type(x).__name__, x.dtype.str, x.shape, x.tobytes())
     if isinstance(x, float):
         return (type(x).__name__, float(x).hex())
-    if isinstance(x, (bool, int, str)):
+    if x is None or isinstance(x, (bool, int, str)):
         return (type(x).__name__, x)
     if isinstance(x, (list, tuple)):
         return (type(x).__name__, *map(_bits, x))
@@ -588,3 +605,470 @@ def test_valid_arguments_keep_their_bits():
 def test_parameters_that_are_not_integers_or_numbers_are_refused(call):
     with pytest.raises(BadParameter):
         call()
+
+
+# ------------------------------------------------------- scalar parameters
+#
+# The ``ref_*`` functions below are the parent bodies of the readers that now
+# go through ``graph._real`` and ``graph._integer``.  A constructor's
+# reference returns the fields it stored, in field order.  Where only a
+# prologue that reads the parameters changed (``p_eigenvalue`` and the
+# enumeration caps), the reference is the parent prologue in front of the
+# current body.
+
+
+def ref_psequence(head, ratio):
+    try:
+        head = tuple(float(x) for x in head)
+        ratio = float(ratio)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"sequence weights must be numbers: {exc}") from None
+    if len(head) == 0:
+        raise BadParameter("sequence head is empty")
+    if not 0.0 < ratio < 1.0:
+        raise BadParameter(f"tail ratio {ratio} outside (0, 1)")
+    for x in head:
+        if not 0.0 < x < 1.0:
+            raise BadParameter(f"weight {x} outside (0, 1)")
+    for a, b in zip(head, head[1:]):
+        if not a > b:
+            raise BadParameter("head weights must strictly decrease")
+    total = math.fsum(head) + head[-1] * ratio / (1.0 - ratio)
+    if abs(total - 1.0) > 1e-14:
+        raise BadParameter(f"weights sum to {total!r}, not 1")
+    return head, ratio
+
+
+def ref_p(self, i):
+    if i < 1:
+        raise BadParameter("sequence indices start at 1")
+    n = len(self.head)
+    if i <= n:
+        return self.head[i - 1]
+    return self.head[-1] * self.ratio ** (i - n)
+
+
+def ref_alpha(self, i):
+    p = ref_p(self, i)
+    return -p / (1.0 - p)
+
+
+def ref_r(self, i):
+    return 1.0 / (1.0 - ref_p(self, i))
+
+
+def ref_remainder(self, j):
+    if j < 0:
+        raise BadParameter("remainder index must be nonnegative")
+    n = len(self.head)
+    if j >= n:
+        return self.head[-1] * self.ratio ** (j + 1 - n) / (1.0 - self.ratio)
+    return math.fsum(self.head[j:]) + self.tail_sum
+
+
+def ref_evaluate(p, lam):
+    if not math.isfinite(lam):
+        raise BadParameter(f"evaluation point {lam} is not finite")
+    terms = max(2 * len(p.head) + 16, 32)
+    while True:
+        _, alphas = kgraph._tables(p, terms)
+        if lam < 0.0 and alphas[-1] < lam:
+            if terms >= kgraph._MAX_TERMS:
+                raise NumericalFailure(f"cannot cover {lam} with {terms} pole terms")
+            terms = min(kgraph._MAX_TERMS, terms * 2)
+            continue
+        delta = min(float(np.abs(lam - alphas).min()), abs(lam))
+        if delta < kgraph.POLE_TOL:
+            raise PoleProximity(f"evaluation point {lam} within {delta} of a pole")
+        tail = ref_remainder(p, terms) / ((1.0 - p.head[0]) * delta)
+        if tail <= kgraph._TAIL_TARGET or terms >= kgraph._MAX_TERMS:
+            break
+        terms = min(kgraph._MAX_TERMS, terms * 2)
+    if tail > kgraph._TAIL_TARGET:
+        raise NumericalFailure(f"tail bound {tail} above target at {terms} terms")
+    value = math.fsum((alphas / (alphas - lam)).tolist())
+    return value, tail, terms, alphas
+
+
+def ref_secular_F(p, lam):
+    value, tail, _, _ = ref_evaluate(p, lam)
+    return value, tail
+
+
+def _ref_root_prologue(i, tol):
+    i = _integer(i, "root index")
+    if i < 1:
+        raise BadParameter("root indices start at 1")
+    if not 0.0 < tol < math.inf:
+        raise BadParameter(f"tolerance must be positive and finite, got {tol!r}")
+
+
+def ref_p_eigenvalue(p, i, tol=1e-9):
+    _ref_root_prologue(i, tol)
+    return p_eigenvalue(p, i, tol)
+
+
+def ref_delta_eigenvalue(p, i, tol=1e-9):
+    _ref_root_prologue(i, tol)
+    return delta_eigenvalue(p, i, tol)
+
+
+def ref_asymmetry_K(p, tol=1e-9):
+    _ref_root_prologue(1, tol)
+    return asymmetry_K(p, tol)
+
+
+def ref_eigenfunction(p, root, k):
+    k = _integer(k, "value count")
+    if k < 1:
+        raise BadParameter("need at least one eigenfunction value")
+    lam = root.value if root.kind == "walk" else 1.0 - root.value
+    ws = np.array([ref_p(p, i) for i in range(1, k + 1)])
+    gap = ws / (1.0 - ws) + lam
+    values = 1.0 / gap
+    lhs, tail, _, alphas = ref_evaluate(p, lam)
+    budget = root.residual + root.tail_bound + tail + kgraph.RESIDUAL_BUDGET
+    if root.kind == "laplacian":
+        shift = 2.0**-53 * (abs(root.value) + abs(lam))
+        budget += 2.0 * abs(kgraph._derivative(lam, alphas)) * shift
+    if np.flatnonzero(np.abs(lhs - gap * values) > budget).size:
+        raise NumericalFailure("eigenfunction relation fails")
+    return values
+
+
+def ref_truncate_K(p, size, renormalize=False):
+    size = _integer(size, "truncation size")
+    if size < 2:
+        raise BadParameter("truncation needs at least two vertices")
+    if size * (size - 1) // 2 > kgraph.SIZE_LIMIT:
+        raise TooLarge(f"truncation to {size} vertices")
+    ps = np.array([ref_p(p, i) for i in range(1, size + 1)])
+    if renormalize:
+        ps *= 1.0 / math.fsum(ps)
+    i, j = np.triu_indices(size, 1)
+    w = ps[i] * ps[j]
+    return WeightedGraph(np.column_stack([i, j, w])[w > 0.0], labels=list(range(1, size + 1)))
+
+
+def ref_family_spec(family, size, r=None, rho=None, p=None):
+    if family not in FAMILIES:
+        raise BadParameter(f"unknown family {family!r}")
+    return family, _integer(size, "size"), r, rho, p
+
+
+def ref_random_graph_spec(n, edge_probability=0.5, seed=0):
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
+    if n < 2:
+        raise BadParameter("random graphs need at least two vertices")
+    if not 0.0 < edge_probability <= 1.0:
+        raise BadParameter(f"edge probability {edge_probability} outside (0, 1]")
+    return n, edge_probability, seed
+
+
+def ref_suite_config(
+    seeds=200, n_min=4, n_max=12, edge_probability=0.5, base_seed=0, max_n=None,
+    include_families=True,
+):
+    seeds, n_min, n_max, base_seed = (
+        _integer(seeds, "seeds"), _integer(n_min, "n_min"), _integer(n_max, "n_max"),
+        _integer(base_seed, "base_seed"),
+    )
+    if max_n is not None:
+        max_n = _integer(max_n, "max_n")
+    if seeds < 0:
+        raise BadParameter("seed count must be nonnegative")
+    if not 2 <= n_min <= n_max:
+        raise BadParameter(f"size range [{n_min}, {n_max}] is not usable")
+    return seeds, n_min, n_max, edge_probability, base_seed, max_n, include_families
+
+
+def _ref_check_cap(n, max_n, default, what):
+    cap = default if max_n is None else max_n
+    if n > cap:
+        raise TooLarge(f"{what} enumeration capped at {cap} vertices, got {n}")
+
+
+def _ref_search(search, default):
+    def ref(graph, max_n=None, **options):
+        _ref_check_cap(graph.n, max_n, default, search.__name__)
+        return search(graph, graph.n, **options)
+
+    return ref
+
+
+ref_cheeger_constant_exact = _ref_search(
+    invariants.cheeger_constant_exact, invariants.DEFAULT_MAX_CHEEGER
+)
+ref_dual_cheeger_exact = _ref_search(invariants.dual_cheeger_exact, invariants.DEFAULT_MAX_DUAL)
+ref_kappa_exact = _ref_search(invariants.kappa_exact, invariants.DEFAULT_MAX_KAPPA)
+ref_h_via_r = _ref_search(invariants.h_via_r, invariants.DEFAULT_MAX_CHEEGER)
+
+
+def ref_graph_fingerprint(graph, seed=None):
+    digest = hashlib.md5(graph_to_json(graph).encode()).hexdigest()[:12]
+    return digest if seed is None else f"{digest}:{seed}"
+
+
+def ref_analyze(graph, max_n=None, seed=None):
+    return harness.Analysis(
+        graph,
+        ref_cheeger_constant_exact(graph, max_n),
+        ref_dual_cheeger_exact(graph, max_n),
+        ref_kappa_exact(graph, max_n),
+        spectral.spectrum(graph),
+        spectral.spectrum(graph, eigenvectors=True),
+        ref_graph_fingerprint(graph, seed),
+        max_n,
+    )
+
+
+def ref_hausdorff_asymmetry(values):
+    sigma = np.sort(np.asarray(values, dtype=float))
+    if len(sigma) == 0:
+        raise EmptySpectrum("asymmetry of an empty spectrum")
+    if not np.isfinite(sigma).all():
+        raise BadParameter("asymmetry of a spectrum with a value that is not finite")
+    reflected = np.sort(2.0 - sigma)
+    one_sided = spectral._sup_distance(reflected, sigma)
+    full = max(spectral._sup_distance(sigma, reflected), one_sided)
+    if abs(full - one_sided) > spectral._ROUTE_TOL:
+        raise NumericalFailure(f"asymmetry routes disagree: {full} vs {one_sided}")
+    return full
+
+
+A4 = analyze(G4)
+ROOT = delta_eigenvalue(DYADIC, 1)
+
+# Name -> (callable, reference, fixed arguments, valid values of each scalar
+# parameter).  A method is named ``Class.method`` and takes ``self`` here.
+SCALAR_FUZZ = {
+    "set_measures": (set_measures, ref_set_measures, {"graph": G4}, {"mask": (1, 6, 15)}),
+    "vertices_of": (vertices_of, ref_vertices_of, {}, {"mask": (0, 5, 1 << 70)}),
+    "cheeger_ratio": (cheeger_ratio, ref_cheeger_ratio, {"graph": G4}, {"mask": (1, 6)}),
+    "r_quantity": (r_quantity, ref_r_quantity, {"graph": G4}, {"mask": (1, 6)}),
+    "dual_cheeger_ratio": (
+        dual_cheeger_ratio, ref_dual_cheeger_ratio, {"graph": G4},
+        {"mask_a": (1, 3), "mask_b": (4, 8)},
+    ),
+    "kappa_pair": (
+        kappa_pair, ref_kappa_pair, {"graph": G4}, {"mask_a": (1, 3), "mask_b": (4, 8)}
+    ),
+    "signed_conjugation": (
+        signed_conjugation, ref_signed_conjugation, {"graph": G4}, {"mask_a": (1, 6)}
+    ),
+    "check_operator_partition": (
+        check_operator_partition, ref_check_operator_partition, {"analysis": A4},
+        {"mask_a": (1, 6)},
+    ),
+    "cheeger_constant_exact": (
+        invariants.cheeger_constant_exact, ref_cheeger_constant_exact, {"graph": G4},
+        {"max_n": (None, 4, 20)},
+    ),
+    "dual_cheeger_exact": (
+        invariants.dual_cheeger_exact, ref_dual_cheeger_exact, {"graph": G4},
+        {"max_n": (None, 4, 20)},
+    ),
+    "kappa_exact": (
+        invariants.kappa_exact, ref_kappa_exact, {"graph": G4}, {"max_n": (None, 4, 20)}
+    ),
+    "h_via_r": (invariants.h_via_r, ref_h_via_r, {"graph": G4}, {"max_n": (None, 4, 20)}),
+    "analyze": (
+        analyze, ref_analyze, {"graph": G4}, {"max_n": (None, 4), "seed": (None, 0, 7)}
+    ),
+    "RandomGraphSpec": (
+        RandomGraphSpec, ref_random_graph_spec, {},
+        {"n": (2, 5), "edge_probability": (0.5, 1.0, 0.01), "seed": (0, 3)},
+    ),
+    "SuiteConfig": (
+        SuiteConfig, ref_suite_config, {},
+        {
+            "seeds": (0, 2), "n_min": (2, 4), "n_max": (6, 12),
+            "edge_probability": (0.5, 1.0), "base_seed": (0, 5), "max_n": (None, 9),
+        },
+    ),
+    "PSequence": (PSequence, ref_psequence, {"head": (0.5, 0.25)}, {"ratio": (0.5,)}),
+    "PSequence.p": (PSequence.p, ref_p, {"self": DYADIC}, {"i": (1, 2, 3, 40)}),
+    "PSequence.alpha": (PSequence.alpha, ref_alpha, {"self": DYADIC}, {"i": (1, 2, 3, 40)}),
+    "PSequence.r": (PSequence.r, ref_r, {"self": DYADIC}, {"i": (1, 2, 3, 40)}),
+    "PSequence.remainder": (
+        PSequence.remainder, ref_remainder, {"self": DYADIC}, {"j": (0, 1, 2, 40)}
+    ),
+    "secular_F": (
+        secular_F, ref_secular_F, {"p": DYADIC}, {"lam": (0.3, -0.2, 1.5, 3.0, -3.0)}
+    ),
+    "p_eigenvalue": (
+        p_eigenvalue, ref_p_eigenvalue, {"p": DYADIC},
+        {"i": (1, 2, 5), "tol": (1e-9, 1e-6, 1.5)},
+    ),
+    "delta_eigenvalue": (
+        delta_eigenvalue, ref_delta_eigenvalue, {"p": DYADIC},
+        {"i": (1, 2, 5), "tol": (1e-9, 1e-6, 1.5)},
+    ),
+    "eigenfunction": (
+        eigenfunction, ref_eigenfunction, {"p": DYADIC, "root": ROOT}, {"k": (1, 3, 10)}
+    ),
+    "asymmetry_K": (asymmetry_K, ref_asymmetry_K, {"p": DYADIC}, {"tol": (1e-9, 1e-6)}),
+    "truncate_K": (truncate_K, ref_truncate_K, {"p": DYADIC}, {"size": (2, 6)}),
+    "FamilySpec": (
+        FamilySpec, ref_family_spec, {"family": "ladder_L"},
+        {"size": (1, 5), "r": (0.5, 0.9), "rho": (0.3, 0.5)},
+    ),
+}
+
+# Drawn in place of one scalar parameter; the others keep valid values.
+ODD_SCALARS = {
+    "string": "1", "none": None, "fraction": 1.5, "nan": math.nan, "inf": math.inf,
+    "minus_one": -1, "complex": 1j,
+}
+
+
+def _scalar_parameters(obj):
+    """Parameter name -> (``"int"`` or ``"float"``, whether ``None`` is
+    allowed), for each parameter annotated ``int``, ``float`` or either
+    ``| None``."""
+    out = {}
+    for name, param in inspect.signature(obj).parameters.items():
+        kind, _, rest = str(param.annotation).partition(" | ")
+        if kind in ("int", "float") and rest in ("", "None"):
+            out[name] = (kind, rest == "None")
+    return out
+
+
+def _public_callables(module):
+    """``(name, callable)`` for the functions in ``module.__all__``, the
+    dataclasses there that check their fields in ``__post_init__``, and the
+    public methods of its classes.  A dataclass without ``__post_init__``
+    is a record of computed results and reads nothing."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj) and "__post_init__" in vars(obj):
+                yield name, obj
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", member
+
+
+def _scalar_outcome(call, kwargs):
+    """``("value", bits)`` or ``("raised", error type)``, as ``_outcome``; a
+    constructed record is compared by its fields."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(**kwargs)
+        except SpecgraphError as exc:
+            return "raised", type(exc)
+    if inspect.isclass(call):
+        result = tuple(getattr(result, f.name) for f in dataclasses.fields(result))
+    return "value", _bits(result)
+
+
+def _must_raise(which, kind, optional):
+    """Whether an odd value can never be a usable scalar of this kind."""
+    if which == "none":
+        return not optional
+    if which == "fraction":
+        return kind == "int"
+    return which in ("string", "nan", "inf", "complex")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scalar_parameters_answer_or_raise_one_typed_error(data):
+    for name, (call, reference, fixed, valid) in SCALAR_FUZZ.items():
+        kinds = _scalar_parameters(call)
+        kwargs = dict(fixed)
+        for param in kinds:
+            kwargs[param] = data.draw(st.sampled_from(valid[param]), label=f"{name}.{param}")
+        odd = data.draw(st.sampled_from([None, *kinds]), label=f"{name} odd parameter")
+        if odd is None:
+            got = _scalar_outcome(call, kwargs)
+            assert got == _scalar_outcome(reference, kwargs), (name, kwargs)
+            continue
+        which = data.draw(st.sampled_from(sorted(ODD_SCALARS)), label=f"{name}.{odd}")
+        kwargs[odd] = ODD_SCALARS[which]
+        got = _scalar_outcome(call, kwargs)
+        if _must_raise(which, *kinds[odd]):
+            assert got[0] == "raised", (name, kwargs)
+
+
+def test_scalar_fuzz_table_covers_every_scalar_parameter():
+    """A public callable of these modules with a parameter annotated ``int``,
+    ``float`` or either ``| None`` must be in ``SCALAR_FUZZ`` with valid
+    values for each such parameter."""
+    for module in (graph_module, invariants, spectral, harness, kgraph, families):
+        for name, obj in _public_callables(module):
+            scalars = _scalar_parameters(obj)
+            if not scalars:
+                continue
+            assert name in SCALAR_FUZZ, f"{module.__name__}.{name} is not fuzzed"
+            call, _, _, valid = SCALAR_FUZZ[name]
+            assert call is obj, name
+            assert set(valid) == set(scalars), name
+
+
+SEQUENCE = PSequence((0.9,), 0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: SEQUENCE.p(1.5), id="p"),
+        pytest.param(lambda: SEQUENCE.alpha(1.5), id="alpha"),
+        pytest.param(lambda: SEQUENCE.r(2.5), id="r"),
+        pytest.param(lambda: SEQUENCE.remainder(1.5), id="remainder"),
+        pytest.param(lambda: SEQUENCE.remainder(0.5), id="remainder-half"),
+        pytest.param(
+            lambda: tail_ratio_trace(FamilySpec("ladder_L", 5, r=0.5, rho=0.3), [1.5]),
+            id="trace-ladder",
+        ),
+        pytest.param(
+            lambda: tail_ratio_trace(FamilySpec("halfline_m3", 5), [1.5]), id="trace-m3"
+        ),
+        pytest.param(lambda: kappa_exact(G4, max_n=5.5), id="kappa-cap"),
+        pytest.param(lambda: cheeger_constant_exact(G4, max_n="a"), id="cheeger-cap"),
+        pytest.param(lambda: SuiteConfig(edge_probability="a"), id="suite-probability"),
+        pytest.param(lambda: SuiteConfig(base_seed=-1), id="suite-seed"),
+        pytest.param(lambda: sample_graph(RandomGraphSpec(n=5, seed=-1)), id="seed"),
+        pytest.param(
+            lambda: RandomGraphSpec(n=5, edge_probability="a"), id="edge-probability"
+        ),
+        pytest.param(lambda: secular_F(SEQUENCE, "a"), id="secular_F"),
+        pytest.param(lambda: p_eigenvalue(SEQUENCE, 1, tol="a"), id="tol"),
+        pytest.param(lambda: generate(FamilySpec("halfline_m4", 5, r="a")), id="generate-r"),
+        pytest.param(
+            lambda: closed_form(FamilySpec("ladder_L", 5, r=0.5, rho="a")), id="closed-rho"
+        ),
+        pytest.param(lambda: generate(FamilySpec("K_m1", 5, p="a")), id="generate-p"),
+        pytest.param(lambda: hausdorff_asymmetry(["a"]), id="hausdorff-string"),
+        pytest.param(
+            lambda: hausdorff_asymmetry([[0.0, 2.0], [1.0, 1.5]]), id="hausdorff-matrix"
+        ),
+        pytest.param(lambda: hausdorff_asymmetry(1.0), id="hausdorff-scalar"),
+    ],
+)
+def test_scalar_parameters_that_are_not_usable_are_refused(call):
+    with pytest.raises(BadParameter):
+        call()
+
+
+def test_numpy_scalars_and_bools_read_as_the_same_python_numbers():
+    p = PSequence(np.array([0.5, 0.25]), np.float64(0.5))
+    assert p == DYADIC and type(p.ratio) is float and type(p.head[0]) is float
+    assert p.p(np.int64(3)) == DYADIC.p(3) and p.remainder(True) == DYADIC.remainder(1)
+    assert secular_F(DYADIC, np.float32(0.25)) == ref_secular_F(DYADIC, 0.25)
+    spec = RandomGraphSpec(np.int64(5), np.float64(0.5), np.int64(3))
+    assert (spec.n, spec.edge_probability, spec.seed) == (5, 0.5, 3)
+    assert type(spec.edge_probability) is float and type(spec.seed) is int
+    family = FamilySpec("ladder_L", 3, r=np.float64(0.5), rho=True)
+    assert (family.r, family.rho) == (0.5, 1.0) and type(family.r) is float
+    assert hausdorff_asymmetry((0.0, 1, np.float32(2.0))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "values", [[0.0, 1.5, 2.0], (0.0, 0.3, 1.0, 1.25), np.array([1.0]), [0, 2, True]]
+)
+def test_hausdorff_asymmetry_keeps_its_bits(values):
+    assert hausdorff_asymmetry(values).hex() == ref_hausdorff_asymmetry(values).hex()
