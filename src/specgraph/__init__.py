@@ -41,6 +41,7 @@ from .graph import (
     q_form,
     set_measures,
     vertices_of,
+    weight_matrix,
 )
 from .harness import (
     CHECK_MANIFEST,
@@ -94,7 +95,6 @@ from .spectral import (
     signed_conjugation,
     spectrum,
     symmetric_conjugate,
-    weight_matrix,
 )
 
 __version__ = "0.1.0"

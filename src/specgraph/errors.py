@@ -46,9 +46,10 @@ class DisconnectedGraph(SpecgraphError):
 
 
 class TooLarge(SpecgraphError):
-    """An exact enumeration was asked for beyond its vertex-count cap or
-    beyond what its tables can hold in physical memory, or a generated graph
-    would have more edges than ``generate`` builds."""
+    """An exact search (Cheeger, ``h_via_r``, dual Cheeger or ``kappa``) was
+    asked for beyond its vertex-count cap or beyond one rule shared by all
+    four, 25 bytes per vertex subset within physical memory; or a generated
+    graph would have more edges than ``generate`` builds."""
 
 
 # ------------------------------------------------------------------- spectral

@@ -8,7 +8,8 @@ Laplacian acts on functions by
     (Delta f)(v) = f(v) - sum_{w ~ v} m(vw)/m(v) * f(w).
 
 A graph is stored once, as sorted edge arrays ``u < v`` and weights ``w``;
-``edges`` is a view derived on demand.
+``edges`` is a view derived on demand, and the dense weight matrix
+(``weight_matrix``) is built on first use and kept.
 Vertex sets are plain Python integers used as bitmasks (bit ``i`` set means
 vertex ``i`` is in the set); vertex functions are numpy arrays of length ``n``.
 
@@ -16,8 +17,11 @@ Every public query reads its vertex arguments through one of two readers, so
 the rule lives here alone.  A vertex set is anything ``operator.index``
 accepts: a float or a string raises ``BadParameter``, 0 raises ``EmptySet``,
 and a negative mask or one with a bit at or above ``n`` raises
-``BadParameter``.  A vertex function is anything numpy converts to float64 of
-shape ``(n,)`` with finite entries; anything else raises ``BadParameter``.
+``BadParameter``.  A vertex function is a one-axis array (or sequence) of ``n``
+finite real numbers: numpy booleans, integers and floats, or an object array
+whose every entry is a ``numbers.Real``, read as float64.  Strings (numeric
+ones included), complex entries, other shapes and entries that are not finite
+raise ``BadParameter``.
 ``mask_of`` and ``vertices_of`` refuse negative or non-integer ids the same
 way.  The enumeration searches build their own masks and skip the readers.
 
@@ -58,6 +62,7 @@ Edge = tuple[int, int, float]
 
 __all__ = [
     "WeightedGraph",
+    "weight_matrix",
     "set_measures",
     "dirichlet_form",
     "q_form",
@@ -73,8 +78,10 @@ class WeightedGraph:
     """Simple undirected graph with positive edge weights.
 
     Stored once, as arrays ``u < v`` (int64, sorted by ``(u, v)``), ``w`` and
-    ``vertex_measure``, plus the component search once it has run;
-    ``edges`` derives the ``(u, v, w)`` triples on demand.
+    ``vertex_measure``, the float ``total_measure`` (``M = sum_v m(v)``,
+    twice the total edge weight), plus the component search and the dense
+    weight matrix once they are first asked for; ``edges`` derives the
+    ``(u, v, w)`` triples on demand.
 
     Parameters
     ----------
@@ -94,7 +101,9 @@ class WeightedGraph:
         at one edge, then for the least vertex without an edge.
     """
 
-    __slots__ = ("n", "u", "v", "w", "labels", "vertex_measure", "_tree")
+    __slots__ = (
+        "n", "u", "v", "w", "labels", "vertex_measure", "total_measure", "_tree", "_dense"
+    )
 
     def __init__(self, edges: Sequence[Edge], labels: Sequence | None = None):
         if labels is not None and not isinstance(labels, (list, tuple)):
@@ -156,9 +165,10 @@ class WeightedGraph:
             total = self.vertex_measure.sum()
         if not np.isfinite(total):
             raise MalformedGraph("weights too large: the total measure overflows float64")
+        self.total_measure = float(total)
         for array in (self.u, self.v, self.w, self.vertex_measure):
             array.setflags(write=False)
-        self._tree = None
+        self._tree = self._dense = None
 
     # ------------------------------------------------------------- measures
 
@@ -166,11 +176,6 @@ class WeightedGraph:
     def edges(self) -> tuple[Edge, ...]:
         """The sorted ``(u, v, w)`` triples, derived from the arrays."""
         return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
-
-    @property
-    def total_measure(self) -> float:
-        """``M = sum_v m(v)``; equals twice the total edge weight."""
-        return float(self.vertex_measure.sum())
 
     # --------------------------------------------------------- connectivity
 
@@ -203,6 +208,20 @@ class WeightedGraph:
 
     def __hash__(self) -> int:
         return hash((self.u.tobytes(), self.v.tobytes(), self.w.tobytes(), self.labels))
+
+
+def weight_matrix(graph: WeightedGraph) -> np.ndarray:
+    """The dense symmetric ``n x n`` matrix of edge weights, 0 off the edges.
+    The graph is immutable, so the matrix is built on first use and kept,
+    read-only; the walk matrix, the Laplacian, the symmetric conjugate and
+    the exact searches all read this one."""
+    if graph._dense is None:
+        w = np.zeros((graph.n, graph.n))
+        w[graph.u, graph.v] = graph.w
+        w[graph.v, graph.u] = graph.w
+        w.setflags(write=False)
+        graph._dense = w
+    return graph._dense
 
 
 def _union_find(
@@ -338,12 +357,19 @@ def _weight_into(graph: WeightedGraph, inside: np.ndarray) -> np.ndarray:
 
 
 def _as_values(values, what: str) -> np.ndarray:
-    """``values`` as a one-axis float64 array with finite entries;
-    ``BadParameter`` otherwise."""
+    """``values`` as a one-axis float64 array with finite entries, read from
+    booleans, integers, floats or ``numbers.Real`` objects; ``BadParameter``
+    otherwise (strings and complex entries included, as ``_real`` refuses
+    them)."""
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in arr.flat):
+            arr = arr.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadParameter(f"{what} is not an array of numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise BadParameter(f"{what} holds entries that are not real numbers")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 1:
         raise BadParameter(f"{what} has shape {arr.shape}, expected one axis")
     if not np.isfinite(arr).all():

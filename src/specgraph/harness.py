@@ -2,12 +2,13 @@
 
 Every guaranteed relation between the exact invariants, the spectrum, and the
 operator constructions is judged here, once, as a named check producing
-:class:`CheckReport` rows.  Each graph is analyzed once (:func:`analyze`), and
-every check reads the invariants, spectra and fingerprint from that
-:class:`Analysis`.  ``run_suite`` sweeps all checks over the example
-families plus seeded random graphs and returns one deterministic summary;
-``CHECK_MANIFEST`` names every check the sweep must cover, and an unknown or
-uncovered check id is itself a failure.
+:class:`CheckReport` rows.  Each graph is analyzed once (:func:`analyze`):
+every check reads the invariants, the partition route to ``h`` and the
+spectra from that :class:`Analysis`, and runs no exact search itself.
+``run_suite`` sweeps all checks over the example families plus seeded random
+graphs and returns one deterministic summary, with the fingerprint of the
+analysis in each row; ``CHECK_MANIFEST`` names every check the sweep must
+cover, and an unknown or uncovered check id is itself a failure.
 """
 
 from __future__ import annotations
@@ -227,8 +228,10 @@ class Analysis:
 
     ``spectrum`` comes from the value-only eigensolve and feeds every check on
     eigenvalues; ``eigenbasis`` is the eigenvector solve, used only for its
-    eigenfunctions.  ``max_n`` is the enumeration cap the invariants ran
-    under, kept for the independent partition route to ``h``.
+    eigenfunctions.  ``h_partition`` is ``h`` again by the independent
+    partition route (``h_via_r``), so no check runs an exact search.  The
+    fingerprint is held here alone: reports carry none, and ``run_suite``
+    writes this one into each summary row of the graph.
     """
 
     graph: WeightedGraph
@@ -238,13 +241,14 @@ class Analysis:
     spectrum: Spectrum
     eigenbasis: Spectrum
     fingerprint: str
-    max_n: int | None
+    h_partition: float
 
 
 def analyze(
     graph: WeightedGraph, max_n: int | None = None, seed: int | None = None
 ) -> Analysis:
-    """Compute the invariants, spectra and fingerprint of ``graph`` once."""
+    """Compute the invariants, the partition route to ``h``, the spectra and
+    the fingerprint of ``graph`` once, every exact search under ``max_n``."""
     return Analysis(
         graph,
         cheeger_constant_exact(graph, max_n),
@@ -253,7 +257,7 @@ def analyze(
         spectrum(graph),
         spectrum(graph, eigenvectors=True),
         graph_fingerprint(graph, seed),
-        max_n,
+        h_via_r(graph, max_n),
     )
 
 
@@ -272,27 +276,21 @@ def check_cheeger_inequalities(
     hbar = analysis.hbar.value
     gap = analysis.spectrum.gap
     top = analysis.spectrum.top
-    fp = analysis.fingerprint
     gap_lower = 1.0 - math.sqrt(max(0.0, 1.0 - h * h))
     top_upper = 1.0 + math.sqrt(max(0.0, 1.0 - (1.0 - hbar) ** 2))
     return (
-        CheckReport.inequality("cheeger_gap_lower", gap_lower, gap, INEQUALITY_TOL, fp),
-        CheckReport.inequality("cheeger_gap_upper", gap, 2.0 * h, INEQUALITY_TOL, fp),
-        CheckReport.inequality("dual_top_lower", 2.0 * hbar, top, INEQUALITY_TOL, fp),
-        CheckReport.inequality("dual_top_upper", top, top_upper, INEQUALITY_TOL, fp),
+        CheckReport.inequality("cheeger_gap_lower", gap_lower, gap, INEQUALITY_TOL),
+        CheckReport.inequality("cheeger_gap_upper", gap, 2.0 * h, INEQUALITY_TOL),
+        CheckReport.inequality("dual_top_lower", 2.0 * hbar, top, INEQUALITY_TOL),
+        CheckReport.inequality("dual_top_upper", top, top_upper, INEQUALITY_TOL),
     )
 
 
 def check_asymmetry_bound(analysis: Analysis) -> CheckReport:
     """Reflection asymmetry of the spectrum against the 2-kappa bound."""
     distance = hausdorff_asymmetry(analysis.spectrum.values)
-    return CheckReport.inequality(
-        "asymmetry_kappa_bound",
-        distance,
-        2.0 * analysis.kappa.value,
-        INEQUALITY_TOL,
-        analysis.fingerprint,
-    )
+    bound = 2.0 * analysis.kappa.value
+    return CheckReport.inequality("asymmetry_kappa_bound", distance, bound, INEQUALITY_TOL)
 
 
 def check_witness_functions(analysis: Analysis) -> list[CheckReport]:
@@ -304,10 +302,13 @@ def check_witness_functions(analysis: Analysis) -> list[CheckReport]:
     of the first edge.
     """
     graph = analysis.graph
-    fp = analysis.fingerprint
     m = graph.vertex_measure
     total = graph.total_measure
     out = []
+
+    def witness(check_id: str, f: np.ndarray, target: float) -> CheckReport:
+        tolerance = IDENTITY_TOL * max(1.0, target)
+        return CheckReport.identity(check_id, rayleigh(graph, f), target, tolerance)
 
     best = analysis.h
     inside = _indicator(graph.n, best.witness)
@@ -315,15 +316,7 @@ def check_witness_functions(analysis: Analysis) -> list[CheckReport]:
     m_rest = total - m_set
     f_set = np.where(inside, 1.0 / m_set, -1.0 / m_rest)
     target = boundary * (1.0 / m_set + 1.0 / m_rest)
-    out.append(
-        CheckReport.identity(
-            "witness_cheeger_set",
-            rayleigh(graph, f_set),
-            target,
-            IDENTITY_TOL * max(1.0, target),
-            fp,
-        )
-    )
+    out.append(witness("witness_cheeger_set", f_set, target))
 
     mask_a, mask_b = analysis.hbar.witness
     f_pair = _indicator(graph.n, mask_a).astype(float)
@@ -331,30 +324,14 @@ def check_witness_functions(analysis: Analysis) -> list[CheckReport]:
     target = 2.0 * dual_cheeger_ratio(graph, mask_a, mask_b) + cheeger_ratio(
         graph, mask_a | mask_b
     )
-    out.append(
-        CheckReport.identity(
-            "witness_disjoint_pair",
-            rayleigh(graph, f_pair),
-            target,
-            IDENTITY_TOL * max(1.0, target),
-            fp,
-        )
-    )
+    out.append(witness("witness_disjoint_pair", f_pair, target))
 
     a, b, w = graph.u[0], graph.v[0], graph.w[0]
     f_edge = np.zeros(graph.n)
     f_edge[a] = m[b]
     f_edge[b] = -m[a]
     target = 1.0 + 2.0 * w / (m[a] + m[b])
-    out.append(
-        CheckReport.identity(
-            "witness_single_edge",
-            rayleigh(graph, f_edge),
-            target,
-            IDENTITY_TOL * max(1.0, target),
-            fp,
-        )
-    )
+    out.append(witness("witness_single_edge", f_edge, target))
     return out
 
 
@@ -398,7 +375,6 @@ def check_plus_minus_split(analysis: Analysis, g: np.ndarray) -> list[CheckRepor
         raise NotOrthogonal(f"<g, 1> = {mean} is not negligible")
 
     tau, g_plus, g_minus = tau_split(graph, arr)
-    fp = analysis.fingerprint
     m = graph.vertex_measure
     below = float(m[arr < tau].sum())
     above = float(m[arr > tau].sum())
@@ -414,22 +390,16 @@ def check_plus_minus_split(analysis: Analysis, g: np.ndarray) -> list[CheckRepor
             max(below, above),
             total / 2.0,
             INEQUALITY_TOL * max(1.0, total),
-            fp,
         ),
-        CheckReport.identity("split_disjoint_support", overlap, 0.0, 0.0, fp),
+        CheckReport.identity("split_disjoint_support", overlap, 0.0, 0.0),
         CheckReport.inequality(
-            "split_norm_domination",
-            norm,
-            norm_parts,
-            INEQUALITY_TOL * max(1.0, norm),
-            fp,
+            "split_norm_domination", norm, norm_parts, INEQUALITY_TOL * max(1.0, norm)
         ),
         CheckReport.inequality(
             "split_energy_domination",
             energy_parts,
             energy,
             INEQUALITY_TOL * max(1.0, energy),
-            fp,
         ),
     ]
 
@@ -444,7 +414,6 @@ def coarea_check(
         ``sum m(uv) |f(u)^2 - f(v)^2|``.
     """
     graph = analysis.graph
-    fp = analysis.fingerprint
     arr = _as_function(graph, f)
     g = arr * arr
     levels = np.concatenate(([0.0], np.unique(g)))
@@ -462,10 +431,8 @@ def coarea_check(
     tol_a = 1e-10 * max(1.0, abs(norm))
     tol_b = 1e-10 * max(1.0, abs(variation))
     return (
-        CheckReport.identity("coarea_level_measure", measure_integral, norm, tol_a, fp),
-        CheckReport.identity(
-            "coarea_level_boundary", boundary_integral, variation, tol_b, fp
-        ),
+        CheckReport.identity("coarea_level_measure", measure_integral, norm, tol_a),
+        CheckReport.identity("coarea_level_boundary", boundary_integral, variation, tol_b),
     )
 
 
@@ -475,7 +442,6 @@ def coarea_check(
 def check_operator_partition(analysis: Analysis, mask_a: int) -> list[CheckReport]:
     """Signed-conjugation and blocked-operator relations for one partition."""
     graph = analysis.graph
-    fp = analysis.fingerprint
     op = signed_conjugation(graph, mask_a)
     deviation = float(np.abs(op.values - analysis.spectrum.values).max())
     kappa = kappa_pair(graph, op.mask_a, op.mask_b)
@@ -483,29 +449,22 @@ def check_operator_partition(analysis: Analysis, mask_a: int) -> list[CheckRepor
     r_b = r_quantity(graph, op.mask_b)
     pair_ratio = dual_cheeger_ratio(graph, op.mask_a, op.mask_b)
     return [
-        CheckReport.identity(
-            "conjugation_identity", op.identity_residual, 0.0, 1e-12, fp
-        ),
-        CheckReport.identity(
-            "conjugation_spectrum", deviation, 0.0, 1e-9, fp
-        ),
-        CheckReport.inequality("p_psi_kappa", op.blocked_norm, kappa, INEQUALITY_TOL, fp),
+        CheckReport.identity("conjugation_identity", op.identity_residual, 0.0, 1e-12),
+        CheckReport.identity("conjugation_spectrum", deviation, 0.0, 1e-9),
+        CheckReport.inequality("p_psi_kappa", op.blocked_norm, kappa, INEQUALITY_TOL),
         CheckReport.inequality(
-            "r_chain_lower", min(r_a, r_b), 1.0 - pair_ratio, INEQUALITY_TOL, fp
+            "r_chain_lower", min(r_a, r_b), 1.0 - pair_ratio, INEQUALITY_TOL
         ),
         CheckReport.inequality(
-            "r_chain_upper", 1.0 - pair_ratio, max(r_a, r_b), INEQUALITY_TOL, fp
+            "r_chain_upper", 1.0 - pair_ratio, max(r_a, r_b), INEQUALITY_TOL
         ),
-        CheckReport.inequality(
-            "r_chain_kappa", max(r_a, r_b), kappa, INEQUALITY_TOL, fp
-        ),
+        CheckReport.inequality("r_chain_kappa", max(r_a, r_b), kappa, INEQUALITY_TOL),
     ]
 
 
 def check_global_invariants(analysis: Analysis) -> list[CheckReport]:
     """Whole-graph identities tying the invariants to the spectrum."""
     graph = analysis.graph
-    fp = analysis.fingerprint
     spec = analysis.spectrum
     best = analysis.h
     bipartite, _ = is_bipartite(graph)
@@ -516,42 +475,27 @@ def check_global_invariants(analysis: Analysis) -> list[CheckReport]:
             1.0,
             analysis.hbar.value + analysis.kappa.value,
             INEQUALITY_TOL,
-            fp,
         ),
         CheckReport.identity(
-            "partition_cheeger_equality",
-            h_via_r(graph, analysis.max_n),
-            best.value,
-            1e-12,
-            fp,
+            "partition_cheeger_equality", analysis.h_partition, best.value, 1e-12
         ),
         CheckReport.identity(
             "r_ratio_complement",
             r_quantity(graph, best.witness) + cheeger_ratio(graph, best.witness),
             1.0,
             1e-12,
-            fp,
         ),
         CheckReport.identity(
             "trace_dimension",
             float(np.sum(spec.values)),
             float(graph.n),
             INEQUALITY_TOL * max(1.0, float(graph.n)),
-            fp,
         ),
         CheckReport.identity(
-            "zero_multiplicity",
-            float(zero_count),
-            float(graph.component_count),
-            0.0,
-            fp,
+            "zero_multiplicity", float(zero_count), float(graph.component_count), 0.0
         ),
         CheckReport.identity(
-            "bipartite_kappa",
-            float(analysis.kappa.value == 0.0),
-            float(bipartite),
-            0.0,
-            fp,
+            "bipartite_kappa", float(analysis.kappa.value == 0.0), float(bipartite), 0.0
         ),
     ]
 
@@ -559,7 +503,6 @@ def check_global_invariants(analysis: Analysis) -> list[CheckReport]:
 def check_auxiliary(analysis: Analysis, f: np.ndarray) -> list[CheckReport]:
     """Norm preservation and energy domination of the companion graph."""
     graph = analysis.graph
-    fp = analysis.fingerprint
     arr = _as_function(graph, f)
     aux = auxiliary_graph(graph, arr)
     norm = inner_product(graph, arr, arr)
@@ -567,15 +510,9 @@ def check_auxiliary(analysis: Analysis, f: np.ndarray) -> list[CheckReport]:
     energy = q_form(graph, arr)
     energy_aux = dirichlet_form(aux.graph, aux.values)
     return [
-        CheckReport.identity(
-            "auxiliary_norm", norm_aux, norm, IDENTITY_TOL * max(1.0, norm), fp
-        ),
+        CheckReport.identity("auxiliary_norm", norm_aux, norm, IDENTITY_TOL * max(1.0, norm)),
         CheckReport.inequality(
-            "auxiliary_energy",
-            energy_aux,
-            energy,
-            IDENTITY_TOL * max(1.0, energy),
-            fp,
+            "auxiliary_energy", energy_aux, energy, IDENTITY_TOL * max(1.0, energy)
         ),
     ]
 
@@ -686,7 +623,8 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
     """Sweep every check over family and seeded random graphs.
 
     The summary aggregates per check id (count, failures, minimum slack and
-    the instance attaining it) and lists every failing report in full.  An
+    the instance attaining it) and lists every failing report in full; both
+    kinds of row end in the fingerprint of the instance's ``Analysis``.  An
     instance whose draw, analysis or checks raise a ``SpecgraphError``
     becomes one failure row with the error type, message and fingerprint
     (``None`` when the draw failed, as there is no graph), and the sweep goes
@@ -727,7 +665,11 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
             entry["count"] += 1
             if not report.passed:
                 entry["failures"] += 1
-                failures.append({"instance": name, **report.to_payload()})
+                failures.append({
+                    "instance": name,
+                    **report.to_payload(),
+                    "fingerprint": analysis.fingerprint,
+                })
             if report.slack < entry["min_slack"]:
                 entry["min_slack"] = report.slack
                 entry["worst"] = {
@@ -735,7 +677,7 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
                     "lhs": report.lhs,
                     "rhs": report.rhs,
                     "slack": report.slack,
-                    "fingerprint": report.fingerprint,
+                    "fingerprint": analysis.fingerprint,
                 }
 
     uncovered = sorted(set(CHECK_MANIFEST) - set(stats))

@@ -10,16 +10,18 @@ witnesses:
 * the bipartiteness defect ``kappa`` — infimum over partitions ``V = A + B``
   of the worst same-side return probability.
 
-All three respect vertex-count caps (``TooLarge`` beyond) because the search
-spaces grow exponentially.  The enumerations read mask-indexed numpy tables:
-``m(S)`` and ``m_S(x)`` are subset sums built by doubling, split into a low
-table and per-block high rows for the dual and ``kappa`` sweeps.  The Cheeger
-search (and ``h_via_r``) takes one certified minimum: it reads a fast cut table
-``m(boundary S)`` built by one matrix product over a low/high split of the
-vertices, keeps the sets within a rounding margin of its minimum, and
-recomputes only those edge by edge, so value and witness are the ones an
-edge-by-edge table gives.  ``connected_only`` excludes each disconnected
-witness and asks again.
+All three respect vertex-count caps because the search spaces grow
+exponentially: every search, ``h_via_r`` included, raises ``TooLarge`` beyond
+its cap or when 25 bytes per vertex subset would not fit in physical memory.
+The enumerations read mask-indexed numpy tables over the graph's one dense
+weight matrix: ``m(S)`` and ``m_S(x)`` are subset sums built by doubling,
+split into a low table and per-block high rows for the dual and ``kappa``
+sweeps.  The Cheeger search (and ``h_via_r``) takes one certified minimum: it
+reads a fast cut table ``m(boundary S)`` built by one matrix product over a
+low/high split of the vertices, keeps the sets within a rounding margin of
+its minimum, and recomputes only those edge by edge, so value and witness are
+the ones an edge-by-edge table gives.  ``connected_only`` excludes each
+disconnected witness and asks again.
 At the default caps one query takes from a few hundredths of a second (the
 dual search on 14 vertices) to about half a second (``kappa`` on 20
 vertices, the slowest); the Cheeger search on 22 vertices takes about a tenth.
@@ -46,8 +48,8 @@ from .graph import (
     mask_of,
     set_measures,
     vertices_of,
+    weight_matrix,
 )
-from .spectral import weight_matrix
 
 __all__ = [
     "DEFAULT_MAX_CHEEGER",
@@ -75,6 +77,9 @@ DEFAULT_MAX_KAPPA = 20
 HALF_TIE_RTOL = 1e-12
 
 _CHUNK_BITS = 16
+# Bytes per mask the Cheeger search holds at its peak: three float64 tables
+# (the measure table, the fast table and one temporary) and a boolean one.
+_BYTES_PER_MASK = 3 * 8 + 1
 
 
 @dataclass(frozen=True)
@@ -190,9 +195,20 @@ def _chunks(graph: WeightedGraph, pick: slice = slice(None)):
 
 
 def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
+    """The one size rule of every exact search: ``TooLarge`` beyond the cap,
+    or when ``_BYTES_PER_MASK`` bytes for each of the ``2^n`` masks would not
+    fit in physical memory (the Cheeger tables need that much, and the
+    streamed searches would not finish in any useful time)."""
     cap = default if max_n is None else _integer(max_n, "max_n")
     if n > cap:
         raise TooLarge(f"{what} enumeration capped at {cap} vertices, got {n}")
+    need = _BYTES_PER_MASK << n
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise TooLarge(
+            f"{what} enumeration over {n} vertices needs {need} bytes of tables,"
+            f" more than the {memory} bytes of physical memory"
+        )
 
 
 # ------------------------------------------------------------------- Cheeger
@@ -206,9 +222,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1000
 # Candidates per block of the exact finish.
 _FINISH_CHUNK = 256
-# Bytes per mask the Cheeger search holds at its peak: three float64 tables
-# (the measure table, the fast table and one temporary) and a boolean one.
-_BYTES_PER_MASK = 3 * 8 + 1
 
 
 def _gamma(k: int) -> float:
@@ -262,18 +275,10 @@ def _edge_order_cuts(graph: WeightedGraph, masks: np.ndarray) -> np.ndarray:
 
 def _search_tables(graph: WeightedGraph, max_n: int | None) -> np.ndarray:
     """The checks every Cheeger search makes, then its ``m(S)`` table."""
-    n = graph.n
-    _check_cap(n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
+    _check_cap(graph.n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
     if not graph.is_connected():
         raise DisconnectedGraph("cheeger constant needs a connected graph")
-    need = _BYTES_PER_MASK << n
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > memory:
-        raise TooLarge(
-            f"cheeger enumeration over {n} vertices needs {need} bytes of tables,"
-            f" more than the {memory} bytes of physical memory"
-        )
-    return _subset_sums(graph.vertex_measure, n)
+    return _subset_sums(graph.vertex_measure, graph.n)
 
 
 def _least(graph: WeightedGraph, fast: np.ndarray, score) -> tuple[float, int]:

@@ -20,8 +20,6 @@ carried through to the reported residuals.  Indices into the sequence are
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -150,10 +148,6 @@ class PSequence:
 
     def to_payload(self) -> dict:
         return {"head": list(self.head), "tail": {"ratio": self.ratio}}
-
-    def fingerprint(self) -> str:
-        wire = json.dumps(self.to_payload(), sort_keys=True)
-        return hashlib.md5(wire.encode()).hexdigest()[:12]
 
 
 @lru_cache(maxsize=128)
@@ -570,13 +564,7 @@ def hilbert_schmidt_sum(p: PSequence) -> tuple[float, CheckReport]:
             break
         terms = min(_MAX_TERMS, terms * 2)
     value = t1 * t1 - t2
-    report = CheckReport.inequality(
-        "hilbert_schmidt_bound",
-        value + err_up,
-        p.r(1) ** 2,
-        0.0,
-        p.fingerprint(),
-    )
+    report = CheckReport.inequality("hilbert_schmidt_bound", value + err_up, p.r(1) ** 2, 0.0)
     return value, report
 
 

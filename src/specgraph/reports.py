@@ -22,7 +22,10 @@ class CheckReport:
 
     For a one-sided relation ``lhs <= rhs`` the slack is ``rhs - lhs``; for a
     two-sided identity it is ``-|lhs - rhs|``.  Either way a failure is a
-    negative slack beyond the stated tolerance.
+    negative slack beyond the stated tolerance.  The numbers are stored as
+    Python floats and ``passed`` as a Python bool, so a report prints the same
+    whether its inputs were numpy scalars or not.  A report names no graph:
+    the harness reads the fingerprint from the ``Analysis`` it checked.
     """
 
     check_id: str
@@ -31,21 +34,18 @@ class CheckReport:
     slack: float
     tolerance: float
     passed: bool
-    fingerprint: str
 
     @classmethod
-    def inequality(
-        cls, check_id: str, lhs: float, rhs: float, tolerance: float, fingerprint: str
-    ) -> "CheckReport":
+    def inequality(cls, check_id: str, lhs: float, rhs: float, tolerance: float) -> "CheckReport":
+        lhs, rhs, tolerance = float(lhs), float(rhs), float(tolerance)
         slack = rhs - lhs
-        return cls(check_id, lhs, rhs, slack, tolerance, slack >= -tolerance, fingerprint)
+        return cls(check_id, lhs, rhs, slack, tolerance, slack >= -tolerance)
 
     @classmethod
-    def identity(
-        cls, check_id: str, lhs: float, rhs: float, tolerance: float, fingerprint: str
-    ) -> "CheckReport":
+    def identity(cls, check_id: str, lhs: float, rhs: float, tolerance: float) -> "CheckReport":
+        lhs, rhs, tolerance = float(lhs), float(rhs), float(tolerance)
         slack = -abs(lhs - rhs)
-        return cls(check_id, lhs, rhs, slack, tolerance, slack >= -tolerance, fingerprint)
+        return cls(check_id, lhs, rhs, slack, tolerance, slack >= -tolerance)
 
     def to_payload(self) -> dict:
         return {
@@ -55,5 +55,4 @@ class CheckReport:
             "slack": self.slack,
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "fingerprint": self.fingerprint,
         }

@@ -1,7 +1,8 @@
 """Dense spectral computations for the normalized Laplacian.
 
 The Laplacian is conjugate to the symmetric matrix
-``N = D^{-1/2} W D^{-1/2}`` (``D`` the diagonal of vertex measures), so all
+``N = D^{-1/2} W D^{-1/2}`` (``D`` the diagonal of vertex measures, ``W``
+the graph's one dense weight matrix, ``graph.weight_matrix``), so all
 eigensolves go through a symmetric eigensolver and are transformed back.  The
 spectrum always lies in ``[0, 2]``; tiny excursions from rounding are clamped,
 anything larger is a hard error.
@@ -24,6 +25,7 @@ from .graph import (
     _as_values,
     dirichlet_form,
     inner_product,
+    weight_matrix,
 )
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "Spectrum",
     "SignedBlockOperator",
     "AuxiliaryGraph",
-    "weight_matrix",
     "random_walk_matrix",
     "laplacian_matrix",
     "symmetric_conjugate",
@@ -49,13 +50,6 @@ ZERO_THRESHOLD = 1e-9
 CLAMP_TOL = 1e-9
 # The two Hausdorff-asymmetry routes must agree this tightly.
 _ROUTE_TOL = 1e-12
-
-
-def weight_matrix(graph: WeightedGraph) -> np.ndarray:
-    w = np.zeros((graph.n, graph.n))
-    w[graph.u, graph.v] = graph.w
-    w[graph.v, graph.u] = graph.w
-    return w
 
 
 def random_walk_matrix(graph: WeightedGraph) -> np.ndarray:

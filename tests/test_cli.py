@@ -17,7 +17,8 @@ from specgraph.families import FAMILIES
 from specgraph.graph import graph_to_json
 from specgraph.invariants import cheeger_constant_exact
 from specgraph.kgraph import RESIDUAL_BUDGET
-from test_invariants import _DISCONNECTED_FIRST, _tie_heavy_graph
+from test_harness import wrong_on_the_single_edge
+from test_invariants import _DISCONNECTED_FIRST, _tie_heavy_graph, refuse_to_enumerate
 
 K4_JSON = json.dumps(
     {"edges": [[u, v, 1.0] for u in range(4) for v in range(u + 1, 4)]}
@@ -276,6 +277,15 @@ def test_a_failed_draw_is_a_failure_row_and_the_sweep_goes_on(capsys):
     ]
 
 
+def test_a_failing_check_prints_its_summary(capsys, monkeypatch):
+    wrong_on_the_single_edge(monkeypatch)
+    argv = ["verify", "--seeds", "1", "--no-families", "--n-min", "4", "--n-max", "4"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err == ""
+    [row] = json.loads(out)["failures"]
+    assert row["check"] == "witness_single_edge" and row["passed"] is False
+
+
 # ------------------------------------------------------------ error handling
 
 
@@ -388,6 +398,14 @@ def test_cheeger_beyond_physical_memory_is_too_large(capsys, monkeypatch, extra)
     code, out, err = run(capsys, argv, PATH40_JSON, monkeypatch)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "TooLarge"
+
+
+@pytest.mark.parametrize("command", ["dual-cheeger", "kappa"])
+def test_streamed_search_beyond_physical_memory_is_too_large(capsys, monkeypatch, command):
+    refuse_to_enumerate(monkeypatch)
+    code, out, err = run(capsys, [command, "-", "--max-n", "40"], PATH40_JSON, monkeypatch)
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "TooLarge"
 
 

@@ -32,6 +32,7 @@ from specgraph.graph import (
     q_form,
     set_measures,
     vertices_of,
+    weight_matrix,
 )
 from specgraph.harness import RandomGraphSpec, _family_instances, sample_graph
 from specgraph.invariants import is_bipartite
@@ -223,6 +224,17 @@ def _assert_search_matches_reference(g):
         mask_b = mask_of(np.flatnonzero(side).tolist())
         expected = (True, (((1 << g.n) - 1) ^ mask_b, mask_b))
     assert is_bipartite(g) == expected
+
+
+def test_dense_weight_matrix_is_built_once_and_read_only():
+    g = triangle(1.0, 2.0, 4.0)
+    w = weight_matrix(g)
+    assert weight_matrix(g) is w and not w.flags.writeable
+    expected = np.zeros((3, 3))
+    for a, b, weight in g.edges:
+        expected[a, b] = expected[b, a] = weight
+    assert np.array_equal(w, expected)
+    assert g.total_measure == float(g.vertex_measure.sum()) == 14.0
 
 
 def test_search_matches_reference_on_every_small_graph():

@@ -1,5 +1,7 @@
 """Randomized verification sweep: single checks, full sweeps, bookkeeping."""
 
+import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -147,11 +149,23 @@ def test_full_check_list_for_one_graph():
     assert all(r.passed for r in with_rng)
 
 
-def test_every_report_of_a_seeded_graph_carries_the_seed():
+def test_every_summary_row_of_a_seeded_graph_carries_the_seed(monkeypatch):
+    """The fingerprint lives on the ``Analysis``; ``run_suite`` writes it into
+    every worst row and, as the last key, into every failure row."""
     g = sample_graph(RandomGraphSpec(n=6, seed=9))
-    reports = graph_checks(analyze(g, seed=9), rng=np.random.default_rng(1))
-    assert {r.check_id for r in reports} == set(CHECK_MANIFEST)
-    assert all(r.fingerprint.endswith(":9") for r in reports)
+    fingerprint = analyze(g, seed=9).fingerprint
+    assert fingerprint == graph_fingerprint(g, 9) and fingerprint.endswith(":9")
+
+    def pessimist(analysis):
+        return CheckReport.inequality("asymmetry_kappa_bound", 5.0, 0.0, 0.0)
+
+    monkeypatch.setattr("specgraph.harness.check_asymmetry_bound", pessimist)
+    config = SuiteConfig(seeds=1, n_min=6, n_max=6, base_seed=9, include_families=False)
+    summary = run_suite(config)
+    [failure] = summary["failures"]
+    assert list(failure)[-1] == "fingerprint"
+    rows = [entry["worst"] for entry in summary["checks"].values()] + [failure]
+    assert {row["fingerprint"] for row in rows} == {fingerprint}
 
 
 def test_manifest_is_complete_and_documented():
@@ -204,7 +218,7 @@ def test_observed_kappa_stays_in_range():
 
 def test_unknown_check_id_is_a_hard_error(monkeypatch):
     def rogue(graph, max_n=None, seed=None):
-        return CheckReport.inequality("made_up_check", 0.0, 1.0, 0.0, "deadbeef")
+        return CheckReport.inequality("made_up_check", 0.0, 1.0, 0.0)
 
     monkeypatch.setattr("specgraph.harness.check_asymmetry_bound", rogue)
     with pytest.raises(KeyError):
@@ -213,7 +227,7 @@ def test_unknown_check_id_is_a_hard_error(monkeypatch):
 
 def test_failing_reports_are_collected_not_swallowed(monkeypatch):
     def pessimist(graph, max_n=None, seed=None):
-        return CheckReport.inequality("asymmetry_kappa_bound", 5.0, 0.0, 0.0, "feed")
+        return CheckReport.inequality("asymmetry_kappa_bound", 5.0, 0.0, 0.0)
 
     monkeypatch.setattr("specgraph.harness.check_asymmetry_bound", pessimist)
     summary = run_suite(SuiteConfig(seeds=1, n_min=4, n_max=4, include_families=False))
@@ -265,6 +279,7 @@ def test_each_result_is_computed_once_per_graph(monkeypatch):
         "cheeger_constant_exact",
         "dual_cheeger_exact",
         "kappa_exact",
+        "h_via_r",
         "graph_fingerprint",
     ):
         wrapper = counted(name, getattr(specgraph.harness, name))
@@ -279,6 +294,7 @@ def test_each_result_is_computed_once_per_graph(monkeypatch):
         "cheeger_constant_exact": 1,
         "dual_cheeger_exact": 1,
         "kappa_exact": 1,
+        "h_via_r": 1,
         "graph_fingerprint": 1,
         "spectrum": 2,
     }
@@ -286,6 +302,72 @@ def test_each_result_is_computed_once_per_graph(monkeypatch):
     for name, per_graph in expected.items():
         assert len(calls[name]) == summary["instances"], name
         assert set(calls[name].values()) == {per_graph}, name
+
+
+def test_no_check_runs_an_exact_search(monkeypatch):
+    """The checks read every invariant, the partition route to ``h``
+    included, from the ``Analysis``."""
+    analysis = analyze(sample_graph(RandomGraphSpec(n=7, seed=4)), seed=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran an exact search")
+
+    for name in ("cheeger_constant_exact", "dual_cheeger_exact", "kappa_exact", "h_via_r"):
+        monkeypatch.setattr(specgraph.harness, name, refuse)
+    reports = graph_checks(analysis, rng=np.random.default_rng(2))
+    assert all(r.passed for r in reports)
+
+
+def test_each_graph_builds_one_dense_weight_matrix(monkeypatch):
+    """Every reader of the dense view (walk matrix, Laplacian, symmetric
+    conjugate, the exact searches) gets the one matrix of its graph."""
+    matrices: dict[int, set] = {}
+    held = []  # graphs and matrices stay alive here, so their ids stay unique
+
+    def counted(func):
+        def wrapper(graph):
+            matrix = func(graph)
+            held.append((graph, matrix))
+            matrices.setdefault(id(graph), set()).add(id(matrix))
+            return matrix
+
+        return wrapper
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("specgraph") and hasattr(module, "weight_matrix"):
+            monkeypatch.setattr(module, "weight_matrix", counted(module.weight_matrix))
+
+    summary = run_suite(SuiteConfig(seeds=3, n_min=4, n_max=6))
+    assert summary["ok"]
+    assert len(matrices) == summary["instances"]
+    assert {len(built) for built in matrices.values()} == {1}
+
+
+def wrong_on_the_single_edge(monkeypatch):
+    """Make ``harness.rayleigh`` off by 1 on the single-edge witness function
+    (opposite masses on the ends of the first edge) and right elsewhere."""
+    real = specgraph.harness.rayleigh
+
+    def rayleigh(graph, f):
+        a, b = graph.u[0], graph.v[0]
+        edge = np.zeros(graph.n)
+        edge[a], edge[b] = graph.vertex_measure[b], -graph.vertex_measure[a]
+        return real(graph, f) + (1.0 if np.array_equal(f, edge) else 0.0)
+
+    monkeypatch.setattr(specgraph.harness, "rayleigh", rayleigh)
+
+
+def test_a_failing_check_still_prints_as_json(monkeypatch):
+    """The single-edge report is built from numpy scalars; it stores Python
+    floats and a Python bool, so its failure row serialises."""
+    wrong_on_the_single_edge(monkeypatch)
+    summary = run_suite(SuiteConfig(seeds=1, n_min=4, n_max=4, include_families=False))
+    assert json.loads(json.dumps(summary)) == summary
+    [row] = summary["failures"]
+    assert row["check"] == "witness_single_edge" and row["passed"] is False
+    for key in ("lhs", "rhs", "slack", "tolerance"):
+        assert type(row[key]) is float, key
 
 
 def test_never_produced_manifest_entries_fail_the_suite(monkeypatch):

@@ -463,6 +463,25 @@ def test_cheeger_tables_beyond_physical_memory_are_too_large():
         h_via_r(g, max_n=40)
 
 
+def refuse_to_enumerate(monkeypatch):
+    """Replace the block walk of the dual and ``kappa`` searches by a stub
+    that fails when called, so a search that starts fails at once."""
+
+    def stub(*args, **kwargs):
+        raise AssertionError("the search started enumerating")
+
+    monkeypatch.setattr(invariants, "_chunks", stub)
+
+
+@pytest.mark.parametrize("search", [dual_cheeger_exact, kappa_exact])
+def test_streamed_searches_beyond_physical_memory_are_too_large(monkeypatch, search):
+    """The dual and ``kappa`` searches share the Cheeger search's size rule,
+    so a 40-vertex path under ``max_n=40`` is refused before any block."""
+    refuse_to_enumerate(monkeypatch)
+    with pytest.raises(TooLarge, match="physical memory"):
+        search(path(40), max_n=40)
+
+
 def test_cheeger_needs_connected_graph():
     g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraph):

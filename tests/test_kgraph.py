@@ -98,8 +98,6 @@ def test_sequence_payload_round_trip():
     payload = DYADIC.to_payload()
     assert payload == {"head": [0.5, 0.25], "tail": {"ratio": 0.5}}
     assert PSequence(payload["head"], payload["tail"]["ratio"]) == DYADIC
-    fp = DYADIC.fingerprint()
-    assert len(fp) == 12 and fp == DYADIC.fingerprint()
 
 
 # ------------------------------------------------------------ secular values

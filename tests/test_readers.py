@@ -18,6 +18,7 @@ import hashlib
 import inspect
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,7 +257,6 @@ def ref_check_plus_minus_split(analysis, g):
         raise NotOrthogonal(f"<g, 1> = {mean} is not negligible")
 
     tau, g_plus, g_minus = ref_tau_split(graph, arr)
-    fp = analysis.fingerprint
     m = graph.vertex_measure
     below = float(m[arr < tau].sum())
     above = float(m[arr > tau].sum())
@@ -272,25 +272,22 @@ def ref_check_plus_minus_split(analysis, g):
             max(below, above),
             total / 2.0,
             INEQUALITY_TOL * max(1.0, total),
-            fp,
         ),
-        CheckReport.identity("split_disjoint_support", overlap, 0.0, 0.0, fp),
+        CheckReport.identity("split_disjoint_support", overlap, 0.0, 0.0),
         CheckReport.inequality(
-            "split_norm_domination", norm, norm_parts, INEQUALITY_TOL * max(1.0, norm), fp
+            "split_norm_domination", norm, norm_parts, INEQUALITY_TOL * max(1.0, norm)
         ),
         CheckReport.inequality(
             "split_energy_domination",
             energy_parts,
             energy,
             INEQUALITY_TOL * max(1.0, energy),
-            fp,
         ),
     ]
 
 
 def ref_coarea_check(analysis, f):
     graph = analysis.graph
-    fp = analysis.fingerprint
     arr = np.asarray(f, dtype=float)
     g = arr * arr
     levels = np.concatenate(([0.0], np.unique(g)))
@@ -307,16 +304,15 @@ def ref_coarea_check(analysis, f):
     tol_a = 1e-10 * max(1.0, abs(norm))
     tol_b = 1e-10 * max(1.0, abs(variation))
     return (
-        CheckReport.identity("coarea_level_measure", measure_integral, norm, tol_a, fp),
+        CheckReport.identity("coarea_level_measure", measure_integral, norm, tol_a),
         CheckReport.identity(
-            "coarea_level_boundary", boundary_integral, variation, tol_b, fp
+            "coarea_level_boundary", boundary_integral, variation, tol_b
         ),
     )
 
 
 def ref_check_operator_partition(analysis, mask_a):
     graph = analysis.graph
-    fp = analysis.fingerprint
     op = ref_signed_conjugation(graph, mask_a)
     deviation = float(np.abs(op.values - analysis.spectrum.values).max())
     kappa = ref_kappa_pair(graph, op.mask_a, op.mask_b)
@@ -324,22 +320,21 @@ def ref_check_operator_partition(analysis, mask_a):
     r_b = ref_r_quantity(graph, op.mask_b)
     pair_ratio = ref_dual_cheeger_ratio(graph, op.mask_a, op.mask_b)
     return [
-        CheckReport.identity("conjugation_identity", op.identity_residual, 0.0, 1e-12, fp),
-        CheckReport.identity("conjugation_spectrum", deviation, 0.0, 1e-9, fp),
-        CheckReport.inequality("p_psi_kappa", op.blocked_norm, kappa, INEQUALITY_TOL, fp),
+        CheckReport.identity("conjugation_identity", op.identity_residual, 0.0, 1e-12),
+        CheckReport.identity("conjugation_spectrum", deviation, 0.0, 1e-9),
+        CheckReport.inequality("p_psi_kappa", op.blocked_norm, kappa, INEQUALITY_TOL),
         CheckReport.inequality(
-            "r_chain_lower", min(r_a, r_b), 1.0 - pair_ratio, INEQUALITY_TOL, fp
+            "r_chain_lower", min(r_a, r_b), 1.0 - pair_ratio, INEQUALITY_TOL
         ),
         CheckReport.inequality(
-            "r_chain_upper", 1.0 - pair_ratio, max(r_a, r_b), INEQUALITY_TOL, fp
+            "r_chain_upper", 1.0 - pair_ratio, max(r_a, r_b), INEQUALITY_TOL
         ),
-        CheckReport.inequality("r_chain_kappa", max(r_a, r_b), kappa, INEQUALITY_TOL, fp),
+        CheckReport.inequality("r_chain_kappa", max(r_a, r_b), kappa, INEQUALITY_TOL),
     ]
 
 
 def ref_check_auxiliary(analysis, f):
     graph = analysis.graph
-    fp = analysis.fingerprint
     arr = np.asarray(f, dtype=float)
     aux = ref_auxiliary_graph(graph, arr)
     norm = ref_inner_product(graph, arr, arr)
@@ -348,10 +343,10 @@ def ref_check_auxiliary(analysis, f):
     energy_aux = ref_dirichlet_form(aux.graph, aux.values)
     return [
         CheckReport.identity(
-            "auxiliary_norm", norm_aux, norm, IDENTITY_TOL * max(1.0, norm), fp
+            "auxiliary_norm", norm_aux, norm, IDENTITY_TOL * max(1.0, norm)
         ),
         CheckReport.inequality(
-            "auxiliary_energy", energy_aux, energy, IDENTITY_TOL * max(1.0, energy), fp
+            "auxiliary_energy", energy_aux, energy, IDENTITY_TOL * max(1.0, energy)
         ),
     ]
 
@@ -395,7 +390,9 @@ FUZZ = {
 VERTEX_PARAMETERS = {"mask", "mask_a", "mask_b", "vertices", "f", "g"}
 
 MASK_KINDS = ("valid", "zero", "minus_one", "one_above", "huge", "float", "string")
-FUNCTION_KINDS = ("valid", "short", "long", "column", "strings", "nan", "inf")
+FUNCTION_KINDS = (
+    "valid", "short", "long", "column", "strings", "numeric_strings", "complex", "nan", "inf"
+)
 VERTICES_KINDS = ("valid", "negative", "float", "string")
 
 
@@ -431,6 +428,10 @@ def _draw(data, kind, graph):
         return f[:, None], False
     if which == "strings":
         return ["x"] * n, False
+    if which == "numeric_strings":
+        return [repr(float(x)) for x in f], False
+    if which == "complex":
+        return f + data.draw(st.sampled_from([0j, 3j])), False
     f[at] = math.nan if which == "nan" else data.draw(st.sampled_from([math.inf, -math.inf]))
     return f, False
 
@@ -818,7 +819,7 @@ def ref_analyze(graph, max_n=None, seed=None):
         spectral.spectrum(graph),
         spectral.spectrum(graph, eigenvectors=True),
         ref_graph_fingerprint(graph, seed),
-        max_n,
+        ref_h_via_r(graph, max_n),
     )
 
 
@@ -1047,6 +1048,14 @@ SEQUENCE = PSequence((0.9,), 0.1)
             lambda: hausdorff_asymmetry([[0.0, 2.0], [1.0, 1.5]]), id="hausdorff-matrix"
         ),
         pytest.param(lambda: hausdorff_asymmetry(1.0), id="hausdorff-scalar"),
+        pytest.param(
+            lambda: hausdorff_asymmetry(np.array([0.5 + 3j, 1.5])), id="hausdorff-complex"
+        ),
+        pytest.param(
+            lambda: hausdorff_asymmetry(np.array([0.5, None], dtype=object)),
+            id="hausdorff-object",
+        ),
+        pytest.param(lambda: tau_split(G4, ["0", "1", "2", "3"]), id="tau_split-strings"),
     ],
 )
 def test_scalar_parameters_that_are_not_usable_are_refused(call):
@@ -1068,7 +1077,14 @@ def test_numpy_scalars_and_bools_read_as_the_same_python_numbers():
 
 
 @pytest.mark.parametrize(
-    "values", [[0.0, 1.5, 2.0], (0.0, 0.3, 1.0, 1.25), np.array([1.0]), [0, 2, True]]
+    "values",
+    [
+        [0.0, 1.5, 2.0],
+        (0.0, 0.3, 1.0, 1.25),
+        np.array([1.0]),
+        [0, 2, True],
+        np.array([0.5, 1, True, Fraction(3, 2)], dtype=object),
+    ],
 )
 def test_hausdorff_asymmetry_keeps_its_bits(values):
     assert hausdorff_asymmetry(values).hex() == ref_hausdorff_asymmetry(values).hex()

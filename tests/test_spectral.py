@@ -13,6 +13,7 @@ from specgraph.graph import (
     dirichlet_form,
     inner_product,
     q_form,
+    weight_matrix,
 )
 from specgraph.harness import RandomGraphSpec, analyze, coarea_check, sample_graph
 from specgraph.invariants import is_bipartite, kappa_exact, kappa_pair
@@ -26,7 +27,6 @@ from specgraph.spectral import (
     signed_conjugation,
     spectrum,
     symmetric_conjugate,
-    weight_matrix,
 )
 
 EIG_ATOL = 1e-9
