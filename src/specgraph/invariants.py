@@ -16,15 +16,20 @@ its cap or when 25 bytes per vertex subset would not fit in physical memory.
 The enumerations read mask-indexed numpy tables over the graph's one dense
 weight matrix: ``m(S)`` and ``m_S(x)`` are subset sums built by doubling,
 split into a low table and per-block high rows for the dual and ``kappa``
-sweeps.  The Cheeger search (and ``h_via_r``) takes one certified minimum: it
+sweeps.  The ``kappa`` search first bounds every partition from the low
+table alone (each sum is at least its low prefix, bit for bit) and finishes
+only the partitions whose bound does not exceed a value already reached.
+The Cheeger search (and ``h_via_r``) takes one certified minimum: it
 reads a fast cut table ``m(boundary S)`` built by one matrix product over a
 low/high split of the vertices, keeps the sets within a rounding margin of
 its minimum, and recomputes only those edge by edge, so value and witness are
 the ones an edge-by-edge table gives.  ``connected_only`` excludes each
 disconnected witness and asks again.
-At the default caps one query takes from a few hundredths of a second (the
-dual search on 14 vertices) to about half a second (``kappa`` on 20
-vertices, the slowest); the Cheeger search on 22 vertices takes about a tenth.
+At the default caps one query on a random graph takes about a hundredth of
+a second (``kappa`` on 20 vertices), a few hundredths (the dual search on
+14) or about a seventh (the Cheeger search on 22, the slowest); ``kappa``
+takes about a fifth on the unit-weight complete graph on 20 vertices, whose
+ties leave the bound few partitions to rule out.
 """
 
 from __future__ import annotations
@@ -152,11 +157,12 @@ def r_quantity(graph: WeightedGraph, mask: int) -> float:
 # ------------------------------------------------------- mask-indexed tables
 
 
-def _subset_sums(rows: np.ndarray, k: int) -> np.ndarray:
-    """``sum(rows[v] for v in S)`` for every mask ``S`` of the first ``k``
-    rows, built by doubling.  Each sum adds its rows in ascending vertex
-    order, the order a loop over sorted edges adds in."""
-    table = np.zeros((1 << k, *rows.shape[1:]))
+def _subset_sums(rows: np.ndarray, k: int, start=0.0) -> np.ndarray:
+    """``start`` plus ``sum(rows[v] for v in S)`` for every mask ``S`` of the
+    first ``k`` rows, built by doubling.  Each sum adds its rows in ascending
+    vertex order, the order a loop over sorted edges adds in."""
+    table = np.empty((1 << k, *rows.shape[1:]))
+    table[0] = start
     for v in range(k):
         np.add(table[: 1 << v], rows[v], out=table[1 << v : 2 << v])
     return table
@@ -168,30 +174,28 @@ def _members(masks: np.ndarray, n: int) -> np.ndarray:
     return ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
 
 
-def _chunks(graph: WeightedGraph, pick: slice = slice(None)):
-    """Every mask ``S`` in ascending blocks of ``2^_CHUNK_BITS``, thinned by
-    ``pick`` inside each block, as ``(masks, in_a, sums, sums_c)``: ``in_a``
-    marks the members, row ``i`` of ``sums`` is ``m_S(x)`` for each vertex
-    ``x`` followed by ``m(S)`` for ``S = masks[i]``, and ``sums_c`` is the
-    same for the complement.  One table covers the low vertices (a
-    meet-in-the-middle split, Horowitz-Sahni 1974) and each block adds its
-    high rows in ascending order, so every sum is the one ``_subset_sums``
-    gives."""
+def _plus_high(rows: np.ndarray, table: np.ndarray, k: int, high: int) -> np.ndarray:
+    """``table`` plus ``rows[k + j]`` for each bit ``j`` of ``high``, added in
+    ascending ``j``: with ``table`` the rows ``L`` of ``_subset_sums(rows,
+    k)``, the sums ``_subset_sums`` gives for the masks ``(high << k) | L``."""
+    return reduce(np.add, [rows[k + j] for j in range(len(rows) - k) if high >> j & 1], table)
+
+
+def _chunks(graph: WeightedGraph):
+    """Every mask ``S`` in ascending blocks of ``2^_CHUNK_BITS``, as ``(masks,
+    in_a, sums)``: ``in_a`` marks the members, and row ``i`` of ``sums`` is
+    ``m_S(x)`` for each vertex ``x`` followed by ``m(S)`` for ``S =
+    masks[i]``.  One table covers the low vertices (a meet-in-the-middle
+    split, Horowitz-Sahni 1974) and each block adds its high rows in
+    ascending order, so every sum is the one ``_subset_sums`` gives."""
     n = graph.n
     rows = np.column_stack([weight_matrix(graph), graph.vertex_measure])
     k = min(n, _CHUNK_BITS)
     low = _subset_sums(rows, k)
-    low_s, low_c = low[pick], low[::-1][pick]  # row i of low[::-1]: complement of i
-    offsets = np.arange(1 << k, dtype=np.int64)[pick]
-    top = (1 << (n - k)) - 1
-
-    def plus_high(table: np.ndarray, high: int) -> np.ndarray:
-        return reduce(np.add, [rows[k + j] for j in range(n - k) if high >> j & 1], table)
-
-    for high in range(top + 1):
+    offsets = np.arange(1 << k, dtype=np.int64)
+    for high in range(1 << (n - k)):
         masks = (high << k) | offsets
-        in_a = _members(masks, n).T
-        yield masks, in_a, plus_high(low_s, high), plus_high(low_c, top ^ high)
+        yield masks, _members(masks, n).T, _plus_high(rows, low, k, high)
 
 
 def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
@@ -379,7 +383,7 @@ def dual_cheeger_exact(
     m = graph.vertex_measure
     full = (1 << n) - 1
     best, witness = -math.inf, (0, 0)
-    for masks, in_a, sums, _ in _chunks(graph):
+    for masks, in_a, sums in _chunks(graph):
         into = sums[:, :n]
         ratio = into / m
         ratio[in_a] = -1.0  # members of A cannot join B; sorted last
@@ -408,23 +412,91 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
 
     Enumerates the ``2^(n-1) - 1`` partitions with vertex 0 in ``A``; the
     value is 0 exactly when the graph is bipartite (a bipartition has no
-    same-side edge, so every return probability is an empty sum).
+    same-side edge, so every return probability is an empty sum).  Equal
+    values go to the smallest ``A`` mask.
+
+    Each partition is ``A = L + H``: ``L`` holds vertex 0 and the other low
+    vertices of ``A``, the first ``k = min(n, _CHUNK_BITS)``, and ``H`` the
+    high ones.  Its value is the max over ``x`` of ``fl(m_S(x) / m(x))``,
+    with ``S`` the side of ``x``.  ``m_A(x)`` is ``m_L(x)``, read from the
+    low table, plus the weight from each vertex of ``H`` into ``x``, added
+    in ascending vertex order; ``m_{A^c}(x)`` is ``m_{L^c}(x)`` plus the
+    high vertices outside ``H`` in the same way (``L^c`` is the complement
+    among the low vertices).
+
+    Bound.  Every added weight is nonnegative and rounding to nearest is
+    monotone, so ``fl(a + b) >= a`` for ``b >= 0``: each sum ends at or
+    above its low prefix, ``m_A(x) >= m_L(x)`` and ``m_{A^c}(x) >=
+    m_{L^c}(x)`` as computed.  ``L`` fixes the side of each low vertex; a
+    high vertex may sit on either side, so its sum is at least the smaller
+    of its two prefixes.  ``fl(a / m(x))`` and ``max`` are monotone as
+    well, so the bound of ``L`` (the max over ``x`` of the prefix of its
+    side, or the smaller prefix for a high ``x``, over ``m(x)``) is at most
+    the computed value of every partition ``L + H``, bit for bit and with no
+    margin.
+
+    Filter and finish.  ``ub``, the least value among the partitions of the
+    ``L`` with the least bound, is at least the minimum.  Every ``L`` whose
+    bound exceeds ``ub`` is skipped, as none of its partitions can reach the
+    minimum; the skip is strict, so every ``L`` of a tied minimizer stays.
+    The kept ``L`` go through the full sums one high part at a time in
+    ascending mask order, so value and witness are those a search of every
+    partition gives.  With ``n <= _CHUNK_BITS`` there is no high vertex: the
+    bound is the value and one pass over every ``L`` is the search.
     """
     n = graph.n
     _check_cap(n, max_n, DEFAULT_MAX_KAPPA, "kappa")
     if n < 2:
         raise EmptySet("kappa needs at least two vertices")
 
-    m = graph.vertex_measure
-    full = (1 << n) - 1
+    weights, m = weight_matrix(graph), graph.vertex_measure
+    k = min(n, _CHUNK_BITS)
+    full, top = (1 << n) - 1, (1 << (n - k)) - 1
+    low = _subset_sums(weights, k)
+    # Row i: the low part L = 2i + 1 (vertex 0 in A), and row i of low[::-1]
+    # its complement among the low vertices.
+    parts = np.arange(1, 1 << k, 2)
+    own, other = low[1::2], low[::-1][1::2]
+
+    def values(masks: np.ndarray, sums: np.ndarray, sums_c: np.ndarray) -> np.ndarray:
+        """The value of each partition ``masks``, from ``m_A(x)`` and
+        ``m_{A^c}(x)`` in the rows of ``sums`` and ``sums_c``."""
+        same_side = np.where(_members(masks, n).T, sums, sums_c)
+        result = (same_side / m).max(axis=1)
+        result[masks == full] = math.inf  # complement empty
+        return result
+
+    rows = slice(None)
+    if top:
+        in_low, bound = _members(parts, k), np.zeros(len(parts))
+        for x in range(n):  # a high vertex x >= k may sit on either side
+            prefix = (
+                np.where(in_low[x], own[:, x], other[:, x])
+                if x < k
+                else np.minimum(own[:, x], other[:, x])
+            )
+            np.maximum(bound, prefix / m[x], out=bound)
+        # The least-bound L with every high part H: row H of each table is
+        # the sum _plus_high gives, as _subset_sums adds in the same order.
+        i = int(np.argmin(bound))
+        ub = values(
+            (np.arange(top + 1) << k) | parts[i],
+            _subset_sums(weights[k:], n - k, own[i]),
+            _subset_sums(weights[k:], n - k, other[i])[::-1],
+        ).min()
+        rows = np.flatnonzero(bound <= ub)
+
     best, best_a = math.inf, 0
-    for masks, in_a, sums, sums_c in _chunks(graph, pick=slice(1, None, 2)):  # 0 in A
-        same_side = np.where(in_a, sums[:, :n], sums_c[:, :n])
-        worst = (same_side / m).max(axis=1)
-        worst[masks == full] = math.inf  # complement empty
-        top = int(np.argmin(worst))
-        if worst[top] < best:
-            best, best_a = float(worst[top]), int(masks[top])
+    for high in range(top + 1):
+        masks = (high << k) | parts[rows]
+        result = values(
+            masks,
+            _plus_high(weights, own[rows], k, high),
+            _plus_high(weights, other[rows], k, top ^ high),
+        )
+        i = int(np.argmin(result))
+        if result[i] < best:
+            best, best_a = float(result[i]), int(masks[i])
     return InvariantReport("kappa", best, (best_a, full ^ best_a))
 
 

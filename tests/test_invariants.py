@@ -1,6 +1,7 @@
 """Exact isoperimetric invariants against hand values and brute enumeration."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from specgraph.graph import (
     mask_of,
     set_measures,
     vertices_of,
+    weight_matrix,
 )
 from specgraph.harness import RandomGraphSpec, sample_graph
 from specgraph.invariants import (
@@ -168,38 +170,119 @@ def test_weighted_triangle_matches_brute_force(w):
 
 
 def test_subset_sums_add_in_neighbour_order(monkeypatch):
-    """Each enumerated ``m_S(x)`` and ``m(S)`` equals the per-vertex sum in
-    neighbour order bit for bit, across block seams too."""
+    """Each ``m_S(x)`` and ``m(S)`` of the dual's blocks, and each
+    ``m_S(x)`` and ``m_{S^c}(x)`` as ``kappa`` adds them (row ``L`` of the
+    low table, or of ``low[::-1]`` for the complement, plus the high rows of
+    that side), equals the per-vertex sum in neighbour order bit for bit,
+    across block seams too."""
     monkeypatch.setattr(invariants, "_CHUNK_BITS", 3)
     g = sample_graph(RandomGraphSpec(n=7, seed=3))
-    full = (1 << g.n) - 1
-    measures = invariants._subset_sums(g.vertex_measure, g.n)
-    for masks, _, sums, sums_c in invariants._chunks(g):
-        for mask, row, row_c in zip(masks.tolist(), sums, sums_c):
-            for subset, got in ((mask, row), (full ^ mask, row_c)):
-                inside = _indicator(g.n, subset)
-                m_set = _sequential_sum(g.vertex_measure[inside])
-                assert got.tolist() == [*_weight_into(g, inside).tolist(), m_set]
-                assert measures[subset] == m_set
+    n, k = g.n, 3
+    full, top = (1 << n) - 1, (1 << (n - k)) - 1
+    weights = weight_matrix(g)
+    measures = invariants._subset_sums(g.vertex_measure, n)
+    low = invariants._subset_sums(weights, k)
+    for masks, _, sums in invariants._chunks(g):
+        for mask, row in zip(masks.tolist(), sums):
+            high, part = divmod(mask, 1 << k)
+            own = invariants._plus_high(weights, low[part], k, high)
+            other = invariants._plus_high(weights, low[::-1][part], k, top ^ high)
+            for subset, got in ((mask, row[:n]), (mask, own), (full ^ mask, other)):
+                assert got.tolist() == _weight_into(g, _indicator(n, subset)).tolist()
+            m_set = _sequential_sum(g.vertex_measure[_indicator(n, mask)])
+            assert row[n] == measures[mask] == m_set
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
 def test_block_size_changes_no_value_or_witness(monkeypatch, bits):
     """The dual and kappa searches read masks in blocks of ``2^_CHUNK_BITS``;
-    small blocks put many block seams inside graphs of 4 to 10 vertices."""
-    graphs = [sample_graph(RandomGraphSpec(n=n, seed=n)) for n in range(4, 11)]
+    small blocks put many block seams inside graphs of 2 to 10 vertices, and
+    leave most vertices high, where the ``kappa`` bound takes the smaller of
+    the two prefixes.  ``kappa`` must match the full enumeration."""
+    graphs = [sample_graph(RandomGraphSpec(n=n, seed=n)) for n in range(2, 11)]
     graphs += [cycle(10), complete(8), generate(FamilySpec("ladder_L", 4, r=0.5))]
+    graphs += [_tie_heavy_graph(seed) for seed in range(4)] + [_extreme_weights(8, bits)]
 
-    def results():
-        return [
-            (report.value, report.witness)
-            for g in graphs
-            for report in (dual_cheeger_exact(g), kappa_exact(g))
-        ]
+    def duals():
+        return [(report.value, report.witness) for report in map(dual_cheeger_exact, graphs)]
 
-    default = results()
+    default, kappas = duals(), [_reference_kappa(g) for g in graphs]
     monkeypatch.setattr(invariants, "_CHUNK_BITS", bits)
-    assert results() == default
+    assert duals() == default
+    assert [_kappa_result(g) for g in graphs] == kappas
+
+
+# ------------------------------------------------- kappa search reference
+
+
+def _reference_kappa(graph: WeightedGraph) -> tuple[str, tuple[int, int]]:
+    """``(kappa hex, witness)`` by the search ``kappa_exact`` ran before its
+    prefix bound: every partition with vertex 0 in ``A``, in blocks of
+    ``2^16`` masks, each side's sums read from one low table plus the high
+    rows of that side, added in ascending order."""
+    n = graph.n
+    rows = weight_matrix(graph)
+    k = min(n, 16)
+    low = invariants._subset_sums(rows, k)
+    low_s, low_c = low[1::2], low[::-1][1::2]  # row i of low[::-1]: complement of i
+    offsets = np.arange(1 << k, dtype=np.int64)[1::2]
+    m = graph.vertex_measure
+    full, top = (1 << n) - 1, (1 << (n - k)) - 1
+
+    def plus_high(table, high):
+        return reduce(np.add, [rows[k + j] for j in range(n - k) if high >> j & 1], table)
+
+    best, best_a = math.inf, 0
+    for high in range(top + 1):
+        masks = (high << k) | offsets
+        in_a = invariants._members(masks, n).T
+        worst = (np.where(in_a, plus_high(low_s, high), plus_high(low_c, top ^ high)) / m).max(axis=1)
+        worst[masks == full] = math.inf  # complement empty
+        i = int(np.argmin(worst))
+        if worst[i] < best:
+            best, best_a = float(worst[i]), int(masks[i])
+    return best.hex(), (best_a, full ^ best_a)
+
+
+def _kappa_result(graph: WeightedGraph, max_n: int | None = None):
+    report = kappa_exact(graph, max_n=max_n)
+    return report.value.hex(), report.witness
+
+
+def _with_weights(graph: WeightedGraph, weights) -> WeightedGraph:
+    weights = np.broadcast_to(weights, graph.w.shape)
+    return WeightedGraph(np.column_stack([graph.u, graph.v, weights]))
+
+
+def _extreme_weights(n: int, seed: int) -> WeightedGraph:
+    """Weights 1e304 and 5e-324 drawn at random on one graph: a heavy edge
+    swallows every light one added after it."""
+    g = sample_graph(RandomGraphSpec(n=n, seed=seed))
+    return _with_weights(g, np.random.default_rng(seed).choice([1e304, 5e-324], len(g.w)))
+
+
+_KAPPA_GRAPHS = {
+    # log-uniform weights on n = 2..20, across the block seam at 16/17
+    **{f"random{n}": (lambda n=n: sample_graph(RandomGraphSpec(n=n, seed=n))) for n in range(2, 21)},
+    **{f"complete{n}": (lambda n=n: complete(n)) for n in (16, 17)},
+    **{f"cycle{n}": (lambda n=n: cycle(n)) for n in (17, 20)},
+    "huge17": lambda: _with_weights(_unit_random(17, 0.4, 17), 1e304),
+    "subnormal17": lambda: _with_weights(_unit_random(17, 0.4, 17), 5e-324),
+    "extreme9": lambda: _extreme_weights(9, 9),
+    **{f"ties{seed}": (lambda seed=seed: _tie_heavy_graph(seed)) for seed in (*range(12), 230, 332)},
+}
+
+
+@pytest.mark.parametrize("name", list(_KAPPA_GRAPHS))
+def test_kappa_search_matches_the_full_enumeration(name):
+    g = _KAPPA_GRAPHS[name]()
+    assert _kappa_result(g) == _reference_kappa(g)
+
+
+def test_kappa_on_the_acceptance_ladder_matches_the_full_enumeration():
+    g = generate(FamilySpec("ladder_L", 10, r=0.5))
+    assert g.n == 21
+    assert _kappa_result(g, max_n=21) == _reference_kappa(g)
 
 
 # ------------------------------------------------------------- search modes
@@ -464,13 +547,15 @@ def test_cheeger_tables_beyond_physical_memory_are_too_large():
 
 
 def refuse_to_enumerate(monkeypatch):
-    """Replace the block walk of the dual and ``kappa`` searches by a stub
-    that fails when called, so a search that starts fails at once."""
+    """Replace the first table build of the dual and ``kappa`` searches (the
+    dual's block walk and the low table ``kappa`` bounds from) by a stub that
+    fails when called, so a search that starts fails at once."""
 
     def stub(*args, **kwargs):
         raise AssertionError("the search started enumerating")
 
-    monkeypatch.setattr(invariants, "_chunks", stub)
+    for name in ("_chunks", "_subset_sums"):
+        monkeypatch.setattr(invariants, name, stub)
 
 
 @pytest.mark.parametrize("search", [dual_cheeger_exact, kappa_exact])
