@@ -19,6 +19,9 @@ split into a low table and per-block high rows for the dual and ``kappa``
 sweeps.  The ``kappa`` search first bounds every partition from the low
 table alone (each sum is at least its low prefix, bit for bit) and finishes
 only the partitions whose bound does not exceed a value already reached.
+The dual search drops each set ``A`` whose Dinkelbach function, less a
+derived rounding margin, shows that no pair ``(A, B)`` reaches a value
+already reached, and sorts only the sets left.
 The Cheeger search (and ``h_via_r``) takes one certified minimum: it
 reads a fast cut table ``m(boundary S)`` built by one matrix product over a
 low/high split of the vertices, keeps the sets within a rounding margin of
@@ -26,10 +29,11 @@ its minimum, and recomputes only those edge by edge, so value and witness are
 the ones an edge-by-edge table gives.  ``connected_only`` excludes each
 disconnected witness and asks again.
 At the default caps one query on a random graph takes about a hundredth of
-a second (``kappa`` on 20 vertices), a few hundredths (the dual search on
-14) or about a seventh (the Cheeger search on 22, the slowest); ``kappa``
-takes about a fifth on the unit-weight complete graph on 20 vertices, whose
-ties leave the bound few partitions to rule out.
+a second (``kappa`` on 20 vertices), about two hundredths (the dual search
+on 17) or about a seventh (the Cheeger search on 22, the slowest); ``kappa``
+takes about a fifth on the unit-weight complete graph on 20 vertices, and
+the dual search about a fifteenth on the one on 17, whose ties leave the
+bound and the filter few sets to rule out.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CHEEGER = 22
-DEFAULT_MAX_DUAL = 14
+DEFAULT_MAX_DUAL = 17
 DEFAULT_MAX_KAPPA = 20
 
 # Sets with m(S) <= m(complement) + HALF_TIE_RTOL * M are admitted, so exact
@@ -183,19 +187,21 @@ def _plus_high(rows: np.ndarray, table: np.ndarray, k: int, high: int) -> np.nda
 
 def _chunks(graph: WeightedGraph):
     """Every mask ``S`` in ascending blocks of ``2^_CHUNK_BITS``, as ``(masks,
-    in_a, sums)``: ``in_a`` marks the members, and row ``i`` of ``sums`` is
-    ``m_S(x)`` for each vertex ``x`` followed by ``m(S)`` for ``S =
-    masks[i]``.  One table covers the low vertices (a meet-in-the-middle
-    split, Horowitz-Sahni 1974) and each block adds its high rows in
-    ascending order, so every sum is the one ``_subset_sums`` gives."""
+    sums)``: row ``i`` of ``sums`` is ``m_S(x)`` for each vertex ``x``
+    outside ``S`` and ``-inf`` for each member, followed by ``m(S)``, for
+    ``S = masks[i]``.  Each vertex's own weight row holds ``-inf`` at that
+    vertex, so a member's column is ``-inf`` and every other sum is the one
+    ``_subset_sums`` gives over the weight matrix.  One table covers the low
+    vertices (a meet-in-the-middle split, Horowitz-Sahni 1974) and each block
+    adds its high rows in ascending order."""
     n = graph.n
     rows = np.column_stack([weight_matrix(graph), graph.vertex_measure])
+    np.fill_diagonal(rows, -math.inf)
     k = min(n, _CHUNK_BITS)
     low = _subset_sums(rows, k)
     offsets = np.arange(1 << k, dtype=np.int64)
     for high in range(1 << (n - k)):
-        masks = (high << k) | offsets
-        yield masks, _members(masks, n).T, _plus_high(rows, low, k, high)
+        yield (high << k) | offsets, _plus_high(rows, low, k, high)
 
 
 def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
@@ -224,6 +230,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 # Absolute slack of the candidate filter: it covers the divisions whose
 # quotient underflows, the only place the relative bounds fail.
 _TINY = 2.0**-1000
+# The least positive float64: a result in the subnormal range is off by at
+# most half of it, whatever its size.
+_MIN_SUBNORMAL = 2.0**-1074
 # Candidates per block of the exact finish.
 _FINISH_CHUNK = 256
 
@@ -363,6 +372,29 @@ def cheeger_constant_exact(
 # -------------------------------------------------------------- dual Cheeger
 
 
+def _best_prefix(
+    masks: np.ndarray, sums: np.ndarray, m: np.ndarray, rows
+) -> tuple[float, int, int]:
+    """``(value, A, B)`` of the best prefix pair over the ``rows`` of one
+    ``_chunks`` block, taken in the order given: the first row, then the
+    shortest prefix, among equal values.  The members of ``A`` hold
+    ``-inf``, so they sort after every other vertex, and the prefixes that
+    reach them are set to ``-inf``."""
+    n = len(m)
+    block = sums[rows]
+    order = (-(block[:, :n] / m)).argsort(axis=1, kind="stable")  # A's -inf last
+    into = block[np.arange(len(order))[:, None], order]
+    # Only the columns of A's own members can overflow (weights near the
+    # float64 maximum), and those are set to -inf just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 2.0 * into.cumsum(axis=1) / (block[:, n:] + m[order].cumsum(axis=1))
+    values[into < 0.0] = -math.inf  # B meets A
+    masks = masks[rows]
+    values[masks == 0] = -math.inf  # A empty
+    row, k = divmod(int(values.argmax()), n)
+    return float(values[row, k]), int(masks[row]), mask_of(order[row, : k + 1].tolist())
+
+
 def dual_cheeger_exact(
     graph: WeightedGraph, max_n: int | None = None
 ) -> InvariantReport:
@@ -373,35 +405,79 @@ def dual_cheeger_exact(
     the ratio exactly when its own ratio beats the current value), so the sup
     over all pairs reduces to a sweep over the ``2^n`` choices of ``A``.
     Equal values go to the smallest ``A`` mask, then the shortest prefix
-    (ratio ties to the smaller vertex).
+    (ratio ties to the smaller vertex).  The finish, ``_best_prefix``, sorts
+    each row and evaluates every prefix ``B`` as ``v = fl(2 C / D)``, with
+    ``C`` the running sum of ``m_A(b)`` in sorted order and ``D`` the sum of
+    ``m(A)`` and the running sum of ``m(b)``.  A filter first drops the rows
+    that cannot reach a value ``lam`` already reached, so only a few rows
+    are sorted.
+
+    Filter.  Fix a row ``A`` with ``a_b = m_A(b)`` and ``mu = m(A)`` as the
+    table holds them, and let ``M = sum_v m(v)``.  Dinkelbach's function
+    (Management Science 1967) ``G(lam) = sum over b outside A of max(0, 2
+    a_b - lam m(b)), minus lam mu``, is at least ``2 sum_B a_b - lam (mu +
+    m(B))`` for every ``B`` outside ``A``.  Say the finish gives a prefix
+    ``B`` of ``j <= n`` vertices a value ``v >= lam``.  With ``u = 2^-53``
+    and ``gamma_k`` as in ``_least``: ``C <= (1 + gamma_j) sum_B a_b``, ``D
+    >= (1 - gamma_j)(mu + m(B))`` and ``2C / D >= lam / (1 + u)``, so ``G(lam)
+    >= -gamma_{2n} lam (mu + M)``.  The filter adds ``r = sum over all b of
+    max(a'_b, (lam/2) m(b))``, where ``a'_b`` is ``a_b`` outside ``A`` and
+    ``-inf`` on it (as ``_chunks`` gives them): exactly, ``r = (G(lam) + lam
+    (mu + M)) / 2``, so ``r >= (lam/2)(mu + M)(1 - gamma_{2n})``.  Computed,
+    each product rounds once and the sum of ``n`` nonnegative terms ``n - 1``
+    times in any order, so ``r~ >= (lam/2)(mu + M)(1 - gamma_{3n})``.  The
+    threshold ``t = h (lam (1 - delta) - 4 s) - (n + 2) s``, with ``h =
+    (M~ + mu)/2``, ``M~`` the graph's total measure (``<= (1 + gamma_n)
+    M``), ``delta = 2 gamma_{4n+5}`` and ``s = _MIN_SUBNORMAL``, is below
+    that bound after its own roundings.  A subnormal result is off by at
+    most ``s/2`` instead: ``4 s`` covers the halving of a subnormal
+    ``lam``, the rounding of a subnormal ``lam (1 - delta)`` and a subnormal
+    quotient ``2C / D``, each off by at most ``s/2`` times a measure below
+    ``2h``, and ``(n + 2) s`` the ``n`` products in ``r~`` and the halvings
+    and the product in ``t``.  So a row is dropped only when ``r~ < t``, and
+    then none of its prefixes reaches ``lam``; a row whose ``r~ - t`` is
+    ``nan`` is kept.
+
+    Search.  Each block starts at ``lam``, the best value of the blocks
+    before it or 0, and raises it by Dinkelbach's steps: the row with the
+    largest ``r~ - t`` is finished alone, and while its value beats ``lam``
+    it becomes ``lam`` and the filter runs again (a row that gave ``lam``
+    ends the steps when it comes up again).  Every ``lam`` is 0 or a value
+    the finish gives, so it never exceeds the largest value, and every row
+    that reaches the largest value is kept (the skip is strict).  The kept
+    rows go through the finish in ascending mask order, and a block's best
+    replaces the running best only when it is larger, so value and witness
+    are those a finish of every row gives.
     """
     n = graph.n
     _check_cap(n, max_n, DEFAULT_MAX_DUAL, "dual-cheeger")
     if n < 2:
         raise EmptySet("dual Cheeger needs at least two vertices")
 
-    m = graph.vertex_measure
-    full = (1 << n) - 1
-    best, witness = -math.inf, (0, 0)
-    for masks, in_a, sums in _chunks(graph):
-        into = sums[:, :n]
-        ratio = into / m
-        ratio[in_a] = -1.0  # members of A cannot join B; sorted last
-        order = np.argsort(-ratio, axis=1, kind="stable")
-        # Only the columns of A's own members can overflow (weights near the
-        # float64 maximum), and those are set to -inf just below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = (
-                2.0 * np.cumsum(np.take_along_axis(into, order, 1), axis=1)
-                / (sums[:, n:] + np.cumsum(m[order], axis=1))
-            )
-        values[np.take_along_axis(ratio, order, 1) < 0.0] = -math.inf
-        values[(masks == 0) | (masks == full)] = -math.inf  # A or complement empty
-        row, k = divmod(int(np.argmax(values)), n)  # smallest A, shortest prefix
-        if values[row, k] > best:
-            best = float(values[row, k])
-            witness = (int(masks[row]), mask_of(order[row, : k + 1].tolist()))
-    return InvariantReport("hbar", best, witness)
+    m, total = graph.vertex_measure, graph.total_measure
+    shrink, floor = 1.0 - 2.0 * _gamma(4 * n + 5), (n + 2) * _MIN_SUBNORMAL
+    best = (-math.inf, 0, 0)
+    for masks, sums in _chunks(graph):
+        half = 0.5 * total + 0.5 * sums[:, n]
+        lam, probed = max(best[0], 0.0), None
+        while True:
+            # Row sums (einsum is the fastest); any order is within the bound.
+            reach = np.einsum("ij->i", np.maximum(sums[:, :n], 0.5 * lam * m))
+            slack = reach - (half * (lam * shrink - 4.0 * _MIN_SUBNORMAL) - floor)
+            row = int(np.argmax(slack))
+            if row == probed:  # its value is lam
+                break
+            probed, value = row, _best_prefix(masks, sums, m, [row])[0]
+            if not value > lam:
+                break
+            lam = value
+        rows = np.flatnonzero(~(slack < 0.0))
+        if rows.size:
+            found = _best_prefix(masks, sums, m, rows)
+            if found[0] > best[0]:
+                best = found
+    value, mask_a, mask_b = best
+    return InvariantReport("hbar", value, (mask_a, mask_b))
 
 
 # --------------------------------------------------------------------- kappa

@@ -387,6 +387,26 @@ def test_cap_flag_admits_the_graph(capsys, monkeypatch):
     assert json.loads(out)["value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def _dense_graph_json(n):
+    return json.dumps({"edges": [[u, v, 1.0 + (u * v) % 5] for u in range(n)
+                                 for v in range(u + 1, n) if (u + v) % 3]})
+
+
+def test_dual_cheeger_answers_on_17_vertices_by_default(capsys, monkeypatch):
+    code, out, err = run(capsys, ["dual-cheeger", "-"], _dense_graph_json(17), monkeypatch)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["invariant"] == "hbar" and 0.0 < payload["value"] <= 1.0
+
+
+def test_dual_cheeger_on_18_vertices_is_too_large_by_default(capsys, monkeypatch):
+    refuse_to_enumerate(monkeypatch)
+    code, out, err = run(capsys, ["dual-cheeger", "-"], _dense_graph_json(18), monkeypatch)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "TooLarge"
+    assert "capped at 17 vertices, got 18" in json.loads(err)["message"]
+
+
 PATH40_JSON = json.dumps({"edges": [[v, v + 1, 1.0] for v in range(39)]})
 
 

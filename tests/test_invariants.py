@@ -170,11 +170,12 @@ def test_weighted_triangle_matches_brute_force(w):
 
 
 def test_subset_sums_add_in_neighbour_order(monkeypatch):
-    """Each ``m_S(x)`` and ``m(S)`` of the dual's blocks, and each
-    ``m_S(x)`` and ``m_{S^c}(x)`` as ``kappa`` adds them (row ``L`` of the
-    low table, or of ``low[::-1]`` for the complement, plus the high rows of
-    that side), equals the per-vertex sum in neighbour order bit for bit,
-    across block seams too."""
+    """Each ``m_S(x)`` with ``x`` outside ``S`` and each ``m(S)`` of the
+    dual's blocks, and each ``m_S(x)`` and ``m_{S^c}(x)`` as ``kappa`` adds
+    them (row ``L`` of the low table, or of ``low[::-1]`` for the complement,
+    plus the high rows of that side), equals the per-vertex sum in neighbour
+    order bit for bit, across block seams too; the dual's blocks hold
+    ``-inf`` at the members of ``S``."""
     monkeypatch.setattr(invariants, "_CHUNK_BITS", 3)
     g = sample_graph(RandomGraphSpec(n=7, seed=3))
     n, k = g.n, 3
@@ -182,14 +183,17 @@ def test_subset_sums_add_in_neighbour_order(monkeypatch):
     weights = weight_matrix(g)
     measures = invariants._subset_sums(g.vertex_measure, n)
     low = invariants._subset_sums(weights, k)
-    for masks, _, sums in invariants._chunks(g):
+    for masks, sums in invariants._chunks(g):
         for mask, row in zip(masks.tolist(), sums):
             high, part = divmod(mask, 1 << k)
+            inside = _indicator(n, mask)
             own = invariants._plus_high(weights, low[part], k, high)
             other = invariants._plus_high(weights, low[::-1][part], k, top ^ high)
-            for subset, got in ((mask, row[:n]), (mask, own), (full ^ mask, other)):
+            into = np.where(inside, -math.inf, _weight_into(g, inside))
+            assert row[:n].tolist() == into.tolist()
+            for subset, got in ((mask, own), (full ^ mask, other)):
                 assert got.tolist() == _weight_into(g, _indicator(n, subset)).tolist()
-            m_set = _sequential_sum(g.vertex_measure[_indicator(n, mask)])
+            m_set = _sequential_sum(g.vertex_measure[inside])
             assert row[n] == measures[mask] == m_set
 
 
@@ -198,17 +202,14 @@ def test_block_size_changes_no_value_or_witness(monkeypatch, bits):
     """The dual and kappa searches read masks in blocks of ``2^_CHUNK_BITS``;
     small blocks put many block seams inside graphs of 2 to 10 vertices, and
     leave most vertices high, where the ``kappa`` bound takes the smaller of
-    the two prefixes.  ``kappa`` must match the full enumeration."""
+    the two prefixes and each dual block starts from the best value of the
+    blocks before it.  Both must match the full enumerations."""
     graphs = [sample_graph(RandomGraphSpec(n=n, seed=n)) for n in range(2, 11)]
     graphs += [cycle(10), complete(8), generate(FamilySpec("ladder_L", 4, r=0.5))]
     graphs += [_tie_heavy_graph(seed) for seed in range(4)] + [_extreme_weights(8, bits)]
-
-    def duals():
-        return [(report.value, report.witness) for report in map(dual_cheeger_exact, graphs)]
-
-    default, kappas = duals(), [_reference_kappa(g) for g in graphs]
+    duals, kappas = [_reference_dual(g) for g in graphs], [_reference_kappa(g) for g in graphs]
     monkeypatch.setattr(invariants, "_CHUNK_BITS", bits)
-    assert duals() == default
+    assert [_dual_result(g) for g in graphs] == duals
     assert [_kappa_result(g) for g in graphs] == kappas
 
 
@@ -283,6 +284,96 @@ def test_kappa_on_the_acceptance_ladder_matches_the_full_enumeration():
     g = generate(FamilySpec("ladder_L", 10, r=0.5))
     assert g.n == 21
     assert _kappa_result(g, max_n=21) == _reference_kappa(g)
+
+
+# -------------------------------------------------- dual search reference
+
+
+def _reference_dual(graph: WeightedGraph) -> tuple[str, tuple[int, int]]:
+    """``(hbar hex, witness)`` by the search ``dual_cheeger_exact`` ran before
+    its Dinkelbach filter: every row ``A`` in blocks of ``2^16`` masks, read
+    from one low table plus the high rows added in ascending order, its
+    complement sorted by ``m_A(b)/m(b)`` and every prefix evaluated."""
+    n = graph.n
+    m = graph.vertex_measure
+    rows = np.column_stack([weight_matrix(graph), m])
+    k = min(n, 16)
+    low = invariants._subset_sums(rows, k)
+    offsets = np.arange(1 << k, dtype=np.int64)
+    full = (1 << n) - 1
+    best, witness = -math.inf, (0, 0)
+    for high in range(1 << (n - k)):
+        masks = (high << k) | offsets
+        sums = reduce(np.add, [rows[k + j] for j in range(n - k) if high >> j & 1], low)
+        into = sums[:, :n]
+        ratio = into / m
+        ratio[invariants._members(masks, n).T] = -1.0  # members of A sort last
+        order = np.argsort(-ratio, axis=1, kind="stable")
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (
+                2.0 * np.cumsum(np.take_along_axis(into, order, 1), axis=1)
+                / (sums[:, n:] + np.cumsum(m[order], axis=1))
+            )
+        values[np.take_along_axis(ratio, order, 1) < 0.0] = -math.inf
+        values[(masks == 0) | (masks == full)] = -math.inf  # A or complement empty
+        row, j = divmod(int(np.argmax(values)), n)  # smallest A, shortest prefix
+        if values[row, j] > best:
+            best = float(values[row, j])
+            witness = (int(masks[row]), mask_of(order[row, : j + 1].tolist()))
+    return best.hex(), witness
+
+
+def _dual_result(graph: WeightedGraph, max_n: int | None = None):
+    report = dual_cheeger_exact(graph, max_n=max_n)
+    return report.value.hex(), report.witness
+
+
+_DUAL_GRAPHS = {
+    # log-uniform weights on n = 2..21, across the block seam at 16/17
+    **{f"random{n}": (lambda n=n: sample_graph(RandomGraphSpec(n=n, seed=n))) for n in range(2, 22)},
+    **{f"complete{n}": (lambda n=n: complete(n)) for n in (16, 17)},
+    "cycle17": lambda: cycle(17),
+    "huge17": lambda: _with_weights(_unit_random(17, 0.4, 17), 1e304),
+    "subnormal17": lambda: _with_weights(_unit_random(17, 0.4, 17), 5e-324),
+    "tiny17": lambda: _with_weights(_unit_random(17, 0.4, 17), 1e-310),
+    "subnormal12": lambda: _scaled(sample_graph(RandomGraphSpec(n=12, seed=12)), -1060),
+    "extreme17": lambda: _extreme_weights(17, 17),
+    **{f"ties{seed}": (lambda seed=seed: _tie_heavy_graph(seed)) for seed in (*range(12), 230, 332)},
+}
+
+
+@pytest.mark.parametrize("name", list(_DUAL_GRAPHS))
+def test_dual_search_matches_the_full_enumeration(name):
+    g = _DUAL_GRAPHS[name]()
+    assert _dual_result(g, max_n=g.n) == _reference_dual(g)
+
+
+def test_dual_on_the_acceptance_ladder_matches_the_full_enumeration():
+    g = generate(FamilySpec("ladder_L", 10, r=0.5))
+    assert g.n == 21
+    assert _dual_result(g, max_n=21) == _reference_dual(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: generate(FamilySpec("ladder_L", 10, r=0.5)),
+     lambda: sample_graph(RandomGraphSpec(n=17, edge_probability=0.9, seed=17))],
+    ids=["ladder21", "dense17"],
+)
+def test_dual_filter_sends_few_rows_to_the_sort(monkeypatch, make):
+    """The Dinkelbach filter leaves under 1% of the ``2^n`` rows to the
+    sorting finish (probes included), so a filter that keeps every row fails
+    here and not only in the benchmark."""
+    g, sorted_rows = make(), []
+    finish = invariants._best_prefix
+
+    def counted(masks, sums, m, rows):
+        sorted_rows.append(len(rows))
+        return finish(masks, sums, m, rows)
+
+    monkeypatch.setattr(invariants, "_best_prefix", counted)
+    dual_cheeger_exact(g, max_n=g.n)
+    assert 0 < sum(sorted_rows) < 0.01 * 2**g.n
 
 
 # ------------------------------------------------------------- search modes
