@@ -21,7 +21,9 @@ and a negative mask or one with a bit at or above ``n`` raises
 finite real numbers: numpy booleans, integers and floats, or an object array
 whose every entry is a ``numbers.Real``, read as float64.  Strings (numeric
 ones included), complex entries, other shapes and entries that are not finite
-raise ``BadParameter``.
+raise ``BadParameter``.  Each public call reads each argument once, at its
+entry; the library's own callers hand on the array they already read to the
+private array forms (``_inner``, ``_edge_energy``), which read nothing.
 ``mask_of`` and ``vertices_of`` refuse negative or non-integer ids the same
 way.  The enumeration searches build their own masks and skip the readers.
 
@@ -397,22 +399,27 @@ def _finite_fsum(terms, what: str) -> float:
     return total
 
 
-def _edge_energy(graph: WeightedGraph, f, sign: float) -> float:
-    """``sum_e m(e) (f(u) + sign f(v))^2``, exactly rounded."""
-    arr = _as_function(graph, f)
+def _edge_energy(graph: WeightedGraph, arr: np.ndarray, sign: float) -> float:
+    """``sum_e m(e) (f(u) + sign f(v))^2`` of an array already read, exactly
+    rounded."""
     terms = arr[graph.u] + sign * arr[graph.v]
     # Scalar ``** 2`` is C ``pow``; the array square can differ in the last bit.
     return _finite_fsum((w * t ** 2 for w, t in zip(graph.w, terms)), "edge energy")
 
 
+def _inner(graph: WeightedGraph, fa: np.ndarray, ga: np.ndarray) -> float:
+    """``sum_v m(v) f(v) g(v)`` of two arrays already read, exactly rounded."""
+    return _finite_fsum(graph.vertex_measure * fa * ga, "inner product")
+
+
 def dirichlet_form(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
     """Edge sum ``sum_e m(e) (f(u) - f(v))^2``; equals ``<Delta f, f>``."""
-    return _edge_energy(graph, f, -1.0)
+    return _edge_energy(graph, _as_function(graph, f), -1.0)
 
 
 def q_form(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
     """Edge sum ``sum_e m(e) (f(u) + f(v))^2``; equals ``<(2I - Delta) f, f>``."""
-    return _edge_energy(graph, f, 1.0)
+    return _edge_energy(graph, _as_function(graph, f), 1.0)
 
 
 def inner_product(
@@ -421,9 +428,7 @@ def inner_product(
     g: Sequence[float] | np.ndarray,
 ) -> float:
     """Weighted inner product ``sum_v m(v) f(v) g(v)``."""
-    fa = _as_function(graph, f)
-    ga = _as_function(graph, g)
-    return _finite_fsum(graph.vertex_measure * fa * ga, "inner product")
+    return _inner(graph, _as_function(graph, f), _as_function(graph, g))
 
 
 # -------------------------------------------------------------- JSON wire IO

@@ -24,13 +24,12 @@ from .families import FamilySpec, generate
 from .graph import (
     WeightedGraph,
     _as_function,
+    _edge_energy,
     _indicator,
+    _inner,
     _integer,
     _real,
     _sequential_sum,
-    dirichlet_form,
-    inner_product,
-    q_form,
     set_measures,
 )
 from .invariants import (
@@ -366,7 +365,7 @@ def check_plus_minus_split(analysis: Analysis, g: np.ndarray) -> list[CheckRepor
     """
     graph = analysis.graph
     arr = _as_function(graph, g)
-    norm = inner_product(graph, arr, arr)
+    norm = _inner(graph, arr, arr)
     if norm == 0.0:
         raise ZeroFunction("split of the zero function")
     total = graph.total_measure
@@ -379,11 +378,9 @@ def check_plus_minus_split(analysis: Analysis, g: np.ndarray) -> list[CheckRepor
     below = float(m[arr < tau].sum())
     above = float(m[arr > tau].sum())
     overlap = float(np.max(g_plus * g_minus))
-    norm_parts = inner_product(graph, g_plus, g_plus) + inner_product(
-        graph, g_minus, g_minus
-    )
-    energy = dirichlet_form(graph, arr)
-    energy_parts = dirichlet_form(graph, g_plus) + dirichlet_form(graph, g_minus)
+    norm_parts = _inner(graph, g_plus, g_plus) + _inner(graph, g_minus, g_minus)
+    energy = _edge_energy(graph, arr, -1.0)
+    energy_parts = _edge_energy(graph, g_plus, -1.0) + _edge_energy(graph, g_minus, -1.0)
     return [
         CheckReport.inequality(
             "split_half_measure",
@@ -426,7 +423,7 @@ def coarea_check(
     measure_integral = float(_sequential_sum(widths * m_above))
     boundary_integral = float(_sequential_sum(widths * cut))
 
-    norm = inner_product(graph, arr, arr)
+    norm = _inner(graph, arr, arr)
     variation = math.fsum((graph.w * np.abs(g[graph.u] - g[graph.v])).tolist())
     tol_a = 1e-10 * max(1.0, abs(norm))
     tol_b = 1e-10 * max(1.0, abs(variation))
@@ -505,10 +502,10 @@ def check_auxiliary(analysis: Analysis, f: np.ndarray) -> list[CheckReport]:
     graph = analysis.graph
     arr = _as_function(graph, f)
     aux = auxiliary_graph(graph, arr)
-    norm = inner_product(graph, arr, arr)
-    norm_aux = inner_product(aux.graph, aux.values, aux.values)
-    energy = q_form(graph, arr)
-    energy_aux = dirichlet_form(aux.graph, aux.values)
+    norm = _inner(graph, arr, arr)
+    norm_aux = _inner(aux.graph, aux.values, aux.values)
+    energy = _edge_energy(graph, arr, 1.0)
+    energy_aux = _edge_energy(aux.graph, aux.values, -1.0)
     return [
         CheckReport.identity("auxiliary_norm", norm_aux, norm, IDENTITY_TOL * max(1.0, norm)),
         CheckReport.inequality(

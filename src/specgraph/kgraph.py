@@ -180,9 +180,8 @@ def _evaluate(p: PSequence, lam: float):
     pole and 0 on the far side of ``lam``, and the tail bound
     ``remainder(J) / ((1 - p_1) * delta)`` meets ``_TAIL_TARGET``, where
     ``delta`` is the distance from ``lam`` to the computed poles and 0.
-    ``BadParameter`` when ``lam`` is not a finite real number.
+    ``lam`` is a Python float that the caller has already read.
     """
-    lam = _real(lam, "evaluation point")
     terms = max(2 * len(p.head) + 16, 32)
     while True:
         _, alphas = _tables(p, terms)
@@ -211,8 +210,9 @@ def _evaluate(p: PSequence, lam: float):
 
 
 def secular_F(p: PSequence, lam: float) -> tuple[float, float]:
-    """``F(lam)`` with a certified truncation-error bound ``<= 1e-13``."""
-    value, tail, _, _ = _evaluate(p, lam)
+    """``F(lam)`` with a certified truncation-error bound ``<= 1e-13``.
+    ``BadParameter`` when ``lam`` is not a finite real number."""
+    value, tail, _, _ = _evaluate(p, _real(lam, "evaluation point"))
     return value, tail
 
 

@@ -23,8 +23,8 @@ from .graph import (
     _as_function,
     _as_set,
     _as_values,
-    dirichlet_form,
-    inner_product,
+    _edge_energy,
+    _inner,
     weight_matrix,
 )
 
@@ -144,10 +144,11 @@ def spectrum(graph: WeightedGraph, eigenvectors: bool = False) -> Spectrum:
 
 def rayleigh(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
     """Rayleigh quotient ``<Delta f, f> / <f, f>`` via the edge-sum form."""
-    norm = inner_product(graph, f, f)
+    arr = _as_function(graph, f)
+    norm = _inner(graph, arr, arr)
     if norm == 0.0:
         raise ZeroFunction("Rayleigh quotient of the zero function")
-    return dirichlet_form(graph, f) / norm
+    return _edge_energy(graph, arr, -1.0) / norm
 
 
 # ------------------------------------------------------- Hausdorff asymmetry
@@ -267,7 +268,8 @@ def auxiliary_graph(
 ) -> AuxiliaryGraph:
     arr = _as_function(graph, f)
     u, v, w = graph.u, graph.v, graph.w
-    same = arr[u] * arr[v] > 0.0
+    # Signs, not the product, which underflows or overflows at extreme scales.
+    same = np.sign(arr[u]) * np.sign(arr[v]) > 0.0
     needs_mirror = np.unique(np.concatenate([u[same], v[same]]))
     image = np.zeros(graph.n, dtype=np.int64)
     image[needs_mirror] = graph.n + np.arange(len(needs_mirror))

@@ -10,8 +10,21 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import Phase, settings
 
 from specgraph.graph import WeightedGraph
+
+# A failing fuzz reports its example as generated: without the shrink phase
+# (and the explain phase, which needs it) a failure ends in seconds, where
+# shrinking examples that each analyse a fresh graph took minutes.  Example
+# counts and strategies are those each test sets; every other setting is the
+# profile already loaded (hypothesis loads its "ci" profile on CI machines).
+settings.register_profile(
+    "no-shrink",
+    settings(),
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+)
+settings.load_profile("no-shrink")
 
 # Brute-force half-condition tie tolerance, mirroring the documented behavior
 # of the exact search (relative to the total measure).

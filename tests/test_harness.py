@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import complete, cycle, path, triangle
+import specgraph.graph
 import specgraph.harness
 import specgraph.spectral
 from specgraph.errors import BadParameter, NotOrthogonal, NumericalFailure, ZeroFunction
@@ -316,6 +317,26 @@ def test_no_check_runs_an_exact_search(monkeypatch):
         monkeypatch.setattr(specgraph.harness, name, refuse)
     reports = graph_checks(analysis, rng=np.random.default_rng(2))
     assert all(r.passed for r in reports)
+
+
+def test_each_check_reads_its_function_once(monkeypatch):
+    """Every read of a vertex function goes through ``graph._as_values``.  Per
+    graph that is one read at the entry of each split, co-area and companion
+    check (twice each with ``rng``), one in each ``tau_split`` and
+    ``auxiliary_graph`` call, and one per witness ``rayleigh``: 13 in all."""
+    reads = []
+    real = specgraph.graph._as_values
+
+    def counted(values, what):
+        reads.append(what)
+        return real(values, what)
+
+    monkeypatch.setattr(specgraph.graph, "_as_values", counted)
+    for seed in range(20):
+        analysis = analyze(sample_graph(RandomGraphSpec(n=4 + seed % 9, seed=seed)))
+        reads.clear()
+        graph_checks(analysis, np.random.default_rng(seed))
+        assert len(reads) <= 13, seed
 
 
 def test_each_graph_builds_one_dense_weight_matrix(monkeypatch):

@@ -221,7 +221,9 @@ def ref_signed_conjugation(graph, mask_a):
 def ref_auxiliary_graph(graph, f):
     arr = np.asarray(f, dtype=float)
     u, v, w = graph.u, graph.v, graph.w
-    same = arr[u] * arr[v] > 0.0
+    # The one change from the old body: signs, as a product of two values
+    # underflows or overflows (see test_spectral).
+    same = np.sign(arr[u]) * np.sign(arr[v]) > 0.0
     needs_mirror = np.unique(np.concatenate([u[same], v[same]]))
     image = np.zeros(graph.n, dtype=np.int64)
     image[needs_mirror] = graph.n + np.arange(len(needs_mirror))

@@ -275,6 +275,22 @@ def test_auxiliary_graph_mirrors_same_sign_edges():
     assert dirichlet_form(aux.graph, aux.values) <= q_form(g, f) + 1e-10
 
 
+def test_auxiliary_graph_is_invariant_under_power_of_two_scaling():
+    """Same-sign edges are found from the signs of ``f``, so scaling by
+    ``2^k`` moves no edge; a product of two values underflows to 0 or
+    overflows well inside this range of ``k``."""
+    g = sample_graph(RandomGraphSpec(n=6, seed=2))
+    f = np.array([1.0, 2.0, -1.0, 0.5, -3.0, 1.5])
+    base = auxiliary_graph(g, f)
+    assert (base.graph.n, len(base.graph.w)) == (10, 12)
+    for k in range(-1000, 1001):
+        aux = auxiliary_graph(g, np.ldexp(f, k))
+        assert aux.graph.n == base.graph.n, k
+        for name in ("u", "v", "w"):
+            assert np.array_equal(getattr(aux.graph, name), getattr(base.graph, name)), k
+        assert np.array_equal(aux.values, np.ldexp(base.values, k)), k
+
+
 def test_auxiliary_graph_on_top_eigenfunction():
     for seed in range(4):
         g = sample_graph(RandomGraphSpec(n=7, seed=seed))
