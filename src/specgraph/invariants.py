@@ -22,18 +22,20 @@ only the partitions whose bound does not exceed a value already reached.
 The dual search drops each set ``A`` whose Dinkelbach function, less a
 derived rounding margin, shows that no pair ``(A, B)`` reaches a value
 already reached, and sorts only the sets left.
-The Cheeger search (and ``h_via_r``) takes one certified minimum: it
-reads a fast cut table ``m(boundary S)`` built by one matrix product over a
-low/high split of the vertices, keeps the sets within a rounding margin of
-its minimum, and recomputes only those edge by edge, so value and witness are
-the ones an edge-by-edge table gives.  ``connected_only`` excludes each
-disconnected witness and asks again.
+The Cheeger search (and ``h_via_r``) takes one certified minimum: it builds
+the fast cut table ``m(boundary S)`` of a low/high split of the vertices one
+block of about ``2^15`` masks at a time, each block one matrix product, keeps
+the sets within a rounding margin of the running minimum, recomputes those
+edge by edge and drops the block, so value and witness are the ones an
+edge-by-edge table gives and no table over all ``2^n`` masks is held.
+``connected_only`` excludes each disconnected witness and asks again.
 At the default caps one query on a random graph takes about a hundredth of
 a second (``kappa`` on 20 vertices), about two hundredths (the dual search
-on 17) or about a seventh (the Cheeger search on 22, the slowest); ``kappa``
-takes about a fifth on the unit-weight complete graph on 20 vertices, and
-the dual search about a fifteenth on the one on 17, whose ties leave the
-bound and the filter few sets to rule out.
+on 17) or about four hundredths (the Cheeger search on 22, 27-47 ms on
+sparse and dense graphs); ``kappa`` takes about a fifth on the unit-weight
+complete graph on 20 vertices, the dual search about a fifteenth on the one
+on 17 and the Cheeger search about a second on the one on 22, whose ties
+leave the bound and the filters few sets to rule out.
 """
 
 from __future__ import annotations
@@ -86,8 +88,11 @@ DEFAULT_MAX_KAPPA = 20
 HALF_TIE_RTOL = 1e-12
 
 _CHUNK_BITS = 16
-# Bytes per mask the Cheeger search holds at its peak: three float64 tables
-# (the measure table, the fast table and one temporary) and a boolean one.
+# The Cheeger search scores about 2^_BLOCK_BITS masks at a time.
+_BLOCK_BITS = 15
+# The size rule kept from the full-table Cheeger search, which held three
+# float64 tables and a boolean one over all masks: 25 bytes per mask.  The
+# search now streams blocks and holds a few megabytes at 22 vertices.
 _BYTES_PER_MASK = 3 * 8 + 1
 
 
@@ -164,8 +169,9 @@ def r_quantity(graph: WeightedGraph, mask: int) -> float:
 def _subset_sums(rows: np.ndarray, k: int, start=0.0) -> np.ndarray:
     """``start`` plus ``sum(rows[v] for v in S)`` for every mask ``S`` of the
     first ``k`` rows, built by doubling.  Each sum adds its rows in ascending
-    vertex order, the order a loop over sorted edges adds in."""
-    table = np.empty((1 << k, *rows.shape[1:]))
+    vertex order, the order a loop over sorted edges adds in.  An array
+    ``start`` gives each entry its shape, and every row broadcasts to it."""
+    table = np.empty((1 << k, *(np.shape(start) or rows.shape[1:])))
     table[0] = start
     for v in range(k):
         np.add(table[: 1 << v], rows[v], out=table[1 << v : 2 << v])
@@ -207,8 +213,10 @@ def _chunks(graph: WeightedGraph):
 def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
     """The one size rule of every exact search: ``TooLarge`` beyond the cap,
     or when ``_BYTES_PER_MASK`` bytes for each of the ``2^n`` masks would not
-    fit in physical memory (the Cheeger tables need that much, and the
-    streamed searches would not finish in any useful time)."""
+    fit in physical memory.  That is the size rule of the full tables the
+    Cheeger search once built, not what any search holds now; it is kept,
+    with its decisions and messages, because the searches past it would not
+    finish in any useful time."""
     cap = default if max_n is None else _integer(max_n, "max_n")
     if n > cap:
         raise TooLarge(f"{what} enumeration capped at {cap} vertices, got {n}")
@@ -241,8 +249,11 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _fast_cut_table(graph: WeightedGraph) -> np.ndarray:
-    """``m(boundary S)`` for every mask, in any-order arithmetic.
+def _cut_blocks(graph: WeightedGraph):
+    """Every mask in ascending blocks of about ``2^_BLOCK_BITS``, an even
+    number each, as ``(start, cut, m_set)``: ``cut`` holds ``m(boundary
+    S)`` for each ``S = start + i`` in any-order arithmetic and ``m_set``
+    its ``m(S)``.
 
     With ``S = L + H`` split over the ``k = ceil(n/2)`` low and ``n - k``
     high vertices, ``cut(S) = C_low[L] + C_high[H] + A[L].1_{H^c} +
@@ -250,79 +261,119 @@ def _fast_cut_table(graph: WeightedGraph) -> np.ndarray:
     ``A[L]`` holds the weights from ``L`` into each high vertex, and
     ``C_low``, ``C_high`` are the cuts inside the two halves, each the
     weights from the set into the vertices of its half outside it.  All four
-    terms come out of one matrix product whose row ``H`` is ``(1_{H^c},
-    1_H, 1, C_high[H])`` and column ``L`` is ``(A[L], A[L^c], C_low[L],
-    1)``.  Every term is a nonnegative partial sum of the crossing weights
-    and each weight enters once.  A path from a weight to the result meets
-    at most ``|L| - 1`` additions in ``A`` (or ``k - 2`` in ``C_low``) and
-    ``n - k + 1`` in the product, where products with 0 add exact zeros: at
-    most ``n`` roundings, whatever order the BLAS adds in.
+    terms come out of a matrix product whose row ``H`` is ``(1_{H^c}, 1_H,
+    1, C_high[H])`` and column ``L`` is ``(A[L], A[L^c], C_low[L], 1)``; a
+    block is the product of ``2^b`` consecutive rows with every column.
+    Every term is a nonnegative partial sum of the crossing weights and each
+    weight enters once.  A path from a weight to the result meets at most
+    ``|L| - 1`` additions in ``A`` (or ``k - 2`` in ``C_low``) and ``n - k +
+    1`` in the product, where products with 0 add exact zeros: at most ``n``
+    roundings, whatever order the BLAS adds in.
+
+    ``m_set`` starts from ``m(L)``, adds the measures of the block's ``b``
+    low bits of ``H`` by doubling and then those of its other bits, each in
+    ascending vertex order: the additions of ``_subset_sums(m, n)``, in the
+    same order, so every ``m(S)`` is that table's bit for bit.  One doubling
+    over the low vertices builds the weights from ``L`` into every vertex,
+    the bits of ``L``, ``m(L)`` and, in its first ``2^(n-k)`` rows, the
+    weights from ``H`` into the high vertices.
     """
-    n = graph.n
+    n, m, weights = graph.n, graph.vertex_measure, weight_matrix(graph)
     k = (n + 1) // 2
-    weights = weight_matrix(graph)
-    low = _subset_sums(weights[:k], k)  # row L: weights from L into each vertex
-    high = _subset_sums(weights[k:, k:], n - k)
-    in_low = _members(np.arange(1 << k), k).T.astype(float)  # bits of L
-    in_high = in_low[: len(high), : n - k]
-    c_low = np.einsum("ij,ij->i", low[:, :k], 1.0 - in_low)
-    c_high = np.einsum("ij,ij->i", high, 1.0 - in_high)
-    cross = low[:, k:]
-    rows = np.column_stack([1.0 - in_high, in_high, np.ones(len(high)), c_high])
-    columns = np.column_stack([cross, cross[::-1], c_low, np.ones(len(low))])
-    return (rows @ columns.T).reshape(-1)  # row H, column L: mask L + (H << k)
+    b = min(n - k, max(0, _BLOCK_BITS - k))
+    per_bit = np.concatenate([weights[:k], np.eye(k), m[:k, None], np.zeros((k, n - k))], 1)
+    per_bit[: n - k, n + k + 1 :] = weights[k:, k:]
+    table = _subset_sums(per_bit, k)
+    low, in_low, high = table[:, :n], table[:, n : n + k], table[: 1 << (n - k), n + k + 1 :]
+    in_high, out_low = in_low[: len(high), : n - k], 1.0 - in_low
+    c_low = np.einsum("ij,ij->i", low[:, :k], out_low)[:, None]
+    c_high = np.einsum("ij,ij->i", high, out_low[: len(high), : n - k])[:, None]
+    rows = np.concatenate([1.0 - in_high, in_high, np.ones((len(high), 1)), c_high], 1)
+    columns = np.concatenate([low[:, k:], low[::-1, k:], c_low, np.ones((len(low), 1))], 1)
+    m_low = _subset_sums(m[k : k + b], b, table[:, n + k]).reshape(-1)
+    for block in range(1 << (n - k - b)):  # row H, column L: mask L + (H << k)
+        cut = rows[block << b : (block + 1) << b] @ columns.T
+        yield block << (k + b), cut.reshape(-1), _plus_high(m, m_low, k + b, block)
 
 
 def _edge_order_cuts(graph: WeightedGraph, masks: np.ndarray) -> np.ndarray:
     """``m(boundary S)`` of each mask, added edge by edge in edge order as
     ``set_measures`` adds it: a running sum down the edges, with 0.0 in place
-    of each weight whose edge does not cross (``x + 0.0 == x``)."""
+    of each weight whose edge does not cross (``x + 0.0 == x``).  The masks go
+    in chunks through one buffer of edge-by-mask terms, summed in place."""
     cuts = np.empty(len(masks))
+    terms = np.empty((len(graph.w), min(len(masks), _FINISH_CHUNK)))  # edge x mask
     for start in range(0, len(masks), _FINISH_CHUNK):
-        block = slice(start, start + _FINISH_CHUNK)
-        inside = _members(masks[block], graph.n)
-        crosses = inside[graph.u] != inside[graph.v]  # edge x mask
-        cuts[block] = np.cumsum(crosses * graph.w[:, None], axis=0)[-1]
+        inside = _members(masks[start : start + _FINISH_CHUNK], graph.n)
+        out = terms[:, : inside.shape[1]]
+        np.multiply(inside[graph.u] != inside[graph.v], graph.w[:, None], out=out)
+        cuts[start : start + _FINISH_CHUNK] = np.cumsum(out, axis=0, out=out)[-1]
     return cuts
 
 
-def _search_tables(graph: WeightedGraph, max_n: int | None) -> np.ndarray:
-    """The checks every Cheeger search makes, then its ``m(S)`` table."""
+def _least(graph: WeightedGraph, max_n, score, skip, connected=False) -> tuple[float, int]:
+    """The least ``(value, mask)`` over the searched masks, the value bit for
+    bit the one an edge-order cut table gives, after the checks every
+    Cheeger search makes.  ``score(cut, m_set)`` maps cuts to values, given
+    the measures ``m_set`` of their masks, as it maps the fast cuts of each
+    ``_cut_blocks`` block; it may overwrite ``cut``, must divide each cut by
+    numbers that do not depend on it, and must map an infinite cut to an
+    infinite value.  The empty and the full set and the masks of a block
+    that ``skip(m_set)`` indexes are not searched: their cuts are set to
+    ``inf`` before the block is scored.  With ``connected``, a mask that
+    does not induce a connected subgraph is not searched either.
+
+    Filter.  Let ``c`` be a true cut, ``c~`` the fast one (``n`` roundings,
+    see ``_cut_blocks``) and ``c^`` the edge-order one (fewer than ``E``
+    roundings): ``c~ = c (1 + theta_n)`` and ``c^ = c (1 + theta_E)`` with
+    ``|theta_k| <= gamma_k``.  Both are divided by the same numbers, so the
+    fast value ``r~`` and the exact one ``r^`` satisfy ``r~ = r^ (1 +
+    theta)`` and ``r^ = r~ (1 + theta')`` with ``|theta|, |theta'| <=
+    gamma_{n+E+3} <= eta = gamma_{n+E+6}`` (one more rounding per division;
+    ``1 / (1 - gamma_j) <= 1 + gamma_{j+1}``; Higham's Lemma 3.3 for the
+    products), up to an absolute ``2^-1074`` per underflowing quotient.
+    Let ``lo`` be the least fast value and ``S*`` an exact minimizer:
+    ``r~(S*) <= (1 + eta) r^(S*) <= (1 + eta) r^(argmin r~) <= (1 + eta)^2
+    lo``.  So every mask with ``r~ <= lo (1 + delta) + _TINY``, ``delta = 4
+    eta``, is kept, and the kept set holds every exact minimizer whatever
+    the BLAS: the least kept ``(value, mask)`` after the exact finish is the
+    least searched one.
+
+    Running minimum.  The blocks come one at a time and are dropped once
+    filtered: ``lo`` is the least fast value of the blocks so far, each
+    block keeps its masks with ``r~ <= lo (1 + delta) + _TINY`` and
+    finishes them at once, and the least ``(value, mask)`` finished so far
+    is kept.  ``lo`` only falls, so the masks finished hold every mask the
+    final ``lo`` keeps, and with it every exact minimizer.  The others, kept
+    before ``lo`` last fell, are searched masks too: their exact values are
+    no smaller than the minimum, so finishing them changes no bit.  They are
+    few: on random graphs of 18 to 22 vertices one to nine masks are
+    finished in all.
+
+    ``connected`` excludes each disconnected witness and runs the search
+    again: call ``j`` returns the ``j``-th set in ``(value, mask)``
+    order, and a singleton, which is connected, ends it.
+    """
     _check_cap(graph.n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
     if not graph.is_connected():
         raise DisconnectedGraph("cheeger constant needs a connected graph")
-    return _subset_sums(graph.vertex_measure, graph.n)
-
-
-def _least(graph: WeightedGraph, fast: np.ndarray, score) -> tuple[float, int]:
-    """The least ``(value, mask)`` over the searched masks, the value bit
-    for bit the one an edge-order cut table gives.  ``fast`` holds the fast
-    value of each searched mask and ``inf`` at the others; ``score(cut,
-    masks)`` maps the cuts of the index array ``masks`` to their values, as
-    it mapped the fast cuts, and may overwrite ``cut``.  It must divide each
-    cut by numbers that do not depend on it.
-
-    Filter.  Let ``c`` be a true cut, ``c~`` the fast one (``n`` roundings,
-    see ``_fast_cut_table``) and ``c^`` the edge-order one (fewer than
-    ``E`` roundings): ``c~ = c (1 + theta_n)`` and ``c^ = c (1 +
-    theta_E)`` with ``|theta_k| <= gamma_k``.  Both are divided by the same
-    numbers, so the fast value ``r~`` and the exact one ``r^`` satisfy ``r~
-    = r^ (1 + theta)`` and ``r^ = r~ (1 + theta')`` with ``|theta|,
-    |theta'| <= gamma_{n+E+3} <= eta = gamma_{n+E+6}`` (one more rounding
-    per division; ``1 / (1 - gamma_j) <= 1 + gamma_{j+1}``; Higham's Lemma
-    3.3 for the products), up to an absolute ``2^-1074`` per underflowing
-    quotient.  Let ``lo`` be the least fast value and ``S*`` an exact
-    minimizer: ``r~(S*) <= (1 + eta) r^(S*) <= (1 + eta) r^(argmin r~) <=
-    (1 + eta)^2 lo``.  So every mask with ``r~ <= lo (1 + delta) + _TINY``,
-    ``delta = 4 eta``, is kept, and the kept set holds every exact minimizer
-    whatever the BLAS: the least kept ``(value, mask)`` after the exact
-    finish is the least searched one.
-    """
-    eta = _gamma(graph.n + len(graph.w) + 6)
-    keep = np.flatnonzero(fast <= fast.min() * (1.0 + 4.0 * eta) + _TINY)
-    exact = score(_edge_order_cuts(graph, keep), keep)
-    i = np.lexsort((keep, exact))[0]
-    return float(exact[i]), int(keep[i])
+    grow, unsearched = 1.0 + 4.0 * _gamma(graph.n + len(graph.w) + 6), [0, (1 << graph.n) - 1]
+    while True:
+        lo, best = math.inf, (math.inf, 0)
+        for start, cut, m_set in _cut_blocks(graph):
+            cut[skip(m_set)] = math.inf
+            for mask in unsearched:
+                if start <= mask < start + len(cut):
+                    cut[mask - start] = math.inf
+            fast = score(cut, m_set)
+            lo = min(lo, fast.min())
+            keep = (fast <= lo * grow + _TINY).nonzero()[0]
+            if keep.size:  # the least exact value, then the least mask
+                exact = score(_edge_order_cuts(graph, keep + start), m_set[keep])
+                best = min(best, (float(exact.min()), start + int(keep[exact.argmin()])))
+        if not connected or _induced_connected(graph, best[1]):
+            return best
+        unsearched.append(best[1])
 
 
 def _induced_connected(graph: WeightedGraph, mask: int) -> bool:
@@ -347,26 +398,18 @@ def cheeger_constant_exact(
     total measure).  Ties on the value go to the smallest witness bitmask.
     With ``connected_only`` the search is restricted to sets inducing a
     connected subgraph; the minimum value is unchanged by that restriction.
-    ``TooLarge`` beyond the cap, or when the tables would not fit in
-    physical memory.
+    ``TooLarge`` beyond the cap, or when 25 bytes per vertex subset would
+    not fit in physical memory (the size rule every exact search shares).
     """
-    m_table = _search_tables(graph, max_n)
     total = graph.total_measure
 
-    def ratio(cut, masks):
-        with np.errstate(invalid="ignore"):  # 0/0 at the empty set
-            return np.divide(cut, m_table[masks], out=cut)
+    def ratio(cut, m_set):  # the empty set's cut is inf: no 0/0
+        return np.divide(cut, m_set, out=cut)
 
-    heavy = m_table > (total - m_table) + HALF_TIE_RTOL * total
-    fast = ratio(_fast_cut_table(graph), slice(None))
-    fast[heavy] = fast[0] = math.inf  # over half the measure, or empty
-    value, witness = _least(graph, fast, ratio)
-    if connected_only:
-        # Call k returns the k-th set in (value, mask) order; a singleton ends it.
-        while not _induced_connected(graph, witness):
-            fast[witness] = math.inf
-            value, witness = _least(graph, fast, ratio)
-    return InvariantReport("h", value, witness)
+    def heavy(m_set):  # over half the measure
+        return m_set > (total - m_set) + HALF_TIE_RTOL * total
+
+    return InvariantReport("h", *_least(graph, max_n, ratio, heavy, connected_only))
 
 
 # -------------------------------------------------------------- dual Cheeger
@@ -602,18 +645,13 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
     is monotone, so the sup is ``1 - (1 - q)`` with ``q`` the least
     ``max(c/m(A), c/m(B))``, which the shared Cheeger search finds.
     """
-    m_table = _search_tables(graph, max_n)
     total = graph.total_measure
 
-    def larger_ratio(cut, masks):
-        m_a = m_table[masks]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            other = np.subtract(total, m_a)
-            np.divide(cut, other, out=other)
-            np.divide(cut, m_a, out=cut)
-        return np.maximum(cut, other, out=cut)
+    def larger_ratio(cut, m_a):
+        return np.maximum(np.divide(cut, m_a), np.divide(cut, total - m_a), out=cut)
 
-    fast = larger_ratio(_fast_cut_table(graph), slice(None))
-    fast[::2] = fast[-1] = math.inf  # vertex 0 in A, B nonempty
-    value, _ = _least(graph, fast, larger_ratio)
+    # Vertex 0 in A: the odd masks, as every block starts at an even one.  A
+    # sum m(A) may round to the total measure, so m(B) to 0.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value, _ = _least(graph, max_n, larger_ratio, lambda m_a: np.s_[::2])
     return float(1.0 - (1.0 - value))

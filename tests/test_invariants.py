@@ -1,6 +1,7 @@
 """Exact isoperimetric invariants against hand values and brute enumeration."""
 
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -567,23 +568,63 @@ def test_cheeger_search_matches_the_cut_table_reference(name):
     assert _cheeger_results(g) == _reference_cheeger(g)
 
 
+@pytest.mark.parametrize("bits", ["1", "2", "k+1"])
+def test_block_seams_change_no_bit(monkeypatch, bits):
+    """Blocks of one or two rows ``H`` put many block seams inside graphs of
+    2 to 14 vertices: the running minimum falls across them, each block is
+    filtered before the final minimum is known, and a witness that
+    ``connected_only`` excludes must stay excluded in whichever block holds
+    it on every rescan.  Values and witnesses must stay the reference's."""
+    graphs = [g for g in (make() for make in _REFERENCE_GRAPHS.values()) if g.n <= 14]
+    graphs += [_tie_heavy_graph(seed) for seed in (*range(12, 16), 341, 353, 361)]
+    expected = [_reference_cheeger(g) for g in graphs]
+    got = []
+    for g in graphs:
+        block_bits = (g.n + 1) // 2 + 1 if bits == "k+1" else int(bits)
+        monkeypatch.setattr(invariants, "_BLOCK_BITS", block_bits)
+        got.append(_cheeger_results(g))
+    assert got == expected
+
+
+def test_cheeger_searches_hold_no_full_table():
+    """Under ``tracemalloc`` each Cheeger search on 22 vertices peaks at
+    8 MiB or less, where one float64 table over all ``2^22`` masks takes
+    32 MiB: the blocks are filtered and dropped one at a time."""
+    g = _REFERENCE_GRAPHS["sparse22"]()
+    searches = {
+        "h": cheeger_constant_exact,
+        "h connected": lambda g: cheeger_constant_exact(g, connected_only=True),
+        "h_via_r": h_via_r,
+    }
+    peaks = {}
+    for name, search in searches.items():
+        tracemalloc.start()
+        try:
+            search(g)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak <= 8 << 20 for peak in peaks.values()), peaks
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_fast_table_noise_inside_the_margin_changes_no_bit(monkeypatch, seed):
     """Relative noise of up to half the filter margin ``delta = 4 eta`` on
-    every fast cut (far above the rounding the margin is derived for) still
-    keeps every minimizer, so values and witnesses stay the reference's."""
+    every fast cut of every block (far above the rounding the margin is
+    derived for) still keeps every minimizer, so values and witnesses stay
+    the reference's."""
     graphs = [_tie_heavy_graph(seed), _tie_heavy_graph(seed + 6),
               sample_graph(RandomGraphSpec(n=8 + seed, seed=seed)), _unit_random(10, 0.5, seed)]
     expected = [_reference_cheeger(g) for g in graphs]
     rng = np.random.default_rng(seed)
-    fast = invariants._fast_cut_table
+    blocks = invariants._cut_blocks
 
     def noisy(graph):
         delta = 4.0 * invariants._gamma(graph.n + len(graph.w) + 6)
-        table = fast(graph)
-        return table * (1.0 + rng.uniform(-delta / 2, delta / 2, len(table)))
+        for start, cut, m_set in blocks(graph):
+            yield start, cut * (1.0 + rng.uniform(-delta / 2, delta / 2, len(cut))), m_set
 
-    monkeypatch.setattr(invariants, "_fast_cut_table", noisy)
+    monkeypatch.setattr(invariants, "_cut_blocks", noisy)
     assert [_cheeger_results(g) for g in graphs] == expected
 
 
