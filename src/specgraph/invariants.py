@@ -16,9 +16,12 @@ its cap or when 25 bytes per vertex subset would not fit in physical memory.
 The enumerations read mask-indexed numpy tables over the graph's one dense
 weight matrix: ``m(S)`` and ``m_S(x)`` are subset sums built by doubling,
 split into a low table and per-block high rows for the dual and ``kappa``
-sweeps.  The ``kappa`` search first bounds every partition from the low
-table alone (each sum is at least its low prefix, bit for bit) and finishes
-only the partitions whose bound does not exceed a value already reached.
+sweeps.  Every table is laid out vertex by mask, one contiguous row of masks
+per vertex, so each pass over a vertex's sums has unit stride, and each
+search adds its blocks' high rows in place into one buffer.  The ``kappa``
+search first bounds every partition from the low table alone (each sum is
+at least its low prefix, bit for bit) and finishes only the partitions
+whose bound does not exceed a value already reached.
 The dual search drops each set ``A`` whose Dinkelbach function, less a
 derived rounding margin, shows that no pair ``(A, B)`` reaches a value
 already reached, and sorts only the sets left.
@@ -29,21 +32,22 @@ the sets within a rounding margin of the running minimum, recomputes those
 edge by edge and drops the block, so value and witness are the ones an
 edge-by-edge table gives and no table over all ``2^n`` masks is held.
 ``connected_only`` excludes each disconnected witness and asks again.
-At the default caps one query on a random graph takes about a hundredth of
-a second (``kappa`` on 20 vertices), about two hundredths (the dual search
-on 17) or about four hundredths (the Cheeger search on 22, 27-47 ms on
-sparse and dense graphs); ``kappa`` takes about a fifth on the unit-weight
-complete graph on 20 vertices, the dual search about a fifteenth on the one
-on 17 and the Cheeger search about a second on the one on 22, whose ties
-leave the bound and the filters few sets to rule out.
+At the default caps one query on a random graph takes about five
+thousandths of a second (``kappa`` on 20 vertices, 4-7 ms on sparse and
+dense graphs), about a hundredth (the dual search on 17, 8-13 ms) or two to
+three hundredths (the Cheeger search on 22, 20-22 ms); ``kappa`` takes
+about a tenth on the unit-weight complete graph on 20 vertices, the dual
+search about a twentieth on the one on 17 and the Cheeger search about
+0.85 s on the one on 22, whose ties leave the bound and the filters few
+sets to rule out.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -168,13 +172,18 @@ def r_quantity(graph: WeightedGraph, mask: int) -> float:
 
 def _subset_sums(rows: np.ndarray, k: int, start=0.0) -> np.ndarray:
     """``start`` plus ``sum(rows[v] for v in S)`` for every mask ``S`` of the
-    first ``k`` rows, built by doubling.  Each sum adds its rows in ascending
-    vertex order, the order a loop over sorted edges adds in.  An array
-    ``start`` gives each entry its shape, and every row broadcasts to it."""
-    table = np.empty((1 << k, *(np.shape(start) or rows.shape[1:])))
-    table[0] = start
+    first ``k`` rows, built by doubling and laid out vertex by mask:
+    ``table[..., S]`` holds the sums of ``S``, so the sums of each entry of a
+    row (of each vertex ``x``, for rows of weights into ``x``) over the masks
+    are one contiguous row.  Each sum adds its rows in ascending vertex
+    order, the order a loop over sorted edges adds in.  An array ``start``
+    has the shape of one row."""
+    table = np.empty((*rows.shape[1:], 1 << k))
+    table[..., 0] = start
+    columns = rows[..., None] if rows.ndim > 1 else rows  # rows[v] against every mask
     for v in range(k):
-        np.add(table[: 1 << v], rows[v], out=table[1 << v : 2 << v])
+        c = 1 << v
+        np.add(table[..., :c], columns[v], out=table[..., c : 2 * c])
     return table
 
 
@@ -184,30 +193,42 @@ def _members(masks: np.ndarray, n: int) -> np.ndarray:
     return ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
 
 
-def _plus_high(rows: np.ndarray, table: np.ndarray, k: int, high: int) -> np.ndarray:
+def _plus_high(
+    rows: np.ndarray, table: np.ndarray, k: int, high: int, out: np.ndarray
+) -> np.ndarray:
     """``table`` plus ``rows[k + j]`` for each bit ``j`` of ``high``, added in
-    ascending ``j``: with ``table`` the rows ``L`` of ``_subset_sums(rows,
-    k)``, the sums ``_subset_sums`` gives for the masks ``(high << k) | L``."""
-    return reduce(np.add, [rows[k + j] for j in range(len(rows) - k) if high >> j & 1], table)
+    ascending ``j`` into ``out``: with ``table`` the columns ``L`` of
+    ``_subset_sums(rows, k)``, the sums ``_subset_sums`` gives for the masks
+    ``(high << k) | L``.  The first addition reads ``table`` and the others
+    add in place, so ``out`` is the one buffer a search needs; with ``high
+    = 0`` the result is ``table`` itself."""
+    for j in range(len(rows) - k):
+        if high >> j & 1:
+            table = np.add(table, rows[k + j][..., None], out=out)
+    return table
 
 
 def _chunks(graph: WeightedGraph):
     """Every mask ``S`` in ascending blocks of ``2^_CHUNK_BITS``, as ``(masks,
-    sums)``: row ``i`` of ``sums`` is ``m_S(x)`` for each vertex ``x``
+    sums)``: column ``i`` of ``sums`` holds ``m_S(x)`` for each vertex ``x``
     outside ``S`` and ``-inf`` for each member, followed by ``m(S)``, for
     ``S = masks[i]``.  Each vertex's own weight row holds ``-inf`` at that
-    vertex, so a member's column is ``-inf`` and every other sum is the one
+    vertex, so a member's entry is ``-inf`` and every other sum is the one
     ``_subset_sums`` gives over the weight matrix.  One table covers the low
     vertices (a meet-in-the-middle split, Horowitz-Sahni 1974) and each block
-    adds its high rows in ascending order."""
+    adds its high rows in ascending order into one buffer, which the next
+    block overwrites; the last block adds them into the low table itself,
+    which no later block reads, so a search over two blocks holds one
+    table."""
     n = graph.n
     rows = np.column_stack([weight_matrix(graph), graph.vertex_measure])
     np.fill_diagonal(rows, -math.inf)
     k = min(n, _CHUNK_BITS)
-    low = _subset_sums(rows, k)
+    low, top = _subset_sums(rows, k), (1 << (n - k)) - 1
     offsets = np.arange(1 << k, dtype=np.int64)
-    for high in range(1 << (n - k)):
-        yield (high << k) | offsets, _plus_high(rows, low, k, high)
+    sums = np.empty_like(low) if top > 1 else low  # the blocks between the first and last
+    for high in range(top + 1):
+        yield (high << k) | offsets, _plus_high(rows, low, k, high, low if high == top else sums)
 
 
 def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
@@ -264,36 +285,40 @@ def _cut_blocks(graph: WeightedGraph):
     terms come out of a matrix product whose row ``H`` is ``(1_{H^c}, 1_H,
     1, C_high[H])`` and column ``L`` is ``(A[L], A[L^c], C_low[L], 1)``; a
     block is the product of ``2^b`` consecutive rows with every column.
+    One doubling over the low vertices builds, vertex by mask, the weights
+    from ``L`` into every vertex, the bits of ``L`` and, in the first
+    ``2^(n-k)`` columns of its last rows, the weights from ``H`` into the
+    high vertices; the column factor stacks slices of that table.
     Every term is a nonnegative partial sum of the crossing weights and each
     weight enters once.  A path from a weight to the result meets at most
     ``|L| - 1`` additions in ``A`` (or ``k - 2`` in ``C_low``) and ``n - k +
     1`` in the product, where products with 0 add exact zeros: at most ``n``
     roundings, whatever order the BLAS adds in.
 
-    ``m_set`` starts from ``m(L)``, adds the measures of the block's ``b``
-    low bits of ``H`` by doubling and then those of its other bits, each in
-    ascending vertex order: the additions of ``_subset_sums(m, n)``, in the
-    same order, so every ``m(S)`` is that table's bit for bit.  One doubling
-    over the low vertices builds the weights from ``L`` into every vertex,
-    the bits of ``L``, ``m(L)`` and, in its first ``2^(n-k)`` rows, the
-    weights from ``H`` into the high vertices.
+    ``m_set`` is ``_subset_sums(m, k + b)``, the doubling over the low
+    vertices and the block's ``b`` low bits of ``H``, plus the measures of
+    its other bits in ascending vertex order: the additions of
+    ``_subset_sums(m, n)``, in the same order, so every ``m(S)`` is that
+    table's bit for bit.  ``cut`` and ``m_set`` are buffers that the next
+    block overwrites.
     """
     n, m, weights = graph.n, graph.vertex_measure, weight_matrix(graph)
     k = (n + 1) // 2
     b = min(n - k, max(0, _BLOCK_BITS - k))
-    per_bit = np.concatenate([weights[:k], np.eye(k), m[:k, None], np.zeros((k, n - k))], 1)
-    per_bit[: n - k, n + k + 1 :] = weights[k:, k:]
+    per_bit = np.concatenate([weights[:k], np.eye(k), np.zeros((k, n - k))], 1)
+    per_bit[: n - k, n + k :] = weights[k:, k:]
     table = _subset_sums(per_bit, k)
-    low, in_low, high = table[:, :n], table[:, n : n + k], table[: 1 << (n - k), n + k + 1 :]
-    in_high, out_low = in_low[: len(high), : n - k], 1.0 - in_low
-    c_low = np.einsum("ij,ij->i", low[:, :k], out_low)[:, None]
-    c_high = np.einsum("ij,ij->i", high, out_low[: len(high), : n - k])[:, None]
-    rows = np.concatenate([1.0 - in_high, in_high, np.ones((len(high), 1)), c_high], 1)
-    columns = np.concatenate([low[:, k:], low[::-1, k:], c_low, np.ones((len(low), 1))], 1)
-    m_low = _subset_sums(m[k : k + b], b, table[:, n + k]).reshape(-1)
+    low, in_low, high = table[:n], table[n : n + k], table[n + k :, : 1 << (n - k)]
+    in_high, out_low = in_low[: n - k, : 1 << (n - k)], 1.0 - in_low
+    c_low = np.einsum("ij,ij->j", low[:k], out_low)
+    c_high = np.einsum("ij,ij->j", high, out_low[: n - k, : 1 << (n - k)])
+    rows = np.concatenate([1.0 - in_high, in_high, np.ones_like(c_high)[None], c_high[None]]).T
+    columns = np.concatenate([low[k:], low[k:, ::-1], c_low[None], np.ones_like(c_low)[None]])
+    m_low = _subset_sums(m, k + b)
+    cut, m_set = np.empty((1 << b, 1 << k)), np.empty_like(m_low)
     for block in range(1 << (n - k - b)):  # row H, column L: mask L + (H << k)
-        cut = rows[block << b : (block + 1) << b] @ columns.T
-        yield block << (k + b), cut.reshape(-1), _plus_high(m, m_low, k + b, block)
+        np.matmul(rows[block << b : (block + 1) << b], columns, out=cut)
+        yield block << (k + b), cut.reshape(-1), _plus_high(m, m_low, k + b, block, m_set)
 
 
 def _edge_order_cuts(graph: WeightedGraph, masks: np.ndarray) -> np.ndarray:
@@ -386,6 +411,63 @@ def _induced_connected(graph: WeightedGraph, mask: int) -> bool:
     return bool(np.all(roots == roots[0]))
 
 
+# The bit pattern of +inf: the nonnegative floats are the patterns 0 .. this.
+_INF_BITS = 0x7FF0000000000000
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _last_light(total: float) -> float:
+    """The largest float ``tau`` with ``heavy(tau)`` false, where ``heavy(x)
+    = x > (total - x) + HALF_TIE_RTOL * total`` in float64 arithmetic: the
+    test that a set of measure ``x`` has over half the measure ``total``.
+    For every float ``x >= 0`` and for NaN, ``heavy(x)`` is ``x > tau``, so
+    the Cheeger search makes one comparison per set instead of three
+    operations.
+
+    Proof.  ``c = fl(HALF_TIE_RTOL * total)`` does not depend on ``x``.
+    Rounding to nearest is monotone, so ``r(x) = fl(fl(total - x) + c)`` is
+    nonincreasing in ``x``; the one case without an order, ``total - x``
+    with both infinite, needs ``total = inf``, where ``r`` is ``inf`` or NaN
+    and ``heavy`` is false everywhere, so ``tau = inf``.  Otherwise, if
+    ``heavy(x)`` and ``y > x``, then ``y > x > r(x) >= r(y)``: ``heavy``
+    switches from false to true at most once over ``x >= 0``.  It is false
+    at 0 (``r(0) >= 0`` as ``total >= 0``) and true at ``inf`` (``r(inf) =
+    -inf``).  The nonnegative floats ordered by value are the integers
+    ``0 .. _INF_BITS`` ordered as bit patterns, so a bisection over bit
+    patterns, from any bracket ``[lo, hi]`` with ``heavy`` false at ``lo``
+    and true at ``hi``, ends at ``tau``.  Python floats are float64 and
+    make the same roundings as the array expression.  The bracket starts
+    one bit pattern either side of ``(total + c) / 2``, within a few units
+    in the last place of ``tau``, and doubles its reach until it holds; it
+    holds at ``[0, _INF_BITS]`` at the latest.  NaN compares false on both
+    sides.
+    """
+
+    def heavy(bits: int) -> bool:
+        x = _float(bits)
+        return x > (total - x) + HALF_TIE_RTOL * total
+
+    if not heavy(_INF_BITS):
+        return math.inf
+    centre, reach = _bits(0.5 * total + 0.5 * (HALF_TIE_RTOL * total)), 1
+    while True:
+        lo, hi = max(centre - reach, 0), min(centre + reach, _INF_BITS)
+        if heavy(hi) and not heavy(lo):
+            break
+        reach *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if heavy(mid) else (mid, hi)
+    return _float(lo)
+
+
 def cheeger_constant_exact(
     graph: WeightedGraph,
     max_n: int | None = None,
@@ -401,13 +483,13 @@ def cheeger_constant_exact(
     ``TooLarge`` beyond the cap, or when 25 bytes per vertex subset would
     not fit in physical memory (the size rule every exact search shares).
     """
-    total = graph.total_measure
+    tau = _last_light(graph.total_measure)
 
     def ratio(cut, m_set):  # the empty set's cut is inf: no 0/0
         return np.divide(cut, m_set, out=cut)
 
     def heavy(m_set):  # over half the measure
-        return m_set > (total - m_set) + HALF_TIE_RTOL * total
+        return m_set > tau
 
     return InvariantReport("h", *_least(graph, max_n, ratio, heavy, connected_only))
 
@@ -418,13 +500,13 @@ def cheeger_constant_exact(
 def _best_prefix(
     masks: np.ndarray, sums: np.ndarray, m: np.ndarray, rows
 ) -> tuple[float, int, int]:
-    """``(value, A, B)`` of the best prefix pair over the ``rows`` of one
-    ``_chunks`` block, taken in the order given: the first row, then the
-    shortest prefix, among equal values.  The members of ``A`` hold
-    ``-inf``, so they sort after every other vertex, and the prefixes that
-    reach them are set to ``-inf``."""
+    """``(value, A, B)`` of the best prefix pair over the sets ``rows`` of one
+    ``_chunks`` block, their columns gathered in the order given: the first
+    set, then the shortest prefix, among equal values.  The members of ``A``
+    hold ``-inf``, so they sort after every other vertex, and the prefixes
+    that reach them are set to ``-inf``."""
     n = len(m)
-    block = sums[rows]
+    block = sums[:, rows].T
     order = (-(block[:, :n] / m)).argsort(axis=1, kind="stable")  # A's -inf last
     into = block[np.arange(len(order))[:, None], order]
     # Only the columns of A's own members can overflow (weights near the
@@ -455,31 +537,31 @@ def dual_cheeger_exact(
     that cannot reach a value ``lam`` already reached, so only a few rows
     are sorted.
 
-    Filter.  Fix a row ``A`` with ``a_b = m_A(b)`` and ``mu = m(A)`` as the
-    table holds them, and let ``M = sum_v m(v)``.  Dinkelbach's function
-    (Management Science 1967) ``G(lam) = sum over b outside A of max(0, 2
-    a_b - lam m(b)), minus lam mu``, is at least ``2 sum_B a_b - lam (mu +
-    m(B))`` for every ``B`` outside ``A``.  Say the finish gives a prefix
-    ``B`` of ``j <= n`` vertices a value ``v >= lam``.  With ``u = 2^-53``
-    and ``gamma_k`` as in ``_least``: ``C <= (1 + gamma_j) sum_B a_b``, ``D
-    >= (1 - gamma_j)(mu + m(B))`` and ``2C / D >= lam / (1 + u)``, so ``G(lam)
-    >= -gamma_{2n} lam (mu + M)``.  The filter adds ``r = sum over all b of
-    max(a'_b, (lam/2) m(b))``, where ``a'_b`` is ``a_b`` outside ``A`` and
-    ``-inf`` on it (as ``_chunks`` gives them): exactly, ``r = (G(lam) + lam
-    (mu + M)) / 2``, so ``r >= (lam/2)(mu + M)(1 - gamma_{2n})``.  Computed,
-    each product rounds once and the sum of ``n`` nonnegative terms ``n - 1``
-    times in any order, so ``r~ >= (lam/2)(mu + M)(1 - gamma_{3n})``.  The
-    threshold ``t = h (lam (1 - delta) - 4 s) - (n + 2) s``, with ``h =
-    (M~ + mu)/2``, ``M~`` the graph's total measure (``<= (1 + gamma_n)
-    M``), ``delta = 2 gamma_{4n+5}`` and ``s = _MIN_SUBNORMAL``, is below
-    that bound after its own roundings.  A subnormal result is off by at
-    most ``s/2`` instead: ``4 s`` covers the halving of a subnormal
-    ``lam``, the rounding of a subnormal ``lam (1 - delta)`` and a subnormal
-    quotient ``2C / D``, each off by at most ``s/2`` times a measure below
-    ``2h``, and ``(n + 2) s`` the ``n`` products in ``r~`` and the halvings
-    and the product in ``t``.  So a row is dropped only when ``r~ < t``, and
-    then none of its prefixes reaches ``lam``; a row whose ``r~ - t`` is
-    ``nan`` is kept.
+    Filter.  Fix a row ``A`` (a column of a ``_chunks`` block) with ``a_b =
+    m_A(b)`` and ``mu = m(A)`` as the table holds them, and let ``M = sum_v
+    m(v)``.  Dinkelbach's function (Management Science 1967) ``G(lam) = sum
+    over b outside A of max(0, 2 a_b - lam m(b)), minus lam mu``, is at
+    least ``2 sum_B a_b - lam (mu + m(B))`` for every ``B`` outside ``A``.
+    Say the finish gives a prefix ``B`` of ``j <= n`` vertices a value ``v
+    >= lam``.  With ``u = 2^-53`` and ``gamma_k`` as in ``_least``: ``C <=
+    (1 + gamma_j) sum_B a_b``, ``D >= (1 - gamma_j)(mu + m(B))`` and ``2C /
+    D >= lam / (1 + u)``, so ``G(lam) >= -gamma_{2n} lam (mu + M)``.  The
+    filter adds ``r = sum over all b of max(a'_b, (lam/2) m(b))``, where
+    ``a'_b`` is ``a_b`` outside ``A`` and ``-inf`` on it (as ``_chunks``
+    gives them): exactly, ``r = (G(lam) + lam (mu + M)) / 2``, so ``r >=
+    (lam/2)(mu + M)(1 - gamma_{2n})``.  Computed, each product rounds once
+    and the sum of ``n`` nonnegative terms ``n - 1`` times in any order, so
+    ``r~ >= (lam/2)(mu + M)(1 - gamma_{3n})``.  The threshold ``t = h (lam
+    (1 - delta) - 4 s) - (n + 2) s``, with ``h = (M~ + mu)/2``, ``M~`` the
+    graph's total measure (``<= (1 + gamma_n) M``), ``delta = 2
+    gamma_{4n+5}`` and ``s = _MIN_SUBNORMAL``, is below that bound after its
+    own roundings.  A subnormal result is off by at most ``s/2`` instead:
+    ``4 s`` covers the halving of a subnormal ``lam``, the rounding of a
+    subnormal ``lam (1 - delta)`` and a subnormal quotient ``2C / D``, each
+    off by at most ``s/2`` times a measure below ``2h``, and ``(n + 2) s``
+    the ``n`` products in ``r~`` and the halvings and the product in ``t``.
+    So a row is dropped only when ``r~ < t``, and then none of its prefixes
+    reaches ``lam``; a row whose ``r~ - t`` is ``nan`` is kept.
 
     Search.  Each block starts at ``lam``, the best value of the blocks
     before it or 0, and raises it by Dinkelbach's steps: the row with the
@@ -500,13 +582,19 @@ def dual_cheeger_exact(
     m, total = graph.vertex_measure, graph.total_measure
     shrink, floor = 1.0 - 2.0 * _gamma(4 * n + 5), (n + 2) * _MIN_SUBNORMAL
     best = (-math.inf, 0, 0)
+    reach, term, half = np.empty((3, 1 << min(n, _CHUNK_BITS)))
     for masks, sums in _chunks(graph):
-        half = 0.5 * total + 0.5 * sums[:, n]
+        np.add(0.5 * total, np.multiply(0.5, sums[n], out=half), out=half)
         lam, probed = max(best[0], 0.0), None
         while True:
-            # Row sums (einsum is the fastest); any order is within the bound.
-            reach = np.einsum("ij->i", np.maximum(sums[:, :n], 0.5 * lam * m))
-            slack = reach - (half * (lam * shrink - 4.0 * _MIN_SUBNORMAL) - floor)
+            # A running sum over the vertices, each term one contiguous row;
+            # any order is within the bound.
+            bar = 0.5 * lam * m
+            np.maximum(sums[0], bar[0], out=reach)
+            for x in range(1, n):
+                reach += np.maximum(sums[x], bar[x], out=term)
+            np.multiply(half, lam * shrink - 4.0 * _MIN_SUBNORMAL, out=term)
+            slack = np.subtract(reach, np.subtract(term, floor, out=term), out=reach)
             row = int(np.argmax(slack))
             if row == probed:  # its value is lam
                 break
@@ -560,8 +648,10 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
     minimum; the skip is strict, so every ``L`` of a tied minimizer stays.
     The kept ``L`` go through the full sums one high part at a time in
     ascending mask order, so value and witness are those a search of every
-    partition gives.  With ``n <= _CHUNK_BITS`` there is no high vertex: the
-    bound is the value and one pass over every ``L`` is the search.
+    partition gives; their columns and low members are gathered once, and
+    each pass adds its high rows into one buffer per side.  With ``n <=
+    _CHUNK_BITS`` there is no high vertex: the bound is the value and one
+    pass over every ``L`` is the search.
     """
     n = graph.n
     _check_cap(n, max_n, DEFAULT_MAX_KAPPA, "kappa")
@@ -571,17 +661,17 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
     weights, m = weight_matrix(graph), graph.vertex_measure
     k = min(n, _CHUNK_BITS)
     full, top = (1 << n) - 1, (1 << (n - k)) - 1
-    low = _subset_sums(weights, k)
-    # Row i: the low part L = 2i + 1 (vertex 0 in A), and row i of low[::-1]
-    # its complement among the low vertices.
-    parts = np.arange(1, 1 << k, 2)
-    own, other = low[1::2], low[::-1][1::2]
+    # Column i: the low part L = 2i + 1 (vertex 0 in A), and its complement
+    # among the low vertices.
+    parts, low = np.arange(1, 1 << k, 2), _subset_sums(weights, k)
+    own, other = low[:, 1::2], low[:, -2::-2]
 
-    def values(masks: np.ndarray, sums: np.ndarray, sums_c: np.ndarray) -> np.ndarray:
+    def values(masks, in_a: np.ndarray, sums: np.ndarray, sums_c: np.ndarray) -> np.ndarray:
         """The value of each partition ``masks``, from ``m_A(x)`` and
-        ``m_{A^c}(x)`` in the rows of ``sums`` and ``sums_c``."""
-        same_side = np.where(_members(masks, n).T, sums, sums_c)
-        result = (same_side / m).max(axis=1)
+        ``m_{A^c}(x)`` in the rows of ``sums`` and ``sums_c``; ``in_a`` is
+        the membership matrix of ``masks``."""
+        same_side = np.where(in_a, sums, sums_c)
+        result = np.divide(same_side, m[:, None], out=same_side).max(axis=0)
         result[masks == full] = math.inf  # complement empty
         return result
 
@@ -590,28 +680,34 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
         in_low, bound = _members(parts, k), np.zeros(len(parts))
         for x in range(n):  # a high vertex x >= k may sit on either side
             prefix = (
-                np.where(in_low[x], own[:, x], other[:, x])
-                if x < k
-                else np.minimum(own[:, x], other[:, x])
+                np.where(in_low[x], own[x], other[x]) if x < k else np.minimum(own[x], other[x])
             )
             np.maximum(bound, prefix / m[x], out=bound)
-        # The least-bound L with every high part H: row H of each table is
+        # The least-bound L with every high part H: column H of each table is
         # the sum _plus_high gives, as _subset_sums adds in the same order.
         i = int(np.argmin(bound))
+        masks = (np.arange(top + 1) << k) | parts[i]
         ub = values(
-            (np.arange(top + 1) << k) | parts[i],
-            _subset_sums(weights[k:], n - k, own[i]),
-            _subset_sums(weights[k:], n - k, other[i])[::-1],
+            masks,
+            _members(masks, n),
+            _subset_sums(weights[k:], n - k, own[:, i]),
+            _subset_sums(weights[k:], n - k, other[:, i])[:, ::-1],
         ).min()
         rows = np.flatnonzero(bound <= ub)
 
+    # The kept columns, gathered once; their low members hold in every pass.
+    own, other, in_a = own[:, rows], other[:, rows], _members(parts[rows], n)
+    own_high, other_high = np.empty_like(own), np.empty_like(other)
     best, best_a = math.inf, 0
     for high in range(top + 1):
         masks = (high << k) | parts[rows]
+        if high:  # rows k.. of in_a start False, as every part is below 2^k
+            in_a[k:] = _members(high, n - k)
         result = values(
             masks,
-            _plus_high(weights, own[rows], k, high),
-            _plus_high(weights, other[rows], k, top ^ high),
+            in_a,
+            _plus_high(weights, own, k, high, own_high),
+            _plus_high(weights, other, k, top ^ high, other_high),
         )
         i = int(np.argmin(result))
         if result[i] < best:

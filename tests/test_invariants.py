@@ -173,10 +173,10 @@ def test_weighted_triangle_matches_brute_force(w):
 def test_subset_sums_add_in_neighbour_order(monkeypatch):
     """Each ``m_S(x)`` with ``x`` outside ``S`` and each ``m(S)`` of the
     dual's blocks, and each ``m_S(x)`` and ``m_{S^c}(x)`` as ``kappa`` adds
-    them (row ``L`` of the low table, or of ``low[::-1]`` for the complement,
-    plus the high rows of that side), equals the per-vertex sum in neighbour
-    order bit for bit, across block seams too; the dual's blocks hold
-    ``-inf`` at the members of ``S``."""
+    them (column ``L`` of the low table, or of ``low[:, ::-1]`` for the
+    complement, plus the high rows of that side), equals the per-vertex sum
+    in neighbour order bit for bit, across block seams too; the dual's
+    blocks hold ``-inf`` at the members of ``S``."""
     monkeypatch.setattr(invariants, "_CHUNK_BITS", 3)
     g = sample_graph(RandomGraphSpec(n=7, seed=3))
     n, k = g.n, 3
@@ -184,18 +184,22 @@ def test_subset_sums_add_in_neighbour_order(monkeypatch):
     weights = weight_matrix(g)
     measures = invariants._subset_sums(g.vertex_measure, n)
     low = invariants._subset_sums(weights, k)
+
+    def plus_high(table, high):
+        return invariants._plus_high(weights, table, k, high, np.empty(table.shape))[:, 0]
+
     for masks, sums in invariants._chunks(g):
-        for mask, row in zip(masks.tolist(), sums):
+        for mask, column in zip(masks.tolist(), sums.T):
             high, part = divmod(mask, 1 << k)
             inside = _indicator(n, mask)
-            own = invariants._plus_high(weights, low[part], k, high)
-            other = invariants._plus_high(weights, low[::-1][part], k, top ^ high)
+            own = plus_high(low[:, [part]], high)
+            other = plus_high(low[:, ::-1][:, [part]], top ^ high)
             into = np.where(inside, -math.inf, _weight_into(g, inside))
-            assert row[:n].tolist() == into.tolist()
+            assert column[:n].tolist() == into.tolist()
             for subset, got in ((mask, own), (full ^ mask, other)):
                 assert got.tolist() == _weight_into(g, _indicator(n, subset)).tolist()
             m_set = _sequential_sum(g.vertex_measure[inside])
-            assert row[n] == measures[mask] == m_set
+            assert column[n] == measures[mask] == m_set
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
@@ -214,6 +218,28 @@ def test_block_size_changes_no_value_or_witness(monkeypatch, bits):
     assert [_kappa_result(g) for g in graphs] == kappas
 
 
+# ------------------------------------------- table helpers of the references
+
+
+def _reference_subset_sums(rows: np.ndarray, k: int, start=0.0) -> np.ndarray:
+    """``start`` plus ``sum(rows[v] for v in S)`` for every mask ``S`` of the
+    first ``k`` rows, by doubling, mask by vertex: row ``S`` holds the sums
+    of ``S``, each adding its rows in ascending vertex order.  The table
+    builder the searches used before their tables were laid out vertex by
+    mask, kept here so that the references do not change with it."""
+    table = np.empty((1 << k, *(np.shape(start) or rows.shape[1:])))
+    table[0] = start
+    for v in range(k):
+        np.add(table[: 1 << v], rows[v], out=table[1 << v : 2 << v])
+    return table
+
+
+def _reference_members(masks: np.ndarray, n: int) -> np.ndarray:
+    """Membership matrix, vertex by mask: ``[x, i]`` says whether vertex
+    ``x < n`` is in ``masks[i]``."""
+    return ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
+
+
 # ------------------------------------------------- kappa search reference
 
 
@@ -225,7 +251,7 @@ def _reference_kappa(graph: WeightedGraph) -> tuple[str, tuple[int, int]]:
     n = graph.n
     rows = weight_matrix(graph)
     k = min(n, 16)
-    low = invariants._subset_sums(rows, k)
+    low = _reference_subset_sums(rows, k)
     low_s, low_c = low[1::2], low[::-1][1::2]  # row i of low[::-1]: complement of i
     offsets = np.arange(1 << k, dtype=np.int64)[1::2]
     m = graph.vertex_measure
@@ -237,7 +263,7 @@ def _reference_kappa(graph: WeightedGraph) -> tuple[str, tuple[int, int]]:
     best, best_a = math.inf, 0
     for high in range(top + 1):
         masks = (high << k) | offsets
-        in_a = invariants._members(masks, n).T
+        in_a = _reference_members(masks, n).T
         worst = (np.where(in_a, plus_high(low_s, high), plus_high(low_c, top ^ high)) / m).max(axis=1)
         worst[masks == full] = math.inf  # complement empty
         i = int(np.argmin(worst))
@@ -299,7 +325,7 @@ def _reference_dual(graph: WeightedGraph) -> tuple[str, tuple[int, int]]:
     m = graph.vertex_measure
     rows = np.column_stack([weight_matrix(graph), m])
     k = min(n, 16)
-    low = invariants._subset_sums(rows, k)
+    low = _reference_subset_sums(rows, k)
     offsets = np.arange(1 << k, dtype=np.int64)
     full = (1 << n) - 1
     best, witness = -math.inf, (0, 0)
@@ -308,7 +334,7 @@ def _reference_dual(graph: WeightedGraph) -> tuple[str, tuple[int, int]]:
         sums = reduce(np.add, [rows[k + j] for j in range(n - k) if high >> j & 1], low)
         into = sums[:, :n]
         ratio = into / m
-        ratio[invariants._members(masks, n).T] = -1.0  # members of A sort last
+        ratio[_reference_members(masks, n).T] = -1.0  # members of A sort last
         order = np.argsort(-ratio, axis=1, kind="stable")
         with np.errstate(over="ignore", invalid="ignore"):
             values = (
@@ -495,7 +521,7 @@ def _reference_cheeger(graph: WeightedGraph):
     """``(h hex, witness)`` without and with ``connected_only``, and the hex
     of ``h_via_r``, by ``argmin`` over the full cut table."""
     n = graph.n
-    m_table = invariants._subset_sums(graph.vertex_measure, n)
+    m_table = _reference_subset_sums(graph.vertex_measure, n)
     cut = _cut_table(graph)
     total = graph.total_measure
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -520,12 +546,31 @@ def _reference_cheeger(graph: WeightedGraph):
 
 
 def _cheeger_results(graph: WeightedGraph):
-    free = cheeger_constant_exact(graph)
-    connected = cheeger_constant_exact(graph, connected_only=True)
+    """``(h hex, witness)`` without and with ``connected_only``, and the hex
+    of ``h_via_r``.  A search streams the blocks once per witness it
+    excludes, so at most ``2^n`` times: one that streams more fails here,
+    where a search that never excludes its witness would run forever."""
+    blocks = invariants._cut_blocks
+
+    def bounded(search, **options):
+        passes = 0
+
+        def counted(g):
+            nonlocal passes
+            passes += 1
+            assert passes <= 1 << g.n, f"{passes} passes over the blocks of {g.n} vertices"
+            return blocks(g)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(invariants, "_cut_blocks", counted)
+            return search(graph, **options)
+
+    free = bounded(cheeger_constant_exact)
+    connected = bounded(cheeger_constant_exact, connected_only=True)
     return (
         (free.value.hex(), free.witness),
         (connected.value.hex(), connected.witness),
-        h_via_r(graph).hex(),
+        bounded(h_via_r).hex(),
     )
 
 
@@ -568,6 +613,46 @@ def test_cheeger_search_matches_the_cut_table_reference(name):
     assert _cheeger_results(g) == _reference_cheeger(g)
 
 
+def _heavy(x, total):
+    """The half-measure test of a set of measure ``x``, as the Cheeger search
+    made it on each set before it compared with one threshold."""
+    return x > (total - x) + invariants.HALF_TIE_RTOL * total
+
+
+def _around(tau: float) -> list[float]:
+    """``tau`` and the floats one and two units in the last place either
+    side of it, the nonnegative ones."""
+    below, above = [tau], [tau]
+    for _ in range(2):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return [x for x in below[:0:-1] + above if x >= 0.0]
+
+
+def test_half_measure_threshold_is_the_full_test_on_every_set():
+    """``m(S) > tau`` is the full test on every ``m(S)`` of every reference
+    graph, subnormal and near-maximum weights included, and on the floats
+    around ``tau``, so ``tau`` one unit in the last place off fails."""
+    for name, make in _REFERENCE_GRAPHS.items():
+        g = make()
+        total = g.total_measure
+        tau = invariants._last_light(total)
+        x = np.append(_reference_subset_sums(g.vertex_measure, g.n), _around(tau))
+        assert np.array_equal(x > tau, _heavy(x, total)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.floats(min_value=0.0, allow_infinity=True),
+    x=st.floats(min_value=0.0, allow_infinity=True),
+    scale=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_half_measure_threshold_is_the_full_test(total, x, scale):
+    tau = invariants._last_light(total)
+    for y in [x, scale * total, *_around(tau), *_around(0.5 * total), math.nan]:
+        assert (y > tau) == _heavy(y, total), (total, y, tau)
+
+
 @pytest.mark.parametrize("bits", ["1", "2", "k+1"])
 def test_block_seams_change_no_bit(monkeypatch, bits):
     """Blocks of one or two rows ``H`` put many block seams inside graphs of
@@ -605,6 +690,22 @@ def test_cheeger_searches_hold_no_full_table():
         finally:
             tracemalloc.stop()
     assert all(peak <= 8 << 20 for peak in peaks.values()), peaks
+
+
+def test_dual_search_holds_one_block_buffer():
+    """Under ``tracemalloc`` the dual search on a dense 17-vertex graph peaks
+    at 16 MiB or less: one low table of about 9 MiB, which the second and
+    last block adds its high row into, where fresh sums per block and a
+    mask-by-vertex maximum over each block took 29.5 MiB."""
+    g = sample_graph(RandomGraphSpec(n=17, edge_probability=0.75, seed=17))
+    weight_matrix(g)
+    tracemalloc.start()
+    try:
+        dual_cheeger_exact(g, max_n=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20, peak
 
 
 @pytest.mark.parametrize("seed", range(6))
