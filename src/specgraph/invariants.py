@@ -506,7 +506,7 @@ def _best_prefix(
     hold ``-inf``, so they sort after every other vertex, and the prefixes
     that reach them are set to ``-inf``."""
     n = len(m)
-    block = sums[:, rows].T
+    block = sums.take(rows, axis=1).T
     order = (-(block[:, :n] / m)).argsort(axis=1, kind="stable")  # A's -inf last
     into = block[np.arange(len(order))[:, None], order]
     # Only the columns of A's own members can overflow (weights near the
