@@ -399,6 +399,10 @@ def _finite_fsum(terms, what: str) -> float:
     return total
 
 
+# An overflow gives inf (or nan, times 0), which the finiteness check refuses.
+# ``np.errstate`` as a decorator costs less per call than a ``with`` block, and
+# these two run many times per graph in ``run_suite``.
+@np.errstate(over="ignore")
 def _edge_energy(graph: WeightedGraph, arr: np.ndarray, sign: float) -> float:
     """``sum_e m(e) (f(u) + sign f(v))^2`` of an array already read, exactly
     rounded."""
@@ -407,6 +411,7 @@ def _edge_energy(graph: WeightedGraph, arr: np.ndarray, sign: float) -> float:
     return _finite_fsum((w * t ** 2 for w, t in zip(graph.w, terms)), "edge energy")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _inner(graph: WeightedGraph, fa: np.ndarray, ga: np.ndarray) -> float:
     """``sum_v m(v) f(v) g(v)`` of two arrays already read, exactly rounded."""
     return _finite_fsum(graph.vertex_measure * fa * ga, "inner product")

@@ -412,19 +412,22 @@ def coarea_check(
     """
     graph = analysis.graph
     arr = _as_function(graph, f)
-    g = arr * arr
-    levels = np.concatenate(([0.0], np.unique(g)))
-    widths = np.diff(levels)
-    # One row per level interval (a, b] of positive width, never empty.
-    above = g[None, :] > levels[:-1][widths > 0.0, None]
-    widths = widths[widths > 0.0]
-    m_above = _sequential_sum(np.where(above, graph.vertex_measure, 0.0))
-    cut = _sequential_sum(np.where(above[:, graph.u] != above[:, graph.v], graph.w, 0.0))
-    measure_integral = float(_sequential_sum(widths * m_above))
-    boundary_integral = float(_sequential_sum(widths * cut))
+    # Overflow leaves inf or nan in these sums without a warning; ``_inner``
+    # refuses a norm that it reaches.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = arr * arr
+        levels = np.concatenate(([0.0], np.unique(g)))
+        widths = np.diff(levels)
+        # One row per level interval (a, b] of positive width, never empty.
+        above = g[None, :] > levels[:-1][widths > 0.0, None]
+        widths = widths[widths > 0.0]
+        m_above = _sequential_sum(np.where(above, graph.vertex_measure, 0.0))
+        cut = _sequential_sum(np.where(above[:, graph.u] != above[:, graph.v], graph.w, 0.0))
+        measure_integral = float(_sequential_sum(widths * m_above))
+        boundary_integral = float(_sequential_sum(widths * cut))
 
-    norm = _inner(graph, arr, arr)
-    variation = math.fsum((graph.w * np.abs(g[graph.u] - g[graph.v])).tolist())
+        norm = _inner(graph, arr, arr)
+        variation = math.fsum((graph.w * np.abs(g[graph.u] - g[graph.v])).tolist())
     tol_a = 1e-10 * max(1.0, abs(norm))
     tol_b = 1e-10 * max(1.0, abs(variation))
     return (

@@ -70,6 +70,8 @@ _MAX_TERMS = 1_000_000
 _KAPPA_SCAN = 200
 # Roots ``asymmetry_K`` computes before it gives up certifying.
 _MAX_ROOTS = 400
+# Most evaluations ``_enclose`` spends on one root.
+_ENCLOSE_STEPS = 12
 # Most edges ``truncate_K`` and ``families.generate`` build, most values
 # ``eigenfunction`` returns, and most points ``specgraph trace`` samples: each
 # is held as Python objects or dense arrays first, so a size of 10^11 would
@@ -254,6 +256,108 @@ def _membership(p: PSequence, lam: float, terms: int) -> float:
     return partial + p.remainder(terms) / (delta * delta)
 
 
+def _side(val: float, terms: np.ndarray) -> tuple[int, float]:
+    """Which side of the root an evaluation ``val = F^(x)`` from the float
+    terms ``alpha_j / (alpha_j - x)`` certifies, and its margin.
+
+    The side is 1 when ``val - 1`` exceeds the margin
+    ``2 _TAIL_TARGET + 2^-46 sum |terms|``, -1 when ``1 - val`` does, and 0
+    otherwise; ``p_eigenvalue`` proves what the first two mean.
+    """
+    margin = 2.0 * _TAIL_TARGET + 2.0**-46 * float(np.abs(terms).sum())
+    if val - 1.0 > margin:
+        return 1, margin
+    if 1.0 - val > margin:
+        return -1, margin
+    return 0, margin
+
+
+def _two_pole_step(w: float, d1: float, d2: float, s1: float, s2: float):
+    """Zero ``eta`` in ``(d1, d2)`` of the two-pole model of ``F - 1``.
+
+    At a point ``x`` with ``w = F(x) - 1``, pole offsets ``d1 < 0 < d2`` and
+    slopes ``s1, s2 < 0`` of the sums over the poles left and right of ``x``,
+    each sum is replaced by a constant plus one term at its nearest pole,
+    matched in value and slope (R.-C. Li's middle way, as in LAPACK
+    ``dlaed4``): ``c + s1 d1^2/(d1 - eta) + s2 d2^2/(d2 - eta)`` with
+    ``c = w - d1 s1 - d2 s2``.  It falls from +inf to -inf on the interval,
+    and clearing denominators leaves ``c eta^2 - a eta + b = 0``.  ``None``
+    when rounding puts no quadratic root inside.
+    """
+    a = (d1 + d2) * w - d1 * d2 * (s1 + s2)
+    b = d1 * d2 * w
+    c = w - d1 * s1 - d2 * s2
+    if c == 0.0:
+        roots = [b / a] if a != 0.0 else []
+    else:
+        q = 0.5 * (a + math.copysign(math.sqrt(max(a * a - 4.0 * b * c, 0.0)), a))
+        roots = [q / c, b / q] if q != 0.0 else []
+    inside = [eta for eta in roots if d1 < eta < d2]
+    return inside[0] if inside else None
+
+
+def _enclose(p: PSequence, i: int, a_lo: float, a_hi: float):
+    """Certified points ``x_l < x_r`` around root ``i`` and the table poles
+    ``alpha_i``, ``alpha_{i+1}`` of its interval, as ``(x_l, x_r, pole_l,
+    pole_r)``.
+
+    Starts at the midpoint of ``(a_lo, a_hi)`` and takes two-pole steps,
+    kept inside the sign bracket of the points evaluated so far.  Once a step
+    is shorter than ``sqrt(h * width)`` the model root ``y`` is off by about
+    ``h`` or less (the steps converge quadratically), so it probes
+    ``y -+ h`` instead, where ``h`` is twice the margin over ``|F'|`` (four
+    times wider after each probe that certifies nothing).  Every evaluation
+    that certifies a side tightens that side.  Done when both sides lie
+    within ``2h`` of ``y``, or within 1e-11 of the width (a tenth of where
+    the bisection stops); otherwise the best points after
+    ``_ENCLOSE_STEPS`` evaluations, with ``-inf`` or ``inf`` for a side never
+    certified.  An evaluation that raises, or a point outside the table
+    interval, gives ``(-inf, inf)``.
+    """
+    x_l, x_r = -math.inf, math.inf
+    lo, hi = a_lo, a_hi
+    width = a_hi - a_lo
+    scale, probing = 2.0, False
+    x = 0.5 * (a_lo + a_hi)
+    try:
+        for _ in range(_ENCLOSE_STEPS):
+            val, _, _, alphas = _evaluate(p, x)
+            if alphas.size <= i or not alphas[i - 1] < x < alphas[i]:
+                return -math.inf, math.inf, a_lo, a_hi
+            pole_l, pole_r = float(alphas[i - 1]), float(alphas[i])
+            gap = alphas - x
+            terms = alphas / gap
+            side, margin = _side(val, terms)
+            if side > 0:
+                x_l = max(x_l, x)
+            elif side < 0:
+                x_r = min(x_r, x)
+            if val > 1.0:
+                lo = max(lo, x)
+            else:
+                hi = min(hi, x)
+            if probing and side == 0:
+                scale *= 4.0
+            slopes = terms / gap
+            s1, s2 = float(slopes[:i].sum()), float(slopes[i:].sum())
+            eta = _two_pole_step(val - 1.0, pole_l - x, pole_r - x, s1, s2)
+            y = x + eta if eta is not None else 0.5 * (lo + hi)
+            h = scale * max(margin / -(s1 + s2), math.ulp(y))
+            reach = max(1e-11 * width, 2.0 * h)
+            if x_l >= y - reach and x_r <= y + reach:
+                break
+            probing = abs(y - x) <= max(reach, math.sqrt(h * width))
+            if not probing:
+                x = y if lo < y < hi else 0.5 * (lo + hi)
+            else:
+                x = y - h if x_l < y - reach else y + h
+                if not pole_l < x < pole_r:
+                    break
+    except (PoleProximity, NumericalFailure):
+        return -math.inf, math.inf, a_lo, a_hi
+    return x_l, x_r, pole_l, pole_r
+
+
 def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     """Unique root of ``F = 1`` in ``(alpha_i, alpha_{i+1})``.
 
@@ -263,6 +367,51 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     residual is over budget.  The result carries its residual,
     certified tail bound, and an enclosure half-width; their combination must
     stay within ``tol``, which must be positive and finite.
+
+    The bisection is replayed from an enclosure.  ``_enclose`` first finds
+    points ``x_l < x_r`` in the interval between the table poles
+    ``alpha_i < alpha_{i+1}`` whose evaluations clear the margin of
+    ``_side``.  The bisection then takes every midpoint at or left of
+    ``x_l`` as ``F^ > 1`` and every one at or right of ``x_r`` as
+    ``F^ <= 1`` without evaluating it, provided the evaluation it skips is
+    sure to return.  It evaluates the midpoints in between.  So ``lo``,
+    ``hi`` and everything after them are bit for bit those of evaluating
+    every midpoint, and each ``PoleProximity`` or ``NumericalFailure`` is
+    raised at the same point with the same message.
+
+    *Returning.* ``_evaluate`` grows its truncation over a fixed doubling
+    sequence up to ``T = max(_MAX_TERMS, 2 len(head) + 16)``.  At a point
+    ``x`` strictly between the table poles every truncation of at least
+    ``i + 1`` terms covers ``x``, and its distance to the poles is
+    ``d = min(x - alpha_i, alpha_{i+1} - x)``, rounded as the evaluation
+    rounds it.  An enclosure evaluation has returned with ``i + 1`` terms or
+    more, so the growth reaches coverage by ``T``.  So the evaluation at
+    ``x`` returns when ``d >= POLE_TOL`` and ``remainder(T) / ((1 - p_1) d)
+    <= _TAIL_TARGET``: it stops at the first truncation whose tail meets the
+    target, and ``T`` meets it at the latest.  The skip test computes
+    exactly that.
+
+    *Sign.* Let ``F`` be the secular sum over the table poles, ``P(x)`` the
+    sum of its terms ``t_j = alpha_j / (alpha_j - x)`` for ``j <= i``
+    (positive) and ``N(x)`` the sum of ``|t_j|`` for ``j > i``.  Between
+    the poles ``P`` falls and ``N`` rises with ``x``.  An evaluation that
+    returns has ``|F^ - F| <= tail + 4u (P + N)`` with ``u = 2^-53`` and
+    ``tail <= _TAIL_TARGET``, since each term takes two correctly rounded
+    operations and ``fsum`` rounds once.  (Terms that underflow add at most
+    ``2^-1074`` each.)  So for ``x <= x_l``,
+
+        F^(x) - 1 >= (1 - 4u) P(x) - (1 + 4u) N(x) - 1 - tail(x)
+                  >= (1 - 4u) P(x_l) - (1 + 4u) N(x_l) - 1 - tail(x)
+                  >= F^(x_l) - 1 - tail(x_l) - tail(x) - 8u (P + N)(x_l),
+
+    and ``(P + N)(x_l)`` is at most ``tail(x_l)`` plus the sum ``S`` of the
+    float ``|t_j|`` at ``x_l`` (numpy's pairwise sum: relative error below
+    ``40u`` up to ``_MAX_TERMS`` terms) times ``1 + 43u``.  The margin
+    ``2 _TAIL_TARGET + 128u S`` exceeds that bound with a slack near
+    ``120u S``, and ``S >= 1`` (each term with ``j <= i`` is at least 1),
+    which covers the rounding of the margin and of ``F^ - 1``.  So
+    ``F^(x) > 1``, and the mirror argument gives ``F^(x) < 1`` for
+    ``x >= x_r``.
     """
     i = _integer(i, "root index")
     if i < 1:
@@ -277,6 +426,8 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
             f"pole interval {i} has width {width}; spectrum beyond lies in "
             f"(1, {p.r(i)}) in Laplacian coordinates"
         )
+    x_l, x_r, pole_l, pole_r = _enclose(p, i, a_lo, a_hi)
+    rest = p.remainder(max(_MAX_TERMS, 2 * len(p.head) + 16))
     lo, hi = a_lo, a_hi
     for _ in range(200):
         if hi - lo <= 1e-10 * width:
@@ -284,8 +435,13 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        val, _, _, _ = _evaluate(p, mid)
-        if val > 1.0:
+        d = min(mid - pole_l, pole_r - mid)
+        if (x_l < mid < x_r or d < POLE_TOL
+                or rest / ((1.0 - p.head[0]) * d) > _TAIL_TARGET):
+            above = _evaluate(p, mid)[0] > 1.0
+        else:
+            above = mid <= x_l
+        if above:
             lo = mid
         else:
             hi = mid

@@ -104,6 +104,14 @@ def command_list() -> list[dict]:
         ["kgraph", "--head", "0.41420118343195267,0.2485207100591716,0.1242603550295858,"
          "0.08284023668639054,0.045562130177514794", "--tail-ratio", "0.65",
          "--roots", "25", "--asymmetry"])
+    # Root 12 of the decimal sequence ends in PoleProximity (exit 1, empty
+    # stdout); root 11 is the last resolvable one.
+    add("kgraph/steep-pole",
+        ["kgraph", "--head", "0.9", "--tail-ratio", "0.1", "--roots", "12"])
+    add("kgraph/steep-11-asymmetry",
+        ["kgraph", "--head", "0.9", "--tail-ratio", "0.1", "--roots", "11", "--asymmetry"])
+    add("kgraph/slow-40-asymmetry",
+        ["kgraph", "--head", "0.1", "--tail-ratio", "0.9", "--roots", "40", "--asymmetry"])
     add("trace/walk", ["trace", *seq, "--from", "-1.5", "--to", "0.5", "--points", "60"])
     add("trace/laplacian", ["trace", *seq, "--variable", "laplacian",
                             "--from", "1.2", "--to", "1.9", "--points", "50"])

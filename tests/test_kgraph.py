@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgraph.errors import (
     BadParameter,
@@ -22,9 +24,13 @@ from specgraph.errors import (
 from specgraph import kgraph
 from specgraph.invariants import cheeger_constant_exact
 from specgraph.kgraph import (
+    BRACKET_MIN,
     RESIDUAL_BUDGET,
     PSequence,
+    _TAIL_TARGET,
+    _derivative,
     _evaluate,
+    _membership,
     _tables,
     asymmetry_K,
     delta_eigenvalue,
@@ -184,7 +190,7 @@ def test_gap_eigenfunction_signs():
 
 
 def test_unresolvable_roots_raise():
-    with pytest.raises(PoleProximity):
+    with pytest.raises(PoleProximity, match="point -9.632812500014369e-13 within"):
         p_eigenvalue(STEEP, 12)
     with pytest.raises(BracketCollapse):
         p_eigenvalue(STEEP, 16)
@@ -438,3 +444,190 @@ def test_eigenfunction_of_laplacian_roots_allows_the_rounding_of_one_minus_mu(p)
         lam = 1.0 - root.value
         expected = [1.0 / (lam - p.alpha(j)) for j in range(1, 31)]
         assert eigenfunction(p, root, 30).tolist() == expected
+
+
+# ------------------------------------------------------ bisection replay
+#
+# ``_reference_p_eigenvalue`` is the solver before the enclosure: it
+# evaluates every bisection midpoint.  The replay must give every field bit
+# for bit, and raise the same error class with the same message.
+
+
+def _reference_p_eigenvalue(p, i, tol=1e-9):
+    a_lo, a_hi = p.alpha(i), p.alpha(i + 1)
+    width = a_hi - a_lo
+    if width < BRACKET_MIN:
+        raise BracketCollapse(
+            f"pole interval {i} has width {width}; spectrum beyond lies in "
+            f"(1, {p.r(i)}) in Laplacian coordinates"
+        )
+    lo, hi = a_lo, a_hi
+    for _ in range(200):
+        if hi - lo <= 1e-10 * width:
+            break
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        val, _, _, _ = _evaluate(p, mid)
+        if val > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    if not lo < lam < hi:
+        lam = lo if lo > a_lo else hi
+
+    val, tail, terms, alphas = _evaluate(p, lam)
+    best = (abs(val - 1.0), lam, tail, terms, alphas)
+    for _ in range(5):
+        if val > 1.0:
+            lo = max(lo, lam)
+        else:
+            hi = min(hi, lam)
+        deriv = _derivative(lam, alphas)
+        if deriv >= 0.0:
+            break
+        cand = lam - (val - 1.0) / deriv
+        if cand == lam:
+            break
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+            if cand == lam:
+                break
+        lam = cand
+        val, tail, terms, alphas = _evaluate(p, lam)
+        if abs(val - 1.0) < best[0]:
+            best = (abs(val - 1.0), lam, tail, terms, alphas)
+    if val > 1.0:
+        lo = max(lo, lam)
+    else:
+        hi = min(hi, lam)
+
+    residual, lam, tail, terms, alphas = best
+    while residual > RESIDUAL_BUDGET + tail:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise NumericalFailure(
+                f"root {i} residual {residual} beyond budget {RESIDUAL_BUDGET + tail}"
+            )
+        val, *rest = _evaluate(p, mid)
+        if val > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if abs(val - 1.0) < residual:
+            residual, lam, (tail, terms, alphas) = abs(val - 1.0), mid, rest
+    deriv = _derivative(lam, alphas)
+    if residual + tail > tol:
+        raise NumericalFailure(
+            f"root {i}: residual + tail {residual + tail} above tolerance {tol}"
+        )
+    uncertainty = (hi - lo) + (residual + tail) / max(abs(deriv), 1e-300)
+    membership = _membership(p, lam, terms)
+    return kgraph.SecularRoot(
+        i, "walk", (a_lo, a_hi), lam, residual, terms, tail, uncertainty, membership
+    )
+
+
+def _outcome(solve, p, i):
+    """Every field of the root, floats as hex, or the error class and message."""
+    try:
+        root = solve(p, i)
+    except (BracketCollapse, NumericalFailure, PoleProximity) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(
+        x.hex() if isinstance(x, float) else x
+        for x in (root.index, root.kind, *root.bracket, root.value, root.residual,
+                  root.truncation_terms, root.tail_bound, root.uncertainty,
+                  root.membership_sum)
+    )
+
+
+@pytest.mark.parametrize(
+    "p,count",
+    [(DYADIC, 40), (STEEP, 16), (SLOW, 40), *((p, 40) for p in HEADS)],
+    ids=["dyadic", "steep", "slow", *(f"head{len(p.head)}" for p in HEADS)],
+)
+def test_replay_matches_the_full_bisection(p, count):
+    outcomes = [_outcome(p_eigenvalue, p, i) for i in range(1, count + 1)]
+    assert outcomes == [_outcome(_reference_p_eigenvalue, p, i) for i in range(1, count + 1)]
+    if p is STEEP:
+        # root 12 meets a pole, root 16 a collapsed interval
+        assert outcomes[11][0] == "PoleProximity" and outcomes[15][0] == "BracketCollapse"
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    ratios=st.lists(st.floats(0.3, 0.95), min_size=0, max_size=7),
+    ratio=st.floats(0.05, 0.95),
+    index=st.integers(1, 36),
+)
+def test_replay_matches_the_full_bisection_on_drawn_sequences(ratios, ratio, index):
+    """Heads of 1-8 strictly decreasing weights, tail ratios 0.05-0.95; five
+    consecutive roots from a drawn index."""
+    weights = [1.0]
+    for r in ratios:
+        weights.append(weights[-1] * r)
+    p = _normalized(weights, ratio)
+    for i in range(index, index + 5):
+        assert _outcome(p_eigenvalue, p, i) == _outcome(_reference_p_eigenvalue, p, i)
+
+
+def _counting(monkeypatch):
+    calls = []
+    evaluate = kgraph._evaluate
+
+    def counted(p, lam):
+        calls.append(lam)
+        return evaluate(p, lam)
+
+    monkeypatch.setattr(kgraph, "_evaluate", counted)
+    return calls
+
+
+def test_replay_evaluates_a_fraction_of_the_midpoints(monkeypatch):
+    """Evaluating every midpoint took about 36 evaluations a root."""
+    calls = _counting(monkeypatch)
+    roots = [p_eigenvalue(p, i) for p in HEADS for i in range(1, 26)]
+    assert len(calls) / len(roots) <= 15
+
+
+def test_replay_evaluates_every_midpoint_inside_the_enclosure(monkeypatch):
+    """Widened by a thousandth of the interval, the enclosure is still
+    certified but holds about 24 midpoints a root; each must be evaluated."""
+    enclose = kgraph._enclose
+
+    def widened(p, i, a_lo, a_hi):
+        x_l, x_r, pole_l, pole_r = enclose(p, i, a_lo, a_hi)
+        spread = 1e-3 * (a_hi - a_lo)
+        return x_l - spread, x_r + spread, pole_l, pole_r
+
+    monkeypatch.setattr(kgraph, "_enclose", widened)
+    calls = _counting(monkeypatch)
+    for p in (DYADIC, SLOW, HEADS[4]):
+        for i in range(1, 11):
+            start = len(calls)
+            got = _outcome(p_eigenvalue, p, i)
+            assert len(calls) - start >= 24
+            assert got == _outcome(_reference_p_eigenvalue, p, i)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_an_endpoint_just_inside_the_margin_confirms_nothing(side):
+    """The margin is ``2 _TAIL_TARGET + 2^-46 sum |t_j|``: a probe whose
+    ``F^ - 1`` is three quarters of it, on either side, certifies nothing,
+    and one at one and a half times it certifies its side."""
+    p, i = HEADS[3], 5
+
+    def probe(x):
+        val, _, _, alphas = _evaluate(p, x)
+        terms = alphas / (alphas - x)
+        margin = 2.0 * _TAIL_TARGET + 2.0**-46 * math.fsum(np.abs(terms).tolist())
+        return val, terms, margin, -_derivative(x, alphas)
+
+    root = p_eigenvalue(p, i).value
+    _, _, margin, slope = probe(root)
+    for share, expected in ((0.75, 0), (1.5, side)):
+        val, terms, margin, _ = probe(root - side * share * margin / slope)
+        assert (share - 0.1) * margin < side * (val - 1.0) < (share + 0.1) * margin
+        assert kgraph._side(val, terms) == (expected, pytest.approx(margin, rel=1e-12))

@@ -418,7 +418,9 @@ def _draw(data, kind, graph):
         return {"negative": [0, -1], "float": [1.5], "string": ["1"]}[which], False
     which = data.draw(st.sampled_from(FUNCTION_KINDS))
     values = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
-    f = np.array(values)
+    # Scaled by 2^k, exactly: faults that show only at extreme scales
+    # (overflow of squares, underflow of products) come into reach.
+    f = np.array(values) * 2.0 ** data.draw(st.integers(-1000, 1000))
     if data.draw(st.booleans()):  # mean-free, as the split checks need
         f -= math.fsum(graph.vertex_measure * f) / graph.total_measure
     at = data.draw(st.integers(0, n - 1))
@@ -488,7 +490,11 @@ def test_vertex_queries_answer_or_raise_one_typed_error(n, density, seed, data):
             valid &= ok
         got = _outcome(query, args)
         if valid:
-            assert got == _outcome(reference, args), (name, args)
+            # The references are the old bodies, which warn on the overflows
+            # that the queries now take under ``np.errstate``.
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = _outcome(reference, args)
+            assert got == expected, (name, args)
         else:
             assert got[0] == "raised", (name, args)
 
