@@ -83,6 +83,16 @@ def _to_json(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_to_json(x) for x in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        # A finite array of Python-float entries (float16 to float64) goes one
+        # row per "%.17g" template, the text ``_fmt`` gives each entry.
+        if obj.dtype.kind == "f" and obj.itemsize <= 8 and obj.ndim in (1, 2):
+            if np.isfinite(obj).all():
+                template = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"
+                rows = obj.tolist() if obj.ndim == 2 else [obj.tolist()]
+                text = ", ".join([template % tuple(row) for row in rows])
+                return text if obj.ndim == 1 else "[" + text + "]"
+        return _to_json(obj.tolist())
     if dataclasses.is_dataclass(obj):
         # Shallow, in field order; ``asdict`` would deep-copy every field.
         return _to_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
@@ -141,13 +151,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = spectrum(graph, eigenvectors=args.eigenvectors)
     if args.eigenvectors:
         payload = {
-            "values": spec.values.tolist(),
-            "eigenvectors": spec.eigenvectors.T.tolist(),
+            "values": spec.values,
+            "eigenvectors": spec.eigenvectors.T,
             "max_residual": spec.max_residual,
         }
         _emit(_to_json(payload), args.out)
     else:
-        _emit(_to_json(spec.values.tolist()), args.out)
+        _emit(_to_json(spec.values), args.out)
     return 0
 
 

@@ -41,6 +41,7 @@ domain they describe.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
@@ -459,12 +460,28 @@ def graph_to_json(graph: WeightedGraph) -> str:
 
 
 def graph_from_json(text: str) -> WeightedGraph:
-    """Parse the wire format produced by :func:`graph_to_json`."""
+    """Parse the wire format produced by :func:`graph_to_json`.
+
+    The parse and the build run with the cyclic collector paused: the parse
+    makes one list per edge, and a collection started among them rescans
+    every young list.  Neither step makes a reference cycle, so the pause
+    leaves nothing for a later collection to free, and the payload is
+    dropped before the collector runs again.  The pause is process-global;
+    the collector is turned back on only if it was on at entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedGraph(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "edges" not in payload:
-        raise MalformedGraph('a graph is a JSON object with an "edges" list')
-    return WeightedGraph(payload["edges"], payload.get("labels"))
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedGraph(f"not valid JSON: {exc}") from None
+        if not isinstance(payload, dict) or "edges" not in payload:
+            raise MalformedGraph('a graph is a JSON object with an "edges" list')
+        graph = WeightedGraph(payload["edges"], payload.get("labels"))
+        del payload
+        return graph
+    finally:
+        if enabled:
+            gc.enable()
 

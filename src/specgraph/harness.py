@@ -19,12 +19,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, NotOrthogonal, SpecgraphError, ZeroFunction
+from .errors import BadParameter, NotOrthogonal, NumericalFailure, SpecgraphError, ZeroFunction
 from .families import FamilySpec, generate
 from .graph import (
     WeightedGraph,
     _as_function,
     _edge_energy,
+    _finite_fsum,
     _indicator,
     _inner,
     _integer,
@@ -409,11 +410,14 @@ def coarea_check(
     (a) the integral of ``m({f^2 > t})`` equals ``sum m(v) f(v)^2``;
     (b) the integral of ``m(boundary {f^2 > t})`` equals
         ``sum m(uv) |f(u)^2 - f(v)^2|``.
+
+    ``NumericalFailure`` when a side of either identity is not finite in
+    float64: ``f^2`` may overflow where ``m(v) f(v)^2`` does not.
     """
     graph = analysis.graph
     arr = _as_function(graph, f)
-    # Overflow leaves inf or nan in these sums without a warning; ``_inner``
-    # refuses a norm that it reaches.
+    # Overflow leaves inf or nan in these sums without a warning; the checks
+    # below refuse it, as ``_inner`` refuses a norm that it reaches.
     with np.errstate(over="ignore", invalid="ignore"):
         g = arr * arr
         levels = np.concatenate(([0.0], np.unique(g)))
@@ -427,7 +431,11 @@ def coarea_check(
         boundary_integral = float(_sequential_sum(widths * cut))
 
         norm = _inner(graph, arr, arr)
-        variation = math.fsum((graph.w * np.abs(g[graph.u] - g[graph.v])).tolist())
+        variation = _finite_fsum(
+            (graph.w * np.abs(g[graph.u] - g[graph.v])).tolist(), "coarea variation"
+        )
+    if not (math.isfinite(measure_integral) and math.isfinite(boundary_integral)):
+        raise NumericalFailure("coarea level integral is not finite in float64")
     tol_a = 1e-10 * max(1.0, abs(norm))
     tol_b = 1e-10 * max(1.0, abs(variation))
     return (

@@ -391,8 +391,12 @@ def _least(graph: WeightedGraph, max_n, score, skip, connected=False) -> tuple[f
                 if start <= mask < start + len(cut):
                     cut[mask - start] = math.inf
             fast = score(cut, m_set)
-            lo = min(lo, fast.min())
-            keep = (fast <= lo * grow + _TINY).nonzero()[0]
+            least = fast.min()
+            lo = min(lo, least)
+            bound = lo * grow + _TINY
+            if least > bound:  # no mask of this block is kept
+                continue
+            keep = (fast <= bound).nonzero()[0]
             if keep.size:  # the least exact value, then the least mask
                 exact = score(_edge_order_cuts(graph, keep + start), m_set[keep])
                 best = min(best, (float(exact.min()), start + int(keep[exact.argmin()])))

@@ -80,6 +80,9 @@ def command_list() -> list[dict]:
     add("gen/K_m1-200", ["gen", "--family", "K_m1", "--n", "200",
                          "--p-head", "0.3", "--p-ratio", "0.7"])
     add("spectrum/K_m1-200", ["spectrum", "-"], lapack=True, stdin_from="gen/K_m1-200")
+    # 879 KB of eigenvectors: the row writer of finite float arrays.
+    add("spectrum-vectors/K_m1-200", ["spectrum", "-", "--eigenvectors"], lapack=True,
+        stdin_from="gen/K_m1-200")
 
     for name in [*FAMILY_INPUTS, "random", "labelled"]:
         for what, (argv, lapack) in GRAPH_COMMANDS.items():

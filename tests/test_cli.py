@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import math
+import struct
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,10 @@ from hypothesis import strategies as st
 from specgraph import cli, errors
 from specgraph.cli import main
 from specgraph.families import FAMILIES
-from specgraph.graph import graph_to_json
+from specgraph.graph import graph_from_json, graph_to_json
 from specgraph.invariants import cheeger_constant_exact
 from specgraph.kgraph import RESIDUAL_BUDGET
+from specgraph.spectral import spectrum
 from test_harness import wrong_on_the_single_edge
 from test_invariants import _DISCONNECTED_FIRST, _tie_heavy_graph, refuse_to_enumerate
 
@@ -107,6 +110,95 @@ def test_floats_survive_a_json_round_trip(capsys, monkeypatch):
     value = json.loads(out)["value"]
     # 17 significant digits means parsing and reformatting is lossless
     assert format(value, ".17g") in out
+
+
+# ------------------------------------------------------------------ writer
+
+
+def _list_writer(obj):
+    """The JSON writer as it was before arrays went by row: one call per
+    value, every float through ``format(x, ".17g")``."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        if obj != obj or obj in (math.inf, -math.inf):
+            return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
+        return format(obj, ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {_list_writer(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_list_writer(x) for x in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+]
+_ANY_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+_FINITE = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _ANY_BITS.filter(math.isfinite),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(0, 12)), st.tuples(st.integers(0, 6), st.integers(0, 6))
+    ),
+    special=st.sampled_from([None, None, math.nan, math.inf, -math.inf]),
+    data=st.data(),
+)
+def test_float_arrays_are_written_as_their_lists_are(shape, special, data):
+    """A finite float array goes by row, and anything else through the
+    per-value writer: the text is the same either way."""
+    size = math.prod(shape)
+    a = np.array(data.draw(st.lists(_FINITE, min_size=size, max_size=size)), dtype=float)
+    if special is not None and size:
+        a[data.draw(st.integers(0, size - 1))] = special
+    a = a.reshape(shape)
+    assert cli._to_json(a) == cli._to_json(a.tolist()) == _list_writer(a.tolist())
+
+
+@pytest.mark.parametrize(
+    "array, text",
+    [
+        (np.array([0.1, -0.0, 5e-324]), "[0.10000000000000001, -0, 4.9406564584124654e-324]"),
+        (np.array([[1.0, math.nan], [math.inf, -math.inf]]), "[[1, NaN], [Infinity, -Infinity]]"),
+        (np.zeros((2, 0)), "[[], []]"),
+        (np.zeros((0, 3)), "[]"),
+        (np.array([1.5, 2.0], dtype=np.float32), "[1.5, 2]"),
+        (np.arange(3), "[0, 1, 2]"),
+        (np.full((1, 1, 2), 0.5), "[[[0.5, 0.5]]]"),
+        (np.array(0.25), "0.25"),
+    ],
+)
+def test_arrays_print_every_value_at_17_digits(array, text):
+    assert cli._to_json(array) == text
+
+
+def test_eigenvectors_print_as_the_list_writer_prints_them(capsys, monkeypatch):
+    """60 vertices with product weights ``p_i p_j``, as the ``spectrum``
+    requests of a certify run read them."""
+    argv = ["gen", "--family", "K_m1", "--n", "60", "--p-head", "0.3", "--p-ratio", "0.7"]
+    _, gen_out, _ = run(capsys, argv)
+    code, out, _ = run(capsys, ["spectrum", "-", "--eigenvectors"], gen_out, monkeypatch)
+    spec = spectrum(graph_from_json(gen_out), eigenvectors=True)
+    payload = {
+        "values": spec.values.tolist(),
+        "eigenvectors": spec.eigenvectors.T.tolist(),
+        "max_residual": spec.max_residual,
+    }
+    assert code == 0 and out == _list_writer(payload) + "\n"
 
 
 # ---------------------------------------------------------------- sequences

@@ -1,5 +1,6 @@
 """Graph container, measures, quadratic forms, and wire-format round trips."""
 
+import gc
 import itertools
 import json
 import math
@@ -432,3 +433,29 @@ def test_from_json_rejects_garbage():
 def test_from_json_validates_edges():
     with pytest.raises(NonpositiveWeight):
         graph_from_json('{"edges": [[0, 1, -3.0]]}')
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        pytest.param('{"edges": [[0, 1, 0.5], [1, 2, 2.0]]}', None, id="parsed"),
+        pytest.param("not json at all", MalformedGraph, id="invalid-json"),
+        pytest.param('{"nodes": []}', MalformedGraph, id="no-edges"),
+        pytest.param('{"edges": [[0, 1, 1.0], [2, 2, 1.0]]}', SelfLoop, id="self-loop"),
+    ],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_from_json_leaves_the_collector_as_it_found_it(text, error, enabled):
+    """The parse pauses the cyclic collector and restores only what it
+    changed, also when it raises."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            assert graph_from_json(text).n == 3
+        else:
+            with pytest.raises(error):
+                graph_from_json(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -24,6 +24,7 @@ from specgraph.harness import (
     check_operator_partition,
     check_plus_minus_split,
     check_witness_functions,
+    coarea_check,
     graph_checks,
     run_suite,
     sample_graph,
@@ -138,6 +139,15 @@ def test_checks_near_the_float_maximum_end_in_a_typed_error():
     g = WeightedGraph([(0, 1, 4e307), (1, 2, 4e307)])
     with pytest.raises(NumericalFailure, match="edge energy"):
         graph_checks(analyze(g))
+
+
+def test_coarea_levels_that_overflow_end_in_a_typed_error():
+    """``f(0)^2`` overflows but ``m(0) f(0)^2`` does not: the norm is finite,
+    the level sums and the variation are not.  This once gave two failing
+    reports holding ``inf`` and ``nan``."""
+    g = WeightedGraph([(0, 1, 1e-3), (1, 2, 1e-3), (2, 0, 1e-3), (2, 3, 1e-3)])
+    with pytest.raises(NumericalFailure, match="coarea"):
+        coarea_check(analyze(g), [2.0**515, 1.0, -1.0, 0.5])
 
 
 def test_full_check_list_for_one_graph():

@@ -303,6 +303,11 @@ def ref_coarea_check(analysis, f):
 
     norm = ref_inner_product(graph, arr, arr)
     variation = math.fsum((graph.w * np.abs(g[graph.u] - g[graph.v])).tolist())
+    # A deliberate outcome change: a side that is not finite (``f^2``
+    # overflowing where the norm does not) is a NumericalFailure, no longer
+    # a pair of failing reports.
+    if not all(map(math.isfinite, (measure_integral, boundary_integral, variation))):
+        raise NumericalFailure("coarea sum is not finite in float64")
     tol_a = 1e-10 * max(1.0, abs(norm))
     tol_b = 1e-10 * max(1.0, abs(variation))
     return (
