@@ -10,7 +10,8 @@ point output is fixed to 17 significant digits so runs compare bit-for-bit.
 Exit codes: 0 success, 1 computation error (a machine-readable
 ``{"error": ..., "message": ...}`` line goes to stderr), 2 usage error.
 The enumeration commands and ``verify`` take ``--max-n`` to move the
-enumeration caps.
+enumeration caps, up to the ceiling of ``invariants.N_MAX`` (28) vertices at
+most.
 
 The parser is built once per process.  Each subcommand names its handler
 with ``set_defaults``; ``cheeger``, ``dual-cheeger`` and ``kappa`` share one
@@ -34,7 +35,7 @@ from .errors import BadParameter, MalformedGraph, PoleProximity, SpecgraphError,
 from .families import FAMILIES, FamilySpec, generate
 from .graph import WeightedGraph, _graph_payload, _real, graph_from_json
 from .harness import SuiteConfig, run_suite
-from .invariants import cheeger_constant_exact, dual_cheeger_exact, kappa_exact
+from .invariants import N_MAX, cheeger_constant_exact, dual_cheeger_exact, kappa_exact
 from .kgraph import (
     SIZE_LIMIT,
     PSequence,
@@ -232,6 +233,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    cap_help = f"enumeration cap override, up to the ceiling of {N_MAX} vertices"
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write the report here instead of stdout")
     graph_input = argparse.ArgumentParser(add_help=False, parents=[out])
@@ -288,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("kappa", "kappa_exact", "exact bipartiteness defect"),
     ):
         invariant = sub.add_parser(name, help=about, parents=[graph_input])
-        invariant.add_argument("--max-n", type=int, help="enumeration cap override")
+        invariant.add_argument("--max-n", type=int, help=cap_help)
         invariant.set_defaults(handler=_cmd_invariant, solver=solver)
     sub.choices["cheeger"].add_argument(
         "--connected-only",
@@ -322,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", type=int)
     verify.add_argument("--edge-probability", type=float)
     verify.add_argument("--base-seed", type=int)
-    verify.add_argument("--max-n", type=int, help="enumeration cap override")
+    verify.add_argument("--max-n", type=int, help=cap_help)
     verify.add_argument(
         "--no-families",
         dest="include_families",

@@ -47,11 +47,9 @@ class DisconnectedGraph(SpecgraphError):
 
 class TooLarge(SpecgraphError):
     """An exact search (Cheeger, ``h_via_r``, dual Cheeger or ``kappa``) was
-    asked for beyond its vertex-count cap or beyond one rule shared by all
-    four, 25 bytes per vertex subset within physical memory (the size of the
-    full tables the Cheeger search once built; every search now streams
-    blocks and holds far less); or a generated graph would have more edges
-    than ``generate`` builds."""
+    asked for beyond its vertex-count cap or beyond the ceiling all four
+    share (``invariants.N_MAX``, which no cap override passes); or a
+    generated graph would have more edges than ``generate`` builds."""
 
 
 # ------------------------------------------------------------------- spectral

@@ -12,7 +12,7 @@ witnesses:
 
 All three respect vertex-count caps because the search spaces grow
 exponentially: every search, ``h_via_r`` included, raises ``TooLarge`` beyond
-its cap or when 25 bytes per vertex subset would not fit in physical memory.
+its cap, and beyond ``N_MAX`` vertices whatever the cap, before it enumerates.
 The enumerations read mask-indexed numpy tables over the graph's one dense
 weight matrix: ``m(S)`` and ``m_S(x)`` are subset sums built by doubling,
 split into a low table and per-block high rows for the dual and ``kappa``
@@ -32,20 +32,21 @@ the sets within a rounding margin of the running minimum, recomputes those
 edge by edge and drops the block, so value and witness are the ones an
 edge-by-edge table gives and no table over all ``2^n`` masks is held.
 ``connected_only`` excludes each disconnected witness and asks again.
-At the default caps one query on a random graph takes about five
-thousandths of a second (``kappa`` on 20 vertices, 4-7 ms on sparse and
-dense graphs), about a hundredth (the dual search on 17, 8-13 ms) or two to
-three hundredths (the Cheeger search on 22, 20-22 ms); ``kappa`` takes
-about a tenth on the unit-weight complete graph on 20 vertices, the dual
-search about a twentieth on the one on 17 and the Cheeger search about
-0.85 s on the one on 22, whose ties leave the bound and the filters few
-sets to rule out.
+At the default caps one query on a random graph takes one to three
+hundredths of a second (seed 2, edge probability 0.5: ``kappa`` on 20
+vertices 8-21 ms, the dual search on 17 11-19 ms, the Cheeger search on 22
+26 ms).  The unit-weight complete graph, whose ties leave the bound and the
+filters few sets to rule out, is the worst case: ``kappa`` takes 0.14-0.17 s
+on 20 vertices, the dual search 72-80 ms on 17 and the Cheeger search
+1.20-1.25 s on 22 (``h_via_r`` 0.75-0.84 s).  Each further vertex costs
+about 2-2.5x, and at ``N_MAX`` they took 115 s, 160 s and 116 s.  (Three runs
+at the caps and one above them, each size in a fresh process; 2 cores,
+numpy 2.4.6, OpenBLAS 0.3.31 with 2 threads; peak RSS 87 MB.)
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
@@ -72,6 +73,7 @@ __all__ = [
     "DEFAULT_MAX_KAPPA",
     "HALF_TIE_RTOL",
     "InvariantReport",
+    "N_MAX",
     "cheeger_ratio",
     "cheeger_constant_exact",
     "dual_cheeger_ratio",
@@ -86,6 +88,9 @@ __all__ = [
 DEFAULT_MAX_CHEEGER = 22
 DEFAULT_MAX_DUAL = 17
 DEFAULT_MAX_KAPPA = 20
+# The ceiling no cap override passes: each search's tie-heavy worst case
+# (the unit-weight complete graph) on this many vertices takes minutes.
+N_MAX = 28
 
 # Sets with m(S) <= m(complement) + HALF_TIE_RTOL * M are admitted, so exact
 # half-half splits survive rounding of the two measure sums.
@@ -94,10 +99,6 @@ HALF_TIE_RTOL = 1e-12
 _CHUNK_BITS = 16
 # The Cheeger search scores about 2^_BLOCK_BITS masks at a time.
 _BLOCK_BITS = 15
-# The size rule kept from the full-table Cheeger search, which held three
-# float64 tables and a boolean one over all masks: 25 bytes per mask.  The
-# search now streams blocks and holds a few megabytes at 22 vertices.
-_BYTES_PER_MASK = 3 * 8 + 1
 
 
 @dataclass(frozen=True)
@@ -233,21 +234,13 @@ def _chunks(graph: WeightedGraph):
 
 def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
     """The one size rule of every exact search: ``TooLarge`` beyond the cap,
-    or when ``_BYTES_PER_MASK`` bytes for each of the ``2^n`` masks would not
-    fit in physical memory.  That is the size rule of the full tables the
-    Cheeger search once built, not what any search holds now; it is kept,
-    with its decisions and messages, because the searches past it would not
-    finish in any useful time."""
+    then beyond the ceiling ``N_MAX`` whatever the cap.  The searches stream
+    their blocks, so time, not memory, sets the ceiling."""
     cap = default if max_n is None else _integer(max_n, "max_n")
     if n > cap:
         raise TooLarge(f"{what} enumeration capped at {cap} vertices, got {n}")
-    need = _BYTES_PER_MASK << n
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > memory:
-        raise TooLarge(
-            f"{what} enumeration over {n} vertices needs {need} bytes of tables,"
-            f" more than the {memory} bytes of physical memory"
-        )
+    if n > N_MAX:
+        raise TooLarge(f"{what} enumeration beyond the ceiling of {N_MAX} vertices, got {n}")
 
 
 # ------------------------------------------------------------------- Cheeger
@@ -484,8 +477,8 @@ def cheeger_constant_exact(
     total measure).  Ties on the value go to the smallest witness bitmask.
     With ``connected_only`` the search is restricted to sets inducing a
     connected subgraph; the minimum value is unchanged by that restriction.
-    ``TooLarge`` beyond the cap, or when 25 bytes per vertex subset would
-    not fit in physical memory (the size rule every exact search shares).
+    ``TooLarge`` beyond the cap or beyond ``N_MAX`` (the size rule every
+    exact search shares).
     """
     tau = _last_light(graph.total_measure)
 

@@ -174,6 +174,12 @@ def _weights(p: PSequence, count: int) -> np.ndarray:
     return np.array([p.p(i) for i in range(1, count + 1)])
 
 
+def _first_terms(p: PSequence) -> int:
+    """The truncation ``_evaluate`` and ``hilbert_schmidt_sum`` start from and
+    double, up to ``_MAX_TERMS``, until the tail meets its target."""
+    return max(2 * len(p.head) + 16, 32)
+
+
 def _evaluate(p: PSequence, lam: float):
     """Truncated ``F(lam)`` with a certified bound on the dropped tail.
 
@@ -184,7 +190,7 @@ def _evaluate(p: PSequence, lam: float):
     ``delta`` is the distance from ``lam`` to the computed poles and 0.
     ``lam`` is a Python float that the caller has already read.
     """
-    terms = max(2 * len(p.head) + 16, 32)
+    terms = _first_terms(p)
     while True:
         _, alphas = _tables(p, terms)
         if lam < 0.0 and alphas[-1] < lam:
@@ -380,16 +386,16 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     raised at the same point with the same message.
 
     *Returning.* ``_evaluate`` grows its truncation over a fixed doubling
-    sequence up to ``T = max(_MAX_TERMS, 2 len(head) + 16)``.  At a point
-    ``x`` strictly between the table poles every truncation of at least
-    ``i + 1`` terms covers ``x``, and its distance to the poles is
-    ``d = min(x - alpha_i, alpha_{i+1} - x)``, rounded as the evaluation
-    rounds it.  An enclosure evaluation has returned with ``i + 1`` terms or
-    more, so the growth reaches coverage by ``T``.  So the evaluation at
-    ``x`` returns when ``d >= POLE_TOL`` and ``remainder(T) / ((1 - p_1) d)
-    <= _TAIL_TARGET``: it stops at the first truncation whose tail meets the
-    target, and ``T`` meets it at the latest.  The skip test computes
-    exactly that.
+    sequence from ``_first_terms(p)`` up to ``T = max(_MAX_TERMS,
+    _first_terms(p))``.  At a point ``x`` strictly between the table poles
+    every truncation of at least ``i + 1`` terms covers ``x``, and its
+    distance to the poles is ``d = min(x - alpha_i, alpha_{i+1} - x)``,
+    rounded as the evaluation rounds it.  An enclosure evaluation has
+    returned with ``i + 1`` terms or more, so the growth reaches coverage by
+    ``T``.  So the evaluation at ``x`` returns when ``d >= POLE_TOL`` and
+    ``remainder(T) / ((1 - p_1) d) <= _TAIL_TARGET``: it stops at the first
+    truncation whose tail meets the target, and ``T`` meets it at the
+    latest.  The skip test computes exactly that.
 
     *Sign.* Let ``F`` be the secular sum over the table poles, ``P(x)`` the
     sum of its terms ``t_j = alpha_j / (alpha_j - x)`` for ``j <= i``
@@ -427,7 +433,7 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
             f"(1, {p.r(i)}) in Laplacian coordinates"
         )
     x_l, x_r, pole_l, pole_r = _enclose(p, i, a_lo, a_hi)
-    rest = p.remainder(max(_MAX_TERMS, 2 * len(p.head) + 16))
+    rest = p.remainder(max(_MAX_TERMS, _first_terms(p)))
     lo, hi = a_lo, a_hi
     for _ in range(200):
         if hi - lo <= 1e-10 * width:
@@ -708,7 +714,7 @@ def hilbert_schmidt_sum(p: PSequence) -> tuple[float, CheckReport]:
     certified via the geometric remainder, to ``_HS_TAIL_TARGET``.  The
     accompanying report checks the strict bound ``value < q_1^{-2}``.
     """
-    terms = max(2 * len(p.head) + 16, 32)
+    terms = _first_terms(p)
     while True:
         # p_i / q_i = -alpha_i exactly.
         _, alphas = _tables(p, terms)

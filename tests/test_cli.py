@@ -503,22 +503,25 @@ PATH40_JSON = json.dumps({"edges": [[v, v + 1, 1.0] for v in range(39)]})
 
 
 @pytest.mark.parametrize("extra", [[], ["--connected-only"]])
-def test_cheeger_beyond_physical_memory_is_too_large(capsys, monkeypatch, extra):
-    """A 40-vertex path under ``--max-n 40`` would need 2^40 table entries;
-    the command stops before allocating them."""
+def test_cheeger_beyond_the_ceiling_is_too_large(capsys, monkeypatch, extra):
+    """A 40-vertex path under ``--max-n 40`` is past the ceiling of every
+    exact search; the command stops before it enumerates."""
     argv = ["cheeger", "-", "--max-n", "40", *extra]
     code, out, err = run(capsys, argv, PATH40_JSON, monkeypatch)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "TooLarge"
+    assert "beyond the ceiling of 28 vertices, got 40" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("command", ["dual-cheeger", "kappa"])
-def test_streamed_search_beyond_physical_memory_is_too_large(capsys, monkeypatch, command):
+def test_streamed_search_beyond_the_ceiling_is_too_large(capsys, monkeypatch, command):
     refuse_to_enumerate(monkeypatch)
     code, out, err = run(capsys, [command, "-", "--max-n", "40"], PATH40_JSON, monkeypatch)
     assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "TooLarge"
+    assert "beyond the ceiling of 28 vertices, got 40" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Exact isoperimetric invariants against hand values and brute enumeration."""
 
 import math
+import os
 import tracemalloc
 from functools import reduce
 
@@ -767,16 +768,55 @@ def test_size_caps_enforced():
     )
 
 
-def test_cheeger_tables_beyond_physical_memory_are_too_large():
-    """Forty vertices need 2^40 table entries: ``TooLarge`` before any
-    table is allocated."""
+CEILING = f"beyond the ceiling of {invariants.N_MAX} vertices"
+
+
+def test_cheeger_beyond_the_ceiling_is_too_large():
+    """Forty vertices are past ``N_MAX``: ``TooLarge`` under ``max_n=40``
+    before any block is scored."""
     g = path(40)
-    with pytest.raises(TooLarge, match="physical memory"):
+    with pytest.raises(TooLarge, match=CEILING):
         cheeger_constant_exact(g, max_n=40)
-    with pytest.raises(TooLarge, match="physical memory"):
+    with pytest.raises(TooLarge, match=CEILING):
         cheeger_constant_exact(g, max_n=40, connected_only=True)
-    with pytest.raises(TooLarge, match="physical memory"):
+    with pytest.raises(TooLarge, match=CEILING):
         h_via_r(g, max_n=40)
+
+
+@pytest.mark.parametrize("max_n", [invariants.N_MAX, 10**6])
+def test_the_ceiling_holds_whatever_the_cap(max_n):
+    """``N_MAX`` vertices pass and one more is refused, whether the cap is
+    the ceiling or far above it."""
+    ceiling, default = invariants.N_MAX, invariants.DEFAULT_MAX_KAPPA
+    invariants._check_cap(ceiling, max_n, default, "kappa")
+    with pytest.raises(TooLarge, match=f"{ceiling} vertices, got {ceiling + 1}"):
+        invariants._check_cap(ceiling + 1, max_n, default, "kappa")
+
+
+@pytest.mark.parametrize(
+    "default, what",
+    [(invariants.DEFAULT_MAX_CHEEGER, "cheeger"), (invariants.DEFAULT_MAX_DUAL, "dual-cheeger"),
+     (invariants.DEFAULT_MAX_KAPPA, "kappa")],
+)
+def test_default_caps_come_before_the_ceiling(default, what):
+    for n in (default + 1, invariants.N_MAX + 1):
+        with pytest.raises(TooLarge) as raised:
+            invariants._check_cap(n, None, default, what)
+        assert str(raised.value) == f"{what} enumeration capped at {default} vertices, got {n}"
+
+
+def test_the_size_rule_reads_nothing_of_the_host(monkeypatch):
+    """With the host reporting one page of one byte, every search still
+    answers on ``K5`` with the values and witnesses it gives otherwise."""
+    g = complete(5)
+
+    def answers():
+        reports = [f(g) for f in (cheeger_constant_exact, dual_cheeger_exact, kappa_exact)]
+        return [(r.value.hex(), r.witness) for r in reports], h_via_r(g).hex()
+
+    expected = answers()
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+    assert answers() == expected
 
 
 def refuse_to_enumerate(monkeypatch):
@@ -792,11 +832,11 @@ def refuse_to_enumerate(monkeypatch):
 
 
 @pytest.mark.parametrize("search", [dual_cheeger_exact, kappa_exact])
-def test_streamed_searches_beyond_physical_memory_are_too_large(monkeypatch, search):
+def test_streamed_searches_beyond_the_ceiling_are_too_large(monkeypatch, search):
     """The dual and ``kappa`` searches share the Cheeger search's size rule,
     so a 40-vertex path under ``max_n=40`` is refused before any block."""
     refuse_to_enumerate(monkeypatch)
-    with pytest.raises(TooLarge, match="physical memory"):
+    with pytest.raises(TooLarge, match=CEILING):
         search(path(40), max_n=40)
 
 
