@@ -25,29 +25,34 @@ whose bound does not exceed a value already reached.
 The dual search drops each set ``A`` whose Dinkelbach function, less a
 derived rounding margin, shows that no pair ``(A, B)`` reaches a value
 already reached, and sorts only the sets left.
-The Cheeger search (and ``h_via_r``) takes one certified minimum: it builds
-the fast cut table ``m(boundary S)`` of a low/high split of the vertices one
-block of about ``2^15`` masks at a time, each block one matrix product, keeps
-the sets within a rounding margin of the running minimum, recomputes those
-edge by edge and drops the block, so value and witness are the ones an
-edge-by-edge table gives and no table over all ``2^n`` masks is held.
-``connected_only`` excludes each disconnected witness and asks again.
-At the default caps one query on a random graph takes one to three
-hundredths of a second (seed 2, edge probability 0.5: ``kappa`` on 20
-vertices 8-21 ms, the dual search on 17 11-19 ms, the Cheeger search on 22
-26 ms).  The unit-weight complete graph, whose ties leave the bound and the
-filters few sets to rule out, is the worst case: ``kappa`` takes 0.14-0.17 s
-on 20 vertices, the dual search 72-80 ms on 17 and the Cheeger search
-1.20-1.25 s on 22 (``h_via_r`` 0.75-0.84 s).  Each further vertex costs
-about 2-2.5x, and at ``N_MAX`` they took 115 s, 160 s and 116 s.  (Three runs
-at the caps and one above them, each size in a fresh process; 2 cores,
-numpy 2.4.6, OpenBLAS 0.3.31 with 2 threads; peak RSS 87 MB.)
+The Cheeger search (and ``h_via_r``) takes one certified minimum over
+complementary pairs: ``boundary S = boundary (V - S)``, so each pair
+``{S, V - S}`` shares one cut.  It streams the pairs of a low/high split of
+the vertices one block of about ``2^15`` at a time, each block one matrix
+product for the fast cuts and one for the fast measures of both members,
+scores each pair by its cut over the smaller measure, keeps the pairs
+within a derived margin of the running least score, finishes both members
+of those edge by edge and drops the block, so value and witness are the
+ones an edge-by-edge table gives and no table over all ``2^n`` masks is
+held.  ``connected_only`` excludes each disconnected witness and asks again.
+At the default caps one query on a random graph takes a few hundredths of
+a second at most (seed 2, edge probability 0.5: ``kappa`` on 20 vertices
+8-21 ms, the dual search on 17 11-19 ms; edge probability 0.25 and 0.75,
+the Cheeger search 3 ms on 20 vertices and 10-11 ms on 22).  The
+unit-weight complete graph, whose ties leave the bound and the filters few
+sets to rule out, is the worst case: ``kappa`` takes 0.14-0.17 s on 20
+vertices, the dual search 72-80 ms on 17 and the Cheeger search 0.54-0.57 s
+on 22 (``h_via_r`` the same).  Each further vertex costs about 2-2.5x, and
+at ``N_MAX`` they took 115 s, 160 s and 116 s (the Cheeger search before
+it searched pairs).  (Three runs at the caps and one above them, each size
+in a fresh process; 2 cores, numpy 2.4.6, OpenBLAS 0.3.31 with 2 threads;
+peak RSS 87 MB.)
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,8 +260,10 @@ _TINY = 2.0**-1000
 # The least positive float64: a result in the subnormal range is off by at
 # most half of it, whatever its size.
 _MIN_SUBNORMAL = 2.0**-1074
-# Candidates per block of the exact finish.
+# Pairs per block of the exact finish.
 _FINISH_CHUNK = 256
+# h_via_r finishes the pairs lighter than this many rounding errors (_least).
+_THIN = 2.0**24
 
 
 def _gamma(k: int) -> float:
@@ -264,10 +271,12 @@ def _gamma(k: int) -> float:
 
 
 def _cut_blocks(graph: WeightedGraph):
-    """Every mask in ascending blocks of about ``2^_BLOCK_BITS``, an even
-    number each, as ``(start, cut, m_set)``: ``cut`` holds ``m(boundary
-    S)`` for each ``S = start + i`` in any-order arithmetic and ``m_set``
-    its ``m(S)``.
+    """Every complementary pair ``{S, V - S}``, named by its member ``S <
+    2^(n-1)`` without the top vertex ``n - 1``, in ascending blocks of about
+    ``2^_BLOCK_BITS`` pairs, as ``(start, cut, m_s, m_c)``: for ``S = start +
+    i``, ``cut[i]`` holds ``m(boundary S)``, the cut both members share, and
+    ``m_s[i]``, ``m_c[i]`` hold ``m(S)`` and ``m(V - S)``, all in any-order
+    arithmetic.
 
     With ``S = L + H`` split over the ``k = ceil(n/2)`` low and ``n - k``
     high vertices, ``cut(S) = C_low[L] + C_high[H] + A[L].1_{H^c} +
@@ -277,125 +286,187 @@ def _cut_blocks(graph: WeightedGraph):
     weights from the set into the vertices of its half outside it.  All four
     terms come out of a matrix product whose row ``H`` is ``(1_{H^c}, 1_H,
     1, C_high[H])`` and column ``L`` is ``(A[L], A[L^c], C_low[L], 1)``; a
-    block is the product of ``2^b`` consecutive rows with every column.
-    One doubling over the low vertices builds, vertex by mask, the weights
-    from ``L`` into every vertex, the bits of ``L`` and, in the first
-    ``2^(n-k)`` columns of its last rows, the weights from ``H`` into the
-    high vertices; the column factor stacks slices of that table.
-    Every term is a nonnegative partial sum of the crossing weights and each
-    weight enters once.  A path from a weight to the result meets at most
-    ``|L| - 1`` additions in ``A`` (or ``k - 2`` in ``C_low``) and ``n - k +
-    1`` in the product, where products with 0 add exact zeros: at most ``n``
-    roundings, whatever order the BLAS adds in.
+    block is the product of ``2^b`` consecutive rows ``H < 2^(n-k-1)`` with
+    every column.  The measures are ``m(S) = m_high[H] + m_low[L]`` and
+    ``m(V - S) = m_high[H^c] + m_low[L^c]``, one more product per block, of
+    the rows ``(1, m_high[H])`` and ``(1, m_high[H^c])`` with the columns
+    ``(m_low[L], 1)`` and ``(m_low[L^c], 1)``.  One doubling over the low
+    vertices, started from 1 in the rows that need it, builds, vertex by
+    mask, the weights from ``L`` into every vertex, the bits of ``L`` and 1
+    minus them, ``m_low``, a row of ones and, in the first ``2^(n-k)``
+    columns of its rows for the high vertices, the weights from ``H`` into
+    them and ``m_high``; the factors stack slices of that table.
 
-    ``m_set`` is ``_subset_sums(m, k + b)``, the doubling over the low
-    vertices and the block's ``b`` low bits of ``H``, plus the measures of
-    its other bits in ascending vertex order: the additions of
-    ``_subset_sums(m, n)``, in the same order, so every ``m(S)`` is that
-    table's bit for bit.  ``cut`` and ``m_set`` are buffers that the next
-    block overwrites.
+    Every term is a nonnegative partial sum and each weight or measure
+    enters once.  A path from a weight to the cut meets at most ``|L| - 1``
+    additions in ``A`` (or ``k - 2`` in ``C_low``) and ``n - k + 1`` in the
+    product, and a path from a measure at most ``k - 1`` in a doubling and
+    one in the product, where products with 0 and 1 are exact and add exact
+    zeros: at most ``n`` roundings, whatever order the BLAS adds in.  The
+    three arrays are buffers that the next block overwrites.
     """
     n, m, weights = graph.n, graph.vertex_measure, weight_matrix(graph)
-    k = (n + 1) // 2
-    b = min(n - k, max(0, _BLOCK_BITS - k))
-    per_bit = np.concatenate([weights[:k], np.eye(k), np.zeros((k, n - k))], 1)
-    per_bit[: n - k, n + k :] = weights[k:, k:]
-    table = _subset_sums(per_bit, k)
-    low, in_low, high = table[:n], table[n : n + k], table[n + k :, : 1 << (n - k)]
-    in_high, out_low = in_low[: n - k, : 1 << (n - k)], 1.0 - in_low
+    k, j = (n + 1) // 2, n // 2  # the low and the high vertices, n - 1 the last
+    b = min(j - 1, max(0, _BLOCK_BITS - k))
+    # Columns: weights into every vertex, bits, 1 - bits, high weights, m_low, 1, m_high.
+    per_bit, ones = np.zeros((k, n + 2 * k + j + 3)), np.zeros(n + 2 * k + j + 3)
+    per_bit[:, :n], per_bit[:, -3], ones[n + k : n + 2 * k], ones[-2] = weights[:k], m[:k], 1, 1
+    per_bit[:j, n + 2 * k : -3], per_bit[:j, -1] = weights[k:, k:], m[k:]
+    flat, step = per_bit.reshape(-1), per_bit.shape[1] + 1
+    flat[n::step], flat[n + k :: step] = 1.0, -1.0  # the entries (v, n + v), (v, n + k + v)
+    table = _subset_sums(per_bit, k, ones)
+    low, in_high, out_low = table[:n], table[n : n + j, : 1 << j], table[n + k : n + 2 * k]
     c_low = np.einsum("ij,ij->j", low[:k], out_low)
-    c_high = np.einsum("ij,ij->j", high, out_low[: n - k, : 1 << (n - k)])
-    rows = np.concatenate([1.0 - in_high, in_high, np.ones_like(c_high)[None], c_high[None]]).T
-    columns = np.concatenate([low[k:], low[k:, ::-1], c_low[None], np.ones_like(c_low)[None]])
-    m_low = _subset_sums(m, k + b)
-    cut, m_set = np.empty((1 << b, 1 << k)), np.empty_like(m_low)
-    for block in range(1 << (n - k - b)):  # row H, column L: mask L + (H << k)
-        np.matmul(rows[block << b : (block + 1) << b], columns, out=cut)
-        yield block << (k + b), cut.reshape(-1), _plus_high(m, m_low, k + b, block, m_set)
+    c_high = np.einsum("ij,ij->j", table[n + 2 * k : -3, : 1 << j], out_low[:j, : 1 << j])
+    rows = np.concatenate([out_low[:j, : 1 << j], in_high, table[-2:-1, : 1 << j], c_high[None]])
+    columns = np.concatenate([low[k:], low[k:, ::-1], c_low[None], table[-2:-1]])
+    m_rows, m_columns = table[-2:, : 1 << j].T, table[-3:-1]  # (1, m_high[H]), (m_low[L], 1)
+    cut, measures = np.empty((1 << b, 1 << k)), np.empty((2, 1 << b, 1 << k))
+    for block in range(1 << (j - 1 - b)):  # row H, column L: pair L + (H << k)
+        h = slice(block << b, (block + 1) << b)
+        np.matmul(rows[:, h].T, columns, out=cut)
+        np.matmul(m_rows[h], m_columns, out=measures[0])
+        np.matmul(m_rows[::-1][h], m_columns[:, ::-1], out=measures[1])  # of H^c and L^c
+        yield block << (k + b), cut.reshape(-1), *measures.reshape(2, -1)
 
 
-def _edge_order_cuts(graph: WeightedGraph, masks: np.ndarray) -> np.ndarray:
-    """``m(boundary S)`` of each mask, added edge by edge in edge order as
-    ``set_measures`` adds it: a running sum down the edges, with 0.0 in place
-    of each weight whose edge does not cross (``x + 0.0 == x``).  The masks go
-    in chunks through one buffer of edge-by-mask terms, summed in place."""
-    cuts = np.empty(len(masks))
-    terms = np.empty((len(graph.w), min(len(masks), _FINISH_CHUNK)))  # edge x mask
-    for start in range(0, len(masks), _FINISH_CHUNK):
-        inside = _members(masks[start : start + _FINISH_CHUNK], graph.n)
-        out = terms[:, : inside.shape[1]]
-        np.multiply(inside[graph.u] != inside[graph.v], graph.w[:, None], out=out)
-        cuts[start : start + _FINISH_CHUNK] = np.cumsum(out, axis=0, out=out)[-1]
-    return cuts
+def _finish(graph: WeightedGraph, pairs: np.ndarray, value, excluded) -> tuple[float, int]:
+    """The least ``(value, mask)`` over both members of the pairs ``pairs``,
+    as ``_least`` finishes them, ``_FINISH_CHUNK`` pairs at a time through
+    one buffer of edge-by-pair terms and one of vertex-by-member terms.  The
+    cut is added edge by edge in edge order as ``set_measures`` adds it: a
+    running sum down the edges, with 0.0 in place of each weight whose edge
+    does not cross (``x + 0.0 == x``).  Each measure is the running sum of
+    its members' measures in ascending vertex order, with 0.0 in place of the
+    others: the additions ``_subset_sums`` makes.  The members of a chunk
+    are laid out in ascending mask order, the pairs' ``S`` and then the
+    complements reversed, so the first least value has the least mask.  A
+    set in ``excluded`` is given the value ``inf``."""
+    n, full, width = graph.n, (1 << graph.n) - 1, min(len(pairs), _FINISH_CHUNK)
+    terms, sums, best = np.empty((len(graph.w), width)), np.empty((n, 2 * width)), (math.inf, 0)
+    for start in range(0, len(pairs), _FINISH_CHUNK):
+        chunk = pairs[start : start + _FINISH_CHUNK]
+        size, masks = len(chunk), np.concatenate([chunk, full ^ chunk[::-1]])
+        inside, out = _members(masks, n), terms[:, : len(chunk)]
+        np.multiply(inside[graph.u, :size] != inside[graph.v, :size], graph.w[:, None], out=out)
+        cut = np.add.accumulate(out, out=out)[-1]
+        measure = np.multiply(inside, graph.vertex_measure[:, None], out=sums[:, : 2 * size])
+        measure = np.add.accumulate(measure, out=measure)[-1]
+        values = value(masks, np.concatenate([cut, cut[::-1]]), measure)
+        if excluded:
+            values[np.isin(masks, excluded)] = math.inf
+        best = min(best, (float(values.min()), int(masks[values.argmin()])))
+    return best
 
 
-def _least(graph: WeightedGraph, max_n, score, skip, connected=False) -> tuple[float, int]:
-    """The least ``(value, mask)`` over the searched masks, the value bit for
+def _least(graph: WeightedGraph, max_n, value, slack, thin=0.0, connected=False):
+    """The least ``(value, mask)`` over the searched sets, the value bit for
     bit the one an edge-order cut table gives, after the checks every
-    Cheeger search makes.  ``score(cut, m_set)`` maps cuts to values, given
-    the measures ``m_set`` of their masks, as it maps the fast cuts of each
-    ``_cut_blocks`` block; it may overwrite ``cut``, must divide each cut by
-    numbers that do not depend on it, and must map an infinite cut to an
-    infinite value.  The empty and the full set and the masks of a block
-    that ``skip(m_set)`` indexes are not searched: their cuts are set to
-    ``inf`` before the block is scored.  With ``connected``, a mask that
-    does not induce a connected subgraph is not searched either.
+    Cheeger search makes.  ``value(masks, cut, m_set)`` maps the exact cuts
+    and measures of sets to their values, ``inf`` for a set not searched.
+    Each pair of ``_cut_blocks`` is scored ``r~ = c~ / min(m~(S), m~(V -
+    S))`` from its fast cut and measures, the pairs with ``r~ <= lo (1 + 4
+    eta + slack) + _TINY`` are kept, ``lo`` the least score so far, and
+    ``_finish`` gives both members of each kept pair their exact values.
+    The empty set and ``V`` are not searched: their pair scores ``inf``.  A
+    pair whose smaller fast measure is below ``thin`` scores ``inf`` and is
+    always finished.  With ``connected``, a set that does not induce a
+    connected subgraph is not searched either.
 
-    Filter.  Let ``c`` be a true cut, ``c~`` the fast one (``n`` roundings,
-    see ``_cut_blocks``) and ``c^`` the edge-order one (fewer than ``E``
-    roundings): ``c~ = c (1 + theta_n)`` and ``c^ = c (1 + theta_E)`` with
-    ``|theta_k| <= gamma_k``.  Both are divided by the same numbers, so the
-    fast value ``r~`` and the exact one ``r^`` satisfy ``r~ = r^ (1 +
-    theta)`` and ``r^ = r~ (1 + theta')`` with ``|theta|, |theta'| <=
-    gamma_{n+E+3} <= eta = gamma_{n+E+6}`` (one more rounding per division;
-    ``1 / (1 - gamma_j) <= 1 + gamma_{j+1}``; Higham's Lemma 3.3 for the
-    products), up to an absolute ``2^-1074`` per underflowing quotient.
-    Let ``lo`` be the least fast value and ``S*`` an exact minimizer:
-    ``r~(S*) <= (1 + eta) r^(S*) <= (1 + eta) r^(argmin r~) <= (1 + eta)^2
-    lo``.  So every mask with ``r~ <= lo (1 + delta) + _TINY``, ``delta = 4
-    eta``, is kept, and the kept set holds every exact minimizer whatever
-    the BLAS: the least kept ``(value, mask)`` after the exact finish is the
-    least searched one.
+    Fast against exact.  The fast cut, the fast measures, the edge-order
+    cut and the exact measures are sums of nonnegative terms with at most
+    ``n``, ``n``, ``E`` and ``n`` roundings along each path (``_cut_blocks``;
+    an addition rounds relatively even in the subnormal range), so each is
+    the true sum times ``1 + theta_j``, ``|theta_j| <= gamma_j``.  With one
+    rounding per division, the fast quotient ``c~/m~(X)`` and the exact one
+    ``c^/m^(X)`` of a set ``X`` are each other times ``1 + theta``, ``|theta|
+    <= eta = gamma_{3n+E+6}`` (``1 / (1 - gamma_j) <= 1 + gamma_{j+1}``;
+    Higham's Lemma 3.3 for the products), up to an absolute ``2^-1074`` per
+    underflowing quotient, which ``_TINY`` covers.  Below, ``X'`` is the
+    member with the smaller fast measure and ``X`` the other, ``M`` the true
+    total and ``T`` the graph's ``total_measure``, ``M (1 + theta_n)``.
+
+    Filter.  It needs two facts: (i) the pair scoring ``lo`` has a searched
+    member of exact value at most ``(1 + eta) lo``, and (ii) every searched
+    member of a pair scoring ``r~`` has an exact value of at least ``r~ /
+    ((1 + eta)(1 + s))``.  Then an exact minimizer's pair scores at most
+    ``(1 + eta)^2 (1 + s) lo <= lo (1 + 4 eta + slack)`` when ``slack >=
+    2 s``, so every exact minimizer is finished whatever the BLAS, and the
+    least ``(value, mask)`` finished is the least searched one.
+
+    ``h``: ``value`` is ``c^/m^(X)``, or ``inf`` when ``m^(X) > (T -
+    m^(X)) + HALF_TIE_RTOL T`` in float64 arithmetic, the test of the
+    reference table.  (i) ``X'`` holds at most ``M/2 (1 + 3 gamma_n)``, so
+    ``m^(X')`` exceeds ``T - m^(X')`` by at most about ``6 gamma_n M``, far
+    below the ``HALF_TIE_RTOL M`` that the test admits for ``n <= N_MAX``
+    (in the subnormal range, where ``HALF_TIE_RTOL T`` loses its relative
+    accuracy, every sum is exact): ``X'`` is searched and its value is
+    ``r~`` within ``eta``, so the least score is always a realised value.
+    (ii) A searched ``X`` holds at most ``m(X') + 2 HALF_TIE_RTOL T + 6
+    gamma_n M``, as the test admits, so ``m(X) / m(X') <= 1 + 5
+    HALF_TIE_RTOL``, and its value is below ``r~`` by at most that factor:
+    ``s = 5 HALF_TIE_RTOL`` and ``slack = 8 HALF_TIE_RTOL``.
+
+    ``h_via_r``: the value of a pair is that of its member ``A`` holding
+    vertex 0, ``max(c^/m^(A), c^/fl(T - m^(A)))``, which is ``c^ / min(m^(A),
+    fl(T - m^(A)))`` as rounding is monotone.  ``fl(T - m^(A)) = (m(B) +
+    e)(1 + delta)`` with ``|e| <= 2 gamma_n M``: an absolute error, which the
+    relative bounds miss when ``m(B)`` is small.  So every pair whose
+    smaller fast measure is below ``thin = 3 _THIN gamma_n T`` is finished
+    whatever its score.  Every other pair has ``m(B) >= 2 _THIN gamma_n M``,
+    so ``fl(T - m^(A)) = m(B) (1 + theta)(1 + eps)`` with ``|eps| <= 1 /
+    _THIN``, and its value is ``r~`` within ``(1 + eta)(1 + eps)``, which
+    gives (i) and (ii) with ``s = 2 / _THIN`` and ``slack = 4 / _THIN``.  A
+    set is no lighter than its lightest vertex, so when every vertex holds
+    at least ``2 thin`` no pair is thin (``h_via_r`` passes ``thin = 0``)
+    and no ``fl(T - m^(A))`` is 0.
 
     Running minimum.  The blocks come one at a time and are dropped once
-    filtered: ``lo`` is the least fast value of the blocks so far, each
-    block keeps its masks with ``r~ <= lo (1 + delta) + _TINY`` and
-    finishes them at once, and the least ``(value, mask)`` finished so far
-    is kept.  ``lo`` only falls, so the masks finished hold every mask the
-    final ``lo`` keeps, and with it every exact minimizer.  The others, kept
-    before ``lo`` last fell, are searched masks too: their exact values are
-    no smaller than the minimum, so finishing them changes no bit.  They are
-    few: on random graphs of 18 to 22 vertices one to nine masks are
-    finished in all.
+    filtered: ``lo`` is the least score of the blocks so far, each block
+    keeps its pairs with ``r~ <= lo (1 + 4 eta + slack) + _TINY`` and
+    finishes them at once (while ``lo`` is ``inf``, only the pairs it must
+    finish), and the least ``(value, mask)`` finished so far is kept.  ``lo`` only falls, so the pairs finished hold every pair the
+    final ``lo`` keeps, and with it every exact minimizer.  The others,
+    kept before ``lo`` last fell, hold searched sets too: their exact
+    values are no smaller than the minimum, so finishing them changes no
+    bit.  They are few: on random graphs of 18 to 22 vertices one to nine
+    pairs are finished in all.
 
     ``connected`` excludes each disconnected witness and runs the search
-    again: call ``j`` returns the ``j``-th set in ``(value, mask)``
-    order, and a singleton, which is connected, ends it.
+    again: call ``j`` returns the ``j``-th set in ``(value, mask)`` order,
+    and a singleton, which is connected, ends it.  An excluded set's pair
+    scores ``inf``, so that ``lo`` stays the score of a pair with a
+    searched member, and is finished on every pass: its other member,
+    unless excluded too, may be the next set.
     """
     _check_cap(graph.n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
     if not graph.is_connected():
         raise DisconnectedGraph("cheeger constant needs a connected graph")
-    grow, unsearched = 1.0 + 4.0 * _gamma(graph.n + len(graph.w) + 6), [0, (1 << graph.n) - 1]
+    full = (1 << graph.n) - 1
+    grow, excluded = 1.0 + 4.0 * _gamma(3 * graph.n + len(graph.w) + 6) + slack, []
     while True:
         lo, best = math.inf, (math.inf, 0)
-        for start, cut, m_set in _cut_blocks(graph):
-            cut[skip(m_set)] = math.inf
-            for mask in unsearched:
-                if start <= mask < start + len(cut):
-                    cut[mask - start] = math.inf
-            fast = score(cut, m_set)
-            least = fast.min()
-            lo = min(lo, least)
+        marked = [min(mask, full ^ mask) for mask in excluded]  # their pairs
+        for start, cut, m_s, m_c in _cut_blocks(graph):
+            if forced := [p - start for p in marked if start <= p < start + len(cut)]:
+                cut[forced] = math.inf
+            cut[: start == 0] = math.inf  # the empty set and V, in the first block
+            smaller = np.minimum(m_s, m_c, out=m_s)
+            fast = np.divide(cut, smaller, out=cut)
+            if thin:  # the empty set's pair stays out
+                weak = (smaller < thin).nonzero()[0]
+                fast[weak] = math.inf
+                forced += weak[weak + start > 0].tolist()
+            lo = min(lo, least := fast.min())
             bound = lo * grow + _TINY
-            if least > bound:  # no mask of this block is kept
-                continue
-            keep = (fast <= bound).nonzero()[0]
-            if keep.size:  # the least exact value, then the least mask
-                exact = score(_edge_order_cuts(graph, keep + start), m_set[keep])
-                best = min(best, (float(exact.min()), start + int(keep[exact.argmin()])))
+            keep = (fast <= bound).nonzero()[0] if least <= bound < math.inf else []
+            if forced:
+                keep = np.union1d(keep, forced).astype(int)
+            if len(keep):
+                best = min(best, _finish(graph, keep + start, value, excluded))
         if not connected or _induced_connected(graph, best[1]):
             return best
-        unsearched.append(best[1])
+        excluded.append(best[1])
 
 
 def _induced_connected(graph: WeightedGraph, mask: int) -> bool:
@@ -406,63 +477,6 @@ def _induced_connected(graph: WeightedGraph, mask: int) -> bool:
     parent, _ = _union_find(graph.n, graph.u[both].tolist(), graph.v[both].tolist())
     roots = np.array(parent)[inside]
     return bool(np.all(roots == roots[0]))
-
-
-# The bit pattern of +inf: the nonnegative floats are the patterns 0 .. this.
-_INF_BITS = 0x7FF0000000000000
-
-
-def _float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _last_light(total: float) -> float:
-    """The largest float ``tau`` with ``heavy(tau)`` false, where ``heavy(x)
-    = x > (total - x) + HALF_TIE_RTOL * total`` in float64 arithmetic: the
-    test that a set of measure ``x`` has over half the measure ``total``.
-    For every float ``x >= 0`` and for NaN, ``heavy(x)`` is ``x > tau``, so
-    the Cheeger search makes one comparison per set instead of three
-    operations.
-
-    Proof.  ``c = fl(HALF_TIE_RTOL * total)`` does not depend on ``x``.
-    Rounding to nearest is monotone, so ``r(x) = fl(fl(total - x) + c)`` is
-    nonincreasing in ``x``; the one case without an order, ``total - x``
-    with both infinite, needs ``total = inf``, where ``r`` is ``inf`` or NaN
-    and ``heavy`` is false everywhere, so ``tau = inf``.  Otherwise, if
-    ``heavy(x)`` and ``y > x``, then ``y > x > r(x) >= r(y)``: ``heavy``
-    switches from false to true at most once over ``x >= 0``.  It is false
-    at 0 (``r(0) >= 0`` as ``total >= 0``) and true at ``inf`` (``r(inf) =
-    -inf``).  The nonnegative floats ordered by value are the integers
-    ``0 .. _INF_BITS`` ordered as bit patterns, so a bisection over bit
-    patterns, from any bracket ``[lo, hi]`` with ``heavy`` false at ``lo``
-    and true at ``hi``, ends at ``tau``.  Python floats are float64 and
-    make the same roundings as the array expression.  The bracket starts
-    one bit pattern either side of ``(total + c) / 2``, within a few units
-    in the last place of ``tau``, and doubles its reach until it holds; it
-    holds at ``[0, _INF_BITS]`` at the latest.  NaN compares false on both
-    sides.
-    """
-
-    def heavy(bits: int) -> bool:
-        x = _float(bits)
-        return x > (total - x) + HALF_TIE_RTOL * total
-
-    if not heavy(_INF_BITS):
-        return math.inf
-    centre, reach = _bits(0.5 * total + 0.5 * (HALF_TIE_RTOL * total)), 1
-    while True:
-        lo, hi = max(centre - reach, 0), min(centre + reach, _INF_BITS)
-        if heavy(hi) and not heavy(lo):
-            break
-        reach *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if heavy(mid) else (mid, hi)
-    return _float(lo)
 
 
 def cheeger_constant_exact(
@@ -480,15 +494,14 @@ def cheeger_constant_exact(
     ``TooLarge`` beyond the cap or beyond ``N_MAX`` (the size rule every
     exact search shares).
     """
-    tau = _last_light(graph.total_measure)
+    total = graph.total_measure
 
-    def ratio(cut, m_set):  # the empty set's cut is inf: no 0/0
-        return np.divide(cut, m_set, out=cut)
+    def ratio(masks, cut, m_set):  # inf over half the measure
+        values = np.divide(cut, m_set)
+        values[m_set > (total - m_set) + HALF_TIE_RTOL * total] = math.inf
+        return values
 
-    def heavy(m_set):  # over half the measure
-        return m_set > tau
-
-    return InvariantReport("h", *_least(graph, max_n, ratio, heavy, connected_only))
+    return InvariantReport("h", *_least(graph, max_n, ratio, 8 * HALF_TIE_RTOL, 0, connected_only))
 
 
 # -------------------------------------------------------------- dual Cheeger
@@ -734,17 +747,23 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
     min(R_A, R_B)`` — the smaller-measure side of any partition always has the
     larger boundary ratio, so this sup reproduces the half-condition infimum.
 
-    ``R_A = 1 - c/m(A)`` with ``A`` the side holding vertex 0.  ``fl(1 - x)``
-    is monotone, so the sup is ``1 - (1 - q)`` with ``q`` the least
-    ``max(c/m(A), c/m(B))``, which the shared Cheeger search finds.
+    ``R_A = 1 - c/m(A)`` with ``A`` the side holding vertex 0 and ``R_B = 1
+    - c/(M - m(A))``, ``M`` the total measure.  ``fl(1 - x)`` is monotone,
+    so the sup is ``1 - (1 - q)`` with ``q`` the least ``max(c/m(A), c/(M -
+    m(A)))``, which the shared Cheeger search finds over the pairs ``{A,
+    B}``; ``M - m(A)`` is off from ``m(B)`` by an absolute rounding error,
+    which the search's filter allows for (see ``_least``).
     """
     total = graph.total_measure
 
-    def larger_ratio(cut, m_a):
-        return np.maximum(np.divide(cut, m_a), np.divide(cut, total - m_a), out=cut)
+    def larger_ratio(masks, cut, m_a):  # inf unless vertex 0 is in A
+        values = np.maximum(np.divide(cut, m_a), np.divide(cut, total - m_a))
+        values[masks & 1 == 0] = math.inf
+        return values
 
-    # Vertex 0 in A: the odd masks, as every block starts at an even one.  A
-    # sum m(A) may round to the total measure, so m(B) to 0.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value, _ = _least(graph, max_n, larger_ratio, lambda m_a: np.s_[::2])
+    # A thin pair, and so an m(A) that rounds to the total, needs a light vertex.
+    thin = 3.0 * _THIN * _gamma(graph.n) * total
+    thin *= float(graph.vertex_measure.min()) < 2.0 * thin
+    with np.errstate(divide="ignore") if thin else contextlib.nullcontext():
+        value, _ = _least(graph, max_n, larger_ratio, 4.0 / _THIN, thin)
     return float(1.0 - (1.0 - value))

@@ -518,18 +518,26 @@ def test_induced_connectivity_matches_the_bitmask_search(seed):
             ), (seed, mask)
 
 
-def _reference_cheeger(graph: WeightedGraph):
-    """``(h hex, witness)`` without and with ``connected_only``, and the hex
-    of ``h_via_r``, by ``argmin`` over the full cut table."""
-    n = graph.n
-    m_table = _reference_subset_sums(graph.vertex_measure, n)
+def _reference_ratios(graph: WeightedGraph):
+    """The cut table, the measure table and ``m(boundary S)/m(S)`` for every
+    mask, ``inf`` for the empty set and for each set over half the
+    measure."""
+    m_table = _reference_subset_sums(graph.vertex_measure, graph.n)
     cut = _cut_table(graph)
     total = graph.total_measure
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = cut / m_table
     admissible = m_table <= (total - m_table) + invariants.HALF_TIE_RTOL * total
     admissible[0] = False
-    ratio = np.where(admissible, ratio, np.inf)
+    return cut, m_table, np.where(admissible, ratio, np.inf)
+
+
+def _reference_cheeger(graph: WeightedGraph):
+    """``(h hex, witness)`` without and with ``connected_only``, and the hex
+    of ``h_via_r``, by ``argmin`` over the full cut table."""
+    n = graph.n
+    total = graph.total_measure
+    cut, m_table, ratio = _reference_ratios(graph)
     witness = int(np.argmin(ratio))
     free = (float(ratio[witness]).hex(), witness)
     neighbour_masks = _neighbour_masks(graph)
@@ -584,6 +592,39 @@ def _unit_random(n: int, p: float, seed: int) -> WeightedGraph:
     return WeightedGraph(np.column_stack([g.u, g.v, np.ones(len(g.w))]))
 
 
+def _top_side(seed: int) -> WeightedGraph:
+    """Two cliques on vertices 0-5 and 6-9 joined by one light edge: the
+    lighter clique, which holds the top vertex 9, is the only minimizer, and
+    the Cheeger search names each pair by its member without vertex 9."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for side in (range(6), range(6, 10)) for u in side for v in side if u < v]
+    return WeightedGraph([(u, v, rng.uniform(0.5, 1.0)) for u, v in pairs] + [(5, 6, 0.01)])
+
+
+def _pendant(n: int, seed: int, first: bool) -> WeightedGraph:
+    """A random graph on ``n - 1`` vertices plus a pendant vertex, 0 or
+    ``n - 1``, whose one edge weighs ``2^-60`` of the rest: ``h_via_r``
+    subtracts ``m(A)`` from the total measure, and when the pendant is not
+    in ``A`` the difference is all rounding."""
+    g = sample_graph(RandomGraphSpec(n=n - 1, seed=seed))
+    u, v, shift = g.u + first, g.v + first, seed % (n - 1) + first
+    tail = (0, shift) if first else (shift, n - 1)
+    weight = 2.0**-60 * float(g.w.sum())
+    return WeightedGraph(np.column_stack([np.append(u, tail[0]), np.append(v, tail[1]),
+                                          np.append(g.w, weight)]))
+
+
+def _near_half_ties(graph: WeightedGraph, seed: int) -> WeightedGraph:
+    """``graph`` with each weight moved by a relative 1e-14 to 1e-12, so
+    that complementary halves differ in measure by less than
+    ``HALF_TIE_RTOL`` of the total: both members of such a pair are
+    searched, and the heavier, of the smaller value, can be the only
+    minimizer while its pair scores the value of the lighter."""
+    rng = np.random.default_rng(seed)
+    noise = rng.uniform(-1.0, 1.0, len(graph.w)) * 10.0 ** rng.uniform(-14, -12)
+    return _with_weights(graph, graph.w * (1.0 + noise))
+
+
 _REFERENCE_GRAPHS = {
     **{f"random{n}": (lambda n=n: sample_graph(RandomGraphSpec(n=n, seed=n))) for n in range(2, 15)},
     **{f"sparse{n}": (lambda n=n: sample_graph(RandomGraphSpec(n=n, edge_probability=0.3, seed=n)))
@@ -605,6 +646,18 @@ _REFERENCE_GRAPHS = {
     "cycle20": lambda: cycle(20),
     "ladder21": lambda: generate(FamilySpec("ladder_L", 10, r=0.5)),
     "sparse22": lambda: sample_graph(RandomGraphSpec(n=22, edge_probability=0.12, seed=5)),
+    # the pair stream: a minimizer with the top vertex, a tiny pendant first
+    # or last, pairs whose members tie in value, near half ties, and (ties332
+    # above, and below) answers whose excluded witness is their complement
+    "top10": lambda: _top_side(10),
+    "pendant_first10": lambda: _pendant(10, 3, first=True),
+    "pendant_last10": lambda: _pendant(10, 3, first=False),
+    "cycle10": lambda: cycle(10),
+    "complete10": lambda: complete(10),
+    **{f"near_half_{name}": (lambda make=make, seed=seed: _near_half_ties(make(), seed))
+       for name, make, seed in (("c4", lambda: cycle(4), 38), ("k4", lambda: complete(4), 4),
+                                ("c8", lambda: cycle(8), 0))},
+    **{f"ties{seed}": (lambda seed=seed: _tie_heavy_graph(seed)) for seed in (353, 689)},
 }
 
 
@@ -614,44 +667,19 @@ def test_cheeger_search_matches_the_cut_table_reference(name):
     assert _cheeger_results(g) == _reference_cheeger(g)
 
 
-def _heavy(x, total):
-    """The half-measure test of a set of measure ``x``, as the Cheeger search
-    made it on each set before it compared with one threshold."""
-    return x > (total - x) + invariants.HALF_TIE_RTOL * total
-
-
-def _around(tau: float) -> list[float]:
-    """``tau`` and the floats one and two units in the last place either
-    side of it, the nonnegative ones."""
-    below, above = [tau], [tau]
-    for _ in range(2):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return [x for x in below[:0:-1] + above if x >= 0.0]
-
-
-def test_half_measure_threshold_is_the_full_test_on_every_set():
-    """``m(S) > tau`` is the full test on every ``m(S)`` of every reference
-    graph, subnormal and near-maximum weights included, and on the floats
-    around ``tau``, so ``tau`` one unit in the last place off fails."""
-    for name, make in _REFERENCE_GRAPHS.items():
-        g = make()
-        total = g.total_measure
-        tau = invariants._last_light(total)
-        x = np.append(_reference_subset_sums(g.vertex_measure, g.n), _around(tau))
-        assert np.array_equal(x > tau, _heavy(x, total)), name
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    total=st.floats(min_value=0.0, allow_infinity=True),
-    x=st.floats(min_value=0.0, allow_infinity=True),
-    scale=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_half_measure_threshold_is_the_full_test(total, x, scale):
-    tau = invariants._last_light(total)
-    for y in [x, scale * total, *_around(tau), *_around(0.5 * total), math.nan]:
-        assert (y > tau) == _heavy(y, total), (total, y, tau)
+@pytest.mark.parametrize("name", ["random9", "random14", "sparse17", "ties5", "near_half_c8"])
+def test_excluded_witnesses_leave_the_next_sets_in_order(monkeypatch, name):
+    """With its first three witnesses taken for disconnected sets, the
+    ``connected_only`` search returns the fourth set in ``(value, mask)``
+    order of the cut table: an excluded set's pair must leave the running
+    least score, and its other member must still be finished."""
+    g = _REFERENCE_GRAPHS[name]()
+    ratio = _reference_ratios(g)[2]
+    fourth = int(np.lexsort((np.arange(len(ratio)), ratio))[3])
+    answers = iter([False] * 3 + [True])
+    monkeypatch.setattr(invariants, "_induced_connected", lambda graph, mask: next(answers))
+    report = cheeger_constant_exact(g, connected_only=True)
+    assert (report.value.hex(), report.witness) == (float(ratio[fourth]).hex(), fourth)
 
 
 @pytest.mark.parametrize("bits", ["1", "2", "k+1"])
@@ -693,6 +721,23 @@ def test_cheeger_searches_hold_no_full_table():
     assert all(peak <= 8 << 20 for peak in peaks.values()), peaks
 
 
+def test_cheeger_finish_on_ties_holds_no_full_table():
+    """On the unit-weight complete graph on 18 vertices every 9-set ties, so
+    about a sixth of each block goes to the exact finish; under
+    ``tracemalloc`` the search still peaks at 8 MiB or less, as the finish
+    runs a bounded number of sets at a time."""
+    g = complete(18)
+    weight_matrix(g)
+    tracemalloc.start()
+    try:
+        report = cheeger_constant_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.value, report.witness) == (81 / 153, (1 << 9) - 1)
+    assert peak <= 8 << 20, peak
+
+
 def test_dual_search_holds_one_block_buffer():
     """Under ``tracemalloc`` the dual search on a dense 17-vertex graph peaks
     at 16 MiB or less: one low table of about 9 MiB, which the second and
@@ -711,10 +756,10 @@ def test_dual_search_holds_one_block_buffer():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_fast_table_noise_inside_the_margin_changes_no_bit(monkeypatch, seed):
-    """Relative noise of up to half the filter margin ``delta = 4 eta`` on
-    every fast cut of every block (far above the rounding the margin is
-    derived for) still keeps every minimizer, so values and witnesses stay
-    the reference's."""
+    """Relative noise of up to half the rounding margin ``delta = 4 eta`` on
+    the fast cut and on both fast measures of every pair of every block (far
+    above the rounding the margin is derived for) still keeps every
+    minimizer, so values and witnesses stay the reference's."""
     graphs = [_tie_heavy_graph(seed), _tie_heavy_graph(seed + 6),
               sample_graph(RandomGraphSpec(n=8 + seed, seed=seed)), _unit_random(10, 0.5, seed)]
     expected = [_reference_cheeger(g) for g in graphs]
@@ -722,9 +767,9 @@ def test_fast_table_noise_inside_the_margin_changes_no_bit(monkeypatch, seed):
     blocks = invariants._cut_blocks
 
     def noisy(graph):
-        delta = 4.0 * invariants._gamma(graph.n + len(graph.w) + 6)
-        for start, cut, m_set in blocks(graph):
-            yield start, cut * (1.0 + rng.uniform(-delta / 2, delta / 2, len(cut))), m_set
+        delta = 4.0 * invariants._gamma(3 * graph.n + len(graph.w) + 6)
+        for start, *fast in blocks(graph):
+            yield start, *(x * (1.0 + rng.uniform(-delta / 2, delta / 2, len(x))) for x in fast)
 
     monkeypatch.setattr(invariants, "_cut_blocks", noisy)
     assert [_cheeger_results(g) for g in graphs] == expected
