@@ -51,7 +51,6 @@ peak RSS 87 MB.)
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -262,8 +261,6 @@ _TINY = 2.0**-1000
 _MIN_SUBNORMAL = 2.0**-1074
 # Pairs per block of the exact finish.
 _FINISH_CHUNK = 256
-# h_via_r finishes the pairs lighter than this many rounding errors (_least).
-_THIN = 2.0**24
 
 
 def _gamma(k: int) -> float:
@@ -340,8 +337,9 @@ def _finish(graph: WeightedGraph, pairs: np.ndarray, value, excluded) -> tuple[f
     its members' measures in ascending vertex order, with 0.0 in place of the
     others: the additions ``_subset_sums`` makes.  The members of a chunk
     are laid out in ascending mask order, the pairs' ``S`` and then the
-    complements reversed, so the first least value has the least mask.  A
-    set in ``excluded`` is given the value ``inf``."""
+    complements reversed, so the first least value has the least mask and
+    the measures reversed are those of the complements.  A set in
+    ``excluded`` is given the value ``inf``."""
     n, full, width = graph.n, (1 << graph.n) - 1, min(len(pairs), _FINISH_CHUNK)
     terms, sums, best = np.empty((len(graph.w), width)), np.empty((n, 2 * width)), (math.inf, 0)
     for start in range(0, len(pairs), _FINISH_CHUNK):
@@ -352,25 +350,24 @@ def _finish(graph: WeightedGraph, pairs: np.ndarray, value, excluded) -> tuple[f
         cut = np.add.accumulate(out, out=out)[-1]
         measure = np.multiply(inside, graph.vertex_measure[:, None], out=sums[:, : 2 * size])
         measure = np.add.accumulate(measure, out=measure)[-1]
-        values = value(masks, np.concatenate([cut, cut[::-1]]), measure)
+        values = value(np.concatenate([cut, cut[::-1]]), measure)
         if excluded:
             values[np.isin(masks, excluded)] = math.inf
         best = min(best, (float(values.min()), int(masks[values.argmin()])))
     return best
 
 
-def _least(graph: WeightedGraph, max_n, value, slack, thin=0.0, connected=False):
+def _least(graph: WeightedGraph, max_n, value, connected=False):
     """The least ``(value, mask)`` over the searched sets, the value bit for
     bit the one an edge-order cut table gives, after the checks every
-    Cheeger search makes.  ``value(masks, cut, m_set)`` maps the exact cuts
-    and measures of sets to their values, ``inf`` for a set not searched.
-    Each pair of ``_cut_blocks`` is scored ``r~ = c~ / min(m~(S), m~(V -
-    S))`` from its fast cut and measures, the pairs with ``r~ <= lo (1 + 4
-    eta + slack) + _TINY`` are kept, ``lo`` the least score so far, and
-    ``_finish`` gives both members of each kept pair their exact values.
-    The empty set and ``V`` are not searched: their pair scores ``inf``.  A
-    pair whose smaller fast measure is below ``thin`` scores ``inf`` and is
-    always finished.  With ``connected``, a set that does not induce a
+    Cheeger search makes.  ``value(cut, m_set)`` maps the exact cuts and
+    measures of the sets ``_finish`` lays out to their values, ``inf`` for
+    a set not searched.  Each pair of ``_cut_blocks`` is scored ``r~ = c~ /
+    min(m~(S), m~(V - S))`` from its fast cut and measures, the pairs with
+    ``r~ <= lo (1 + 4 eta + 8 HALF_TIE_RTOL) + _TINY`` are kept, ``lo`` the
+    least score so far, and ``_finish`` gives both members of each kept pair
+    their exact values.  The empty set and ``V`` are not searched: their
+    pair scores ``inf``.  With ``connected``, a set that does not induce a
     connected subgraph is not searched either.
 
     Fast against exact.  The fast cut, the fast measures, the edge-order
@@ -390,9 +387,10 @@ def _least(graph: WeightedGraph, max_n, value, slack, thin=0.0, connected=False)
     member of exact value at most ``(1 + eta) lo``, and (ii) every searched
     member of a pair scoring ``r~`` has an exact value of at least ``r~ /
     ((1 + eta)(1 + s))``.  Then an exact minimizer's pair scores at most
-    ``(1 + eta)^2 (1 + s) lo <= lo (1 + 4 eta + slack)`` when ``slack >=
-    2 s``, so every exact minimizer is finished whatever the BLAS, and the
-    least ``(value, mask)`` finished is the least searched one.
+    ``(1 + eta)^2 (1 + s) lo <= lo (1 + 4 eta + 8 HALF_TIE_RTOL)`` when
+    ``s <= 5 HALF_TIE_RTOL``, so every exact minimizer is finished whatever
+    the BLAS, and the least ``(value, mask)`` finished is the least searched
+    one.  A wider filter only finishes more pairs and changes no bit.
 
     ``h``: ``value`` is ``c^/m^(X)``, or ``inf`` when ``m^(X) > (T -
     m^(X)) + HALF_TIE_RTOL T`` in float64 arithmetic, the test of the
@@ -405,32 +403,23 @@ def _least(graph: WeightedGraph, max_n, value, slack, thin=0.0, connected=False)
     (ii) A searched ``X`` holds at most ``m(X') + 2 HALF_TIE_RTOL T + 6
     gamma_n M``, as the test admits, so ``m(X) / m(X') <= 1 + 5
     HALF_TIE_RTOL``, and its value is below ``r~`` by at most that factor:
-    ``s = 5 HALF_TIE_RTOL`` and ``slack = 8 HALF_TIE_RTOL``.
+    ``s = 5 HALF_TIE_RTOL``.
 
-    ``h_via_r``: the value of a pair is that of its member ``A`` holding
-    vertex 0, ``max(c^/m^(A), c^/fl(T - m^(A)))``, which is ``c^ / min(m^(A),
-    fl(T - m^(A)))`` as rounding is monotone.  ``fl(T - m^(A)) = (m(B) +
-    e)(1 + delta)`` with ``|e| <= 2 gamma_n M``: an absolute error, which the
-    relative bounds miss when ``m(B)`` is small.  So every pair whose
-    smaller fast measure is below ``thin = 3 _THIN gamma_n T`` is finished
-    whatever its score.  Every other pair has ``m(B) >= 2 _THIN gamma_n M``,
-    so ``fl(T - m^(A)) = m(B) (1 + theta)(1 + eps)`` with ``|eps| <= 1 /
-    _THIN``, and its value is ``r~`` within ``(1 + eta)(1 + eps)``, which
-    gives (i) and (ii) with ``s = 2 / _THIN`` and ``slack = 4 / _THIN``.  A
-    set is no lighter than its lightest vertex, so when every vertex holds
-    at least ``2 thin`` no pair is thin (``h_via_r`` passes ``thin = 0``)
-    and no ``fl(T - m^(A))`` is 0.
+    ``h_via_r``: the value of both members is ``c^ / min(m^(S), m^(V -
+    S))``, the score's exact counterpart, so (i) and (ii) hold with ``s =
+    0``, both measures exact.
 
     Running minimum.  The blocks come one at a time and are dropped once
     filtered: ``lo`` is the least score of the blocks so far, each block
-    keeps its pairs with ``r~ <= lo (1 + 4 eta + slack) + _TINY`` and
-    finishes them at once (while ``lo`` is ``inf``, only the pairs it must
-    finish), and the least ``(value, mask)`` finished so far is kept.  ``lo`` only falls, so the pairs finished hold every pair the
-    final ``lo`` keeps, and with it every exact minimizer.  The others,
-    kept before ``lo`` last fell, hold searched sets too: their exact
-    values are no smaller than the minimum, so finishing them changes no
-    bit.  They are few: on random graphs of 18 to 22 vertices one to nine
-    pairs are finished in all.
+    keeps its pairs with ``r~ <= lo (1 + 4 eta + 8 HALF_TIE_RTOL) + _TINY``
+    and finishes them at once (while ``lo`` is ``inf``, only the pairs it
+    must finish), and the least ``(value, mask)`` finished so far is kept.
+    ``lo`` only falls, so the pairs finished hold every pair the final
+    ``lo`` keeps, and with it every exact minimizer.  The others, kept
+    before ``lo`` last fell, hold searched sets too: their exact values are
+    no smaller than the minimum, so finishing them changes no bit.  They
+    are few: on random graphs of 18 to 22 vertices one to nine pairs are
+    finished in all.
 
     ``connected`` excludes each disconnected witness and runs the search
     again: call ``j`` returns the ``j``-th set in ``(value, mask)`` order,
@@ -443,7 +432,7 @@ def _least(graph: WeightedGraph, max_n, value, slack, thin=0.0, connected=False)
     if not graph.is_connected():
         raise DisconnectedGraph("cheeger constant needs a connected graph")
     full = (1 << graph.n) - 1
-    grow, excluded = 1.0 + 4.0 * _gamma(3 * graph.n + len(graph.w) + 6) + slack, []
+    grow, excluded = 1.0 + 4.0 * _gamma(3 * graph.n + len(graph.w) + 6) + 8 * HALF_TIE_RTOL, []
     while True:
         lo, best = math.inf, (math.inf, 0)
         marked = [min(mask, full ^ mask) for mask in excluded]  # their pairs
@@ -453,10 +442,6 @@ def _least(graph: WeightedGraph, max_n, value, slack, thin=0.0, connected=False)
             cut[: start == 0] = math.inf  # the empty set and V, in the first block
             smaller = np.minimum(m_s, m_c, out=m_s)
             fast = np.divide(cut, smaller, out=cut)
-            if thin:  # the empty set's pair stays out
-                weak = (smaller < thin).nonzero()[0]
-                fast[weak] = math.inf
-                forced += weak[weak + start > 0].tolist()
             lo = min(lo, least := fast.min())
             bound = lo * grow + _TINY
             keep = (fast <= bound).nonzero()[0] if least <= bound < math.inf else []
@@ -496,12 +481,12 @@ def cheeger_constant_exact(
     """
     total = graph.total_measure
 
-    def ratio(masks, cut, m_set):  # inf over half the measure
+    def ratio(cut, m_set):  # inf over half the measure
         values = np.divide(cut, m_set)
         values[m_set > (total - m_set) + HALF_TIE_RTOL * total] = math.inf
         return values
 
-    return InvariantReport("h", *_least(graph, max_n, ratio, 8 * HALF_TIE_RTOL, 0, connected_only))
+    return InvariantReport("h", *_least(graph, max_n, ratio, connected_only))
 
 
 # -------------------------------------------------------------- dual Cheeger
@@ -747,23 +732,15 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
     min(R_A, R_B)`` — the smaller-measure side of any partition always has the
     larger boundary ratio, so this sup reproduces the half-condition infimum.
 
-    ``R_A = 1 - c/m(A)`` with ``A`` the side holding vertex 0 and ``R_B = 1
-    - c/(M - m(A))``, ``M`` the total measure.  ``fl(1 - x)`` is monotone,
-    so the sup is ``1 - (1 - q)`` with ``q`` the least ``max(c/m(A), c/(M -
-    m(A)))``, which the shared Cheeger search finds over the pairs ``{A,
-    B}``; ``M - m(A)`` is off from ``m(B)`` by an absolute rounding error,
-    which the search's filter allows for (see ``_least``).
+    ``R_A = 1 - c/m(A)`` and ``R_B = 1 - c/m(B)`` for a partition ``V = A +
+    B`` with cut ``c``.  ``fl(1 - x)`` is monotone, so the sup is ``1 - (1 -
+    q)`` with ``q`` the least ``c / min(m(A), m(B))`` over the partitions,
+    both measures exact, which the shared Cheeger search finds over the
+    pairs ``{A, B}`` (see ``_least``).
     """
-    total = graph.total_measure
 
-    def larger_ratio(masks, cut, m_a):  # inf unless vertex 0 is in A
-        values = np.maximum(np.divide(cut, m_a), np.divide(cut, total - m_a))
-        values[masks & 1 == 0] = math.inf
-        return values
+    def smaller_side_ratio(cut, m_set):  # the same value for both members
+        return np.divide(cut, np.minimum(m_set, m_set[::-1]))
 
-    # A thin pair, and so an m(A) that rounds to the total, needs a light vertex.
-    thin = 3.0 * _THIN * _gamma(graph.n) * total
-    thin *= float(graph.vertex_measure.min()) < 2.0 * thin
-    with np.errstate(divide="ignore") if thin else contextlib.nullcontext():
-        value, _ = _least(graph, max_n, larger_ratio, 4.0 / _THIN, thin)
+    value, _ = _least(graph, max_n, smaller_side_ratio)
     return float(1.0 - (1.0 - value))

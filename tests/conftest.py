@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import Phase, settings
 
 from specgraph.graph import WeightedGraph
+from specgraph.harness import RandomGraphSpec, sample_graph
 
 # A failing fuzz reports its example as generated: without the shrink phase
 # (and the explain phase, which needs it) a failure ends in seconds, where
@@ -45,6 +46,19 @@ def cycle(n):
 
 def path(n):
     return WeightedGraph([(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def pendant(n: int, seed: int, first: bool) -> WeightedGraph:
+    """A random graph on ``n - 1`` vertices plus a pendant vertex, 0 or
+    ``n - 1``, whose one edge weighs ``2^-60`` of the rest: the side of a
+    partition that holds only the pendant is lighter than the rounding error
+    of the total measure, so ``total - m(other side)`` is all rounding."""
+    g = sample_graph(RandomGraphSpec(n=n - 1, seed=seed))
+    u, v, shift = g.u + first, g.v + first, seed % (n - 1) + first
+    tail = (0, shift) if first else (shift, n - 1)
+    weight = 2.0**-60 * float(g.w.sum())
+    return WeightedGraph(np.column_stack([np.append(u, tail[0]), np.append(v, tail[1]),
+                                          np.append(g.w, weight)]))
 
 
 def _measures(graph: WeightedGraph):

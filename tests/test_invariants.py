@@ -17,6 +17,7 @@ from conftest import (
     complete,
     cycle,
     path,
+    pendant,
     triangle,
 )
 from specgraph import invariants
@@ -465,10 +466,21 @@ def test_connected_search_matches_a_plain_loop(seed):
         assert cheeger_constant_exact(g).witness != report.witness
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_partition_route_reproduces_cheeger(seed):
-    g = sample_graph(RandomGraphSpec(n=7, seed=seed))
-    assert h_via_r(g) == pytest.approx(cheeger_constant_exact(g).value, abs=ATOL)
+_PARTITION_GRAPHS = {
+    **{f"{seed}": (lambda seed=seed: sample_graph(RandomGraphSpec(n=7, seed=seed)))
+       for seed in range(6)},
+    # the side without vertex 0, or with it, as light as the pendant alone
+    **{f"pendant_{'first' if first else 'last'}{n}_{seed}":
+       (lambda n=n, seed=seed, first=first: pendant(n, seed, first))
+       for n in (6, 8, 10) for first in (True, False) for seed in range(40)},
+}
+
+
+@pytest.mark.parametrize("name", list(_PARTITION_GRAPHS))
+def test_partition_route_reproduces_cheeger(name):
+    g = _PARTITION_GRAPHS[name]()
+    expected = cheeger_constant_exact(g).value
+    assert h_via_r(g) == pytest.approx(expected, rel=invariants.HALF_TIE_RTOL, abs=0.0)
 
 
 # ------------------------------------------------- edge-order cut reference
@@ -536,7 +548,6 @@ def _reference_cheeger(graph: WeightedGraph):
     """``(h hex, witness)`` without and with ``connected_only``, and the hex
     of ``h_via_r``, by ``argmin`` over the full cut table."""
     n = graph.n
-    total = graph.total_measure
     cut, m_table, ratio = _reference_ratios(graph)
     witness = int(np.argmin(ratio))
     free = (float(ratio[witness]).hex(), witness)
@@ -546,11 +557,11 @@ def _reference_cheeger(graph: WeightedGraph):
         witness = int(np.argmin(ratio))
     connected = (float(ratio[witness]).hex(), witness)
 
+    full = (1 << n) - 1
     masks = (np.arange(1 << (n - 1), dtype=np.int64) << 1) | 1
-    masks = masks[masks != (1 << n) - 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r_a = 1.0 - cut[masks] / m_table[masks]
-        r_b = 1.0 - cut[masks] / (total - m_table[masks])
+    masks = masks[masks != full]
+    r_a = 1.0 - cut[masks] / m_table[masks]
+    r_b = 1.0 - cut[masks] / m_table[full ^ masks]
     return free, connected, float(1.0 - np.minimum(r_a, r_b).max()).hex()
 
 
@@ -601,19 +612,6 @@ def _top_side(seed: int) -> WeightedGraph:
     return WeightedGraph([(u, v, rng.uniform(0.5, 1.0)) for u, v in pairs] + [(5, 6, 0.01)])
 
 
-def _pendant(n: int, seed: int, first: bool) -> WeightedGraph:
-    """A random graph on ``n - 1`` vertices plus a pendant vertex, 0 or
-    ``n - 1``, whose one edge weighs ``2^-60`` of the rest: ``h_via_r``
-    subtracts ``m(A)`` from the total measure, and when the pendant is not
-    in ``A`` the difference is all rounding."""
-    g = sample_graph(RandomGraphSpec(n=n - 1, seed=seed))
-    u, v, shift = g.u + first, g.v + first, seed % (n - 1) + first
-    tail = (0, shift) if first else (shift, n - 1)
-    weight = 2.0**-60 * float(g.w.sum())
-    return WeightedGraph(np.column_stack([np.append(u, tail[0]), np.append(v, tail[1]),
-                                          np.append(g.w, weight)]))
-
-
 def _near_half_ties(graph: WeightedGraph, seed: int) -> WeightedGraph:
     """``graph`` with each weight moved by a relative 1e-14 to 1e-12, so
     that complementary halves differ in measure by less than
@@ -650,8 +648,8 @@ _REFERENCE_GRAPHS = {
     # or last, pairs whose members tie in value, near half ties, and (ties332
     # above, and below) answers whose excluded witness is their complement
     "top10": lambda: _top_side(10),
-    "pendant_first10": lambda: _pendant(10, 3, first=True),
-    "pendant_last10": lambda: _pendant(10, 3, first=False),
+    "pendant_first10": lambda: pendant(10, 3, first=True),
+    "pendant_last10": lambda: pendant(10, 3, first=False),
     "cycle10": lambda: cycle(10),
     "complete10": lambda: complete(10),
     **{f"near_half_{name}": (lambda make=make, seed=seed: _near_half_ties(make(), seed))
@@ -759,9 +757,12 @@ def test_fast_table_noise_inside_the_margin_changes_no_bit(monkeypatch, seed):
     """Relative noise of up to half the rounding margin ``delta = 4 eta`` on
     the fast cut and on both fast measures of every pair of every block (far
     above the rounding the margin is derived for) still keeps every
-    minimizer, so values and witnesses stay the reference's."""
+    minimizer, so values and witnesses stay the reference's.  On the
+    pendant graphs a side lighter than the rounding of the total measure
+    is kept by the relative margin alone."""
     graphs = [_tie_heavy_graph(seed), _tie_heavy_graph(seed + 6),
-              sample_graph(RandomGraphSpec(n=8 + seed, seed=seed)), _unit_random(10, 0.5, seed)]
+              sample_graph(RandomGraphSpec(n=8 + seed, seed=seed)), _unit_random(10, 0.5, seed),
+              _REFERENCE_GRAPHS["pendant_first10"](), _REFERENCE_GRAPHS["pendant_last10"]()]
     expected = [_reference_cheeger(g) for g in graphs]
     rng = np.random.default_rng(seed)
     blocks = invariants._cut_blocks
