@@ -4,7 +4,7 @@ Every guaranteed relation between the exact invariants, the spectrum, and the
 operator constructions is judged here, once, as a named check producing
 :class:`CheckReport` rows.  Each graph is analyzed once (:func:`analyze`):
 every check reads the invariants, the partition route to ``h`` and the
-spectra from that :class:`Analysis`, and runs no exact search itself.
+one spectrum from that :class:`Analysis`, and runs no exact search itself.
 ``run_suite`` sweeps all checks over the example families plus seeded random
 graphs and returns one deterministic summary, with the fingerprint of the
 analysis in each row; ``CHECK_MANIFEST`` names every check the sweep must
@@ -226,9 +226,9 @@ def sample_graph(spec: RandomGraphSpec) -> WeightedGraph:
 class Analysis:
     """Everything the checks read about one graph, computed once.
 
-    ``spectrum`` comes from the value-only eigensolve and feeds every check on
-    eigenvalues; ``eigenbasis`` is the eigenvector solve, used only for its
-    eigenfunctions.  ``h_partition`` is ``h`` again by the independent
+    ``spectrum`` is the one eigensolve of the graph, with eigenfunctions and
+    their certified residual; every check on eigenvalues or eigenfunctions
+    reads it.  ``h_partition`` is ``h`` again by the independent
     partition route (``h_via_r``), so no check runs an exact search.  The
     fingerprint is held here alone: reports carry none, and ``run_suite``
     writes this one into each summary row of the graph.
@@ -239,7 +239,6 @@ class Analysis:
     hbar: InvariantReport
     kappa: InvariantReport
     spectrum: Spectrum
-    eigenbasis: Spectrum
     fingerprint: str
     h_partition: float
 
@@ -247,14 +246,13 @@ class Analysis:
 def analyze(
     graph: WeightedGraph, max_n: int | None = None, seed: int | None = None
 ) -> Analysis:
-    """Compute the invariants, the partition route to ``h``, the spectra and
+    """Compute the invariants, the partition route to ``h``, the spectrum and
     the fingerprint of ``graph`` once, every exact search under ``max_n``."""
     return Analysis(
         graph,
         cheeger_constant_exact(graph, max_n),
         dual_cheeger_exact(graph, max_n),
         kappa_exact(graph, max_n),
-        spectrum(graph),
         spectrum(graph, eigenvectors=True),
         graph_fingerprint(graph, seed),
         h_via_r(graph, max_n),
@@ -545,7 +543,7 @@ def graph_checks(
     reports += check_global_invariants(analysis)
     reports += check_operator_partition(analysis, analysis.kappa.witness[0])
 
-    eig = analysis.eigenbasis
+    eig = analysis.spectrum
     gap_index = int(np.argmax(eig.values > ZERO_THRESHOLD))
     g_gap = eig.eigenvectors[:, gap_index]
     g_top = eig.eigenvectors[:, -1]

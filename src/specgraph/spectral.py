@@ -10,7 +10,6 @@ anything larger is a hard error.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,37 +105,37 @@ def _clamp(values: np.ndarray) -> np.ndarray:
 def spectrum(graph: WeightedGraph, eigenvectors: bool = False) -> Spectrum:
     """Full Laplacian spectrum via the symmetric conjugate.
 
-    With ``eigenvectors`` the returned basis consists of Laplacian
-    eigenfunctions (columns, aligned with ``values``), obtained from the
-    symmetric eigenbasis by the ``D^{-1/2}`` transform; the worst relative
-    eigen-residual is computed and must be finite and within the zero threshold.
+    Without ``eigenvectors`` only the values are solved for.  With it the
+    basis consists of Laplacian eigenfunctions (columns, aligned with
+    ``values``), obtained from the symmetric eigenbasis by the ``D^{-1/2}``
+    transform.  One matrix product gives the residual of every eigenpair; the
+    worst relative residual in ``L^2(m)`` must be finite and within the zero
+    threshold, else ``NumericalFailure`` names the first eigenpair that
+    overflows or the worst residual.
     """
     if graph.n == 0:
         raise EmptySpectrum("graph has no vertices")
-    sym = symmetric_conjugate(graph)
     if not eigenvectors:
-        return Spectrum(_clamp(1.0 - np.linalg.eigvalsh(sym)[::-1]))
-    nu, basis = np.linalg.eigh(sym)
+        return Spectrum(_clamp(1.0 - np.linalg.eigvalsh(symmetric_conjugate(graph))[::-1]))
+    nu, basis = np.linalg.eigh(symmetric_conjugate(graph))
     values = _clamp(1.0 - nu[::-1])
-    funcs = (basis / np.sqrt(graph.vertex_measure)[:, None])[:, ::-1]
-    lap = laplacian_matrix(graph)
-    worst = 0.0
     m = graph.vertex_measure
-    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
-        for k in range(graph.n):
-            f = funcs[:, k]
-            # Weights near the float64 maximum make f tiny and err * err
-            # underflow.  A power-of-two scale up is exact, so a residual
-            # that did not underflow keeps its bits.
-            _, exponent = math.frexp(float(np.abs(f).max()))
-            if exponent < 0:
-                f = np.ldexp(f, -exponent)
-            err = lap @ f - values[k] * f
-            norm = float(m @ (f * f))
-            rel = math.sqrt(float(m @ (err * err))) / math.sqrt(norm)
-            if not (math.isfinite(rel) and math.isfinite(norm)):
-                raise NumericalFailure(f"eigenpair {k}: residual or norm overflows")
-            worst = max(worst, rel)
+    funcs = (basis / np.sqrt(m)[:, None])[:, ::-1]
+    # Weights near the float64 maximum make the columns tiny and err * err
+    # underflow.  A power-of-two scale up is exact, so a residual that did
+    # not underflow keeps its bits.
+    _, exponent = np.frexp(np.abs(funcs).max(axis=0))
+    scaled = np.ldexp(funcs, -np.minimum(exponent, 0))
+    with np.errstate(all="ignore"):  # judged just below
+        err = laplacian_matrix(graph) @ scaled - scaled * values
+        norm = m @ (scaled * scaled)
+        rel = np.sqrt(m @ (err * err)) / np.sqrt(norm)
+    bad = ~(np.isfinite(rel) & np.isfinite(norm))
+    if bad.any():
+        raise NumericalFailure(
+            f"eigenpair {int(np.argmax(bad))}: residual or norm overflows"
+        )
+    worst = float(rel.max())
     if worst > ZERO_THRESHOLD:
         raise NumericalFailure(f"eigenpair residual {worst} above threshold")
     return Spectrum(values, funcs, worst)

@@ -8,6 +8,9 @@ writes the input graphs to ``tests/golden/inputs/`` and the command list
 with each command's stdout sha256 and exit code, plus the digest of the
 ``run_suite(SuiteConfig())`` JSON, to ``tests/golden/corpus.json``.
 ``tests/test_golden.py`` replays the stored commands against those digests.
+After writing, it prints ``moved: <id>`` for each command whose digest or
+exit code differs from the corpus it replaced (or that is new), and whether
+``run_suite_sha256`` moved.
 
 Record only on purpose: a change meant to keep every printed number must pass
 against the digests recorded before it.  Eigenvalue output depends on LAPACK,
@@ -209,6 +212,7 @@ def write_inputs() -> None:
 
 
 def main() -> None:
+    old = json.loads(CORPUS.read_text()) if CORPUS.exists() else {"commands": []}
     write_inputs()
     commands = command_list()
     digests = run_commands(commands)
@@ -218,6 +222,12 @@ def main() -> None:
     # One command per line keeps a changed digest readable in a diff.
     lines = ",\n  ".join(json.dumps(cmd) for cmd in commands)
     CORPUS.write_text(json.dumps(head, indent=1)[:-2] + f',\n "commands": [\n  {lines}\n ]\n}}\n')
+    recorded = {cmd["id"]: (cmd["sha256"], cmd["exit"]) for cmd in old["commands"]}
+    for cmd in commands:
+        if recorded.get(cmd["id"]) != (cmd["sha256"], cmd["exit"]):
+            print(f"moved: {cmd['id']}")
+    moved = old.get("run_suite_sha256") != head["run_suite_sha256"]
+    print(f"run_suite_sha256 {'moved' if moved else 'unchanged'}")
 
 
 if __name__ == "__main__":

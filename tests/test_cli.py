@@ -457,7 +457,10 @@ def test_eigenpair_residual_that_overflows_fails_closed(capsys, monkeypatch):
     code, out, err = run(capsys, ["spectrum", "--eigenvectors", "-"], text, monkeypatch)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "NumericalFailure"
+    assert json.loads(err) == {
+        "error": "NumericalFailure",
+        "message": "eigenpair 0: residual or norm overflows",
+    }
 
 
 def test_dual_cheeger_near_the_float_maximum_writes_no_warning(capsys, monkeypatch):

@@ -309,7 +309,7 @@ def test_each_result_is_computed_once_per_graph(monkeypatch):
         "kappa_exact": 1,
         "h_via_r": 1,
         "graph_fingerprint": 1,
-        "spectrum": 2,
+        "spectrum": 1,
     }
     assert set(calls) == set(expected)
     for name, per_graph in expected.items():

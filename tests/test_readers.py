@@ -829,7 +829,6 @@ def ref_analyze(graph, max_n=None, seed=None):
         ref_cheeger_constant_exact(graph, max_n),
         ref_dual_cheeger_exact(graph, max_n),
         ref_kappa_exact(graph, max_n),
-        spectral.spectrum(graph),
         spectral.spectrum(graph, eigenvectors=True),
         ref_graph_fingerprint(graph, seed),
         ref_h_via_r(graph, max_n),

@@ -1,16 +1,24 @@
 """Spectral engine: eigensolves, Rayleigh quotients, asymmetry, operators."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import complete, cycle, path, triangle
-from specgraph.errors import BadParameter, EmptySet, EmptySpectrum, ZeroFunction
+from specgraph.errors import (
+    BadParameter,
+    EmptySet,
+    EmptySpectrum,
+    NumericalFailure,
+    ZeroFunction,
+)
 from specgraph.graph import (
     WeightedGraph,
     _indicator,
     dirichlet_form,
+    graph_from_json,
     inner_product,
     q_form,
     weight_matrix,
@@ -18,6 +26,7 @@ from specgraph.graph import (
 from specgraph.harness import RandomGraphSpec, analyze, coarea_check, sample_graph
 from specgraph.invariants import is_bipartite, kappa_exact, kappa_pair
 from specgraph.spectral import (
+    ZERO_THRESHOLD,
     Spectrum,
     auxiliary_graph,
     hausdorff_asymmetry,
@@ -31,6 +40,7 @@ from specgraph.spectral import (
 
 EIG_ATOL = 1e-9
 ATOL = 1e-12
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 # ----------------------------------------------------------------- matrices
@@ -111,13 +121,107 @@ def test_residual_near_the_float_maximum_is_that_of_a_scaled_copy():
     assert residual.hex() == spectrum(scaled, eigenvectors=True).max_residual.hex()
 
 
+def _reference_residual(graph, values, funcs):
+    """The eigenpair check as one loop over the columns, one ``lap @ f``
+    each: the worst relative residual, or the first eigenpair that
+    overflows."""
+    lap = laplacian_matrix(graph)
+    worst = 0.0
+    m = graph.vertex_measure
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(graph.n):
+            f = funcs[:, k]
+            _, exponent = math.frexp(float(np.abs(f).max()))
+            if exponent < 0:
+                f = np.ldexp(f, -exponent)
+            err = lap @ f - values[k] * f
+            norm = float(m @ (f * f))
+            rel = math.sqrt(float(m @ (err * err))) / math.sqrt(norm)
+            if not (math.isfinite(rel) and math.isfinite(norm)):
+                raise NumericalFailure(f"eigenpair {k}: residual or norm overflows")
+            worst = max(worst, rel)
+    return worst
+
+
+def _eigenpairs(graph):
+    """Values and eigenfunctions as ``spectrum`` derives them, unchecked."""
+    nu, basis = np.linalg.eigh(symmetric_conjugate(graph))
+    funcs = (basis / np.sqrt(graph.vertex_measure)[:, None])[:, ::-1]
+    return np.clip(1.0 - nu[::-1], 0.0, 2.0), funcs
+
+
+def _small_random_graphs(count):
+    return [sample_graph(RandomGraphSpec(n=4 + seed % 9, seed=seed)) for seed in range(count)]
+
+
+def test_one_product_residual_matches_the_loop():
+    """Both sum in another order, so they agree to ``n`` units of roundoff
+    (the largest gap seen is 0.17 of that), and both certify."""
+    graphs = [graph_from_json(file.read_text()) for file in sorted(GOLDEN_INPUTS.glob("*.json"))]
+    for g in graphs + _small_random_graphs(45):
+        s = spectrum(g, eigenvectors=True)
+        values, funcs = _eigenpairs(g)
+        assert np.array_equal(s.values, values) and np.array_equal(s.eigenvectors, funcs)
+        reference = _reference_residual(g, values, funcs)
+        assert abs(s.max_residual - reference) <= g.n * 2.0**-52
+        assert max(s.max_residual, reference) <= ZERO_THRESHOLD
+
+
+def test_overflowing_eigenpairs_name_the_first():
+    g = WeightedGraph([(0, 1, 1e-310), (1, 2, 1e-310)])
+    with pytest.raises(NumericalFailure) as loop:
+        _reference_residual(g, *_eigenpairs(g))
+    with pytest.raises(NumericalFailure) as product:
+        spectrum(g, eigenvectors=True)
+    assert str(product.value) == str(loop.value) == "eigenpair 0: residual or norm overflows"
+
+
+def test_residual_above_the_threshold_fails(monkeypatch):
+    """Eigenvalues moved by 1e-6 off their eigenfunctions leave that
+    residual, which no certificate may pass."""
+    eigh = np.linalg.eigh
+
+    def shifted(matrix):
+        nu, basis = eigh(matrix)
+        nu[1:-1] += 1e-6
+        return nu, basis
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(NumericalFailure, match="above threshold"):
+        spectrum(complete(5), eigenvectors=True)
+
+
+def test_spectrum_is_invariant_under_power_of_two_weight_scaling():
+    """Scaling every weight by ``2^k`` (``k`` even) scales the measures by
+    ``2^k`` and the eigenfunctions by ``2^(-k/2)``, all exactly; the values
+    and the relative residual keep their bits."""
+    for g in _small_random_graphs(30):
+        base = spectrum(g, eigenvectors=True)
+        for k in range(-60, 61, 2):
+            scaled = WeightedGraph(np.column_stack([g.u, g.v, np.ldexp(g.w, k)]))
+            s = spectrum(scaled, eigenvectors=True)
+            assert np.array_equal(s.values, base.values), k
+            assert s.max_residual.hex() == base.max_residual.hex(), k
+            assert np.array_equal(s.eigenvectors, np.ldexp(base.eigenvectors, -k // 2)), k
+
+
+def test_spectrum_is_invariant_under_relabelling():
+    rng = np.random.default_rng(5)
+    for g in _small_random_graphs(30):
+        perm = rng.permutation(g.n)
+        relabelled = WeightedGraph(np.column_stack([perm[g.u], perm[g.v], g.w]))
+        s = spectrum(relabelled, eigenvectors=True)
+        assert np.allclose(s.values, spectrum(g).values, rtol=0.0, atol=1e-12)
+        assert s.max_residual <= ZERO_THRESHOLD
+
+
 def test_empty_graph_has_no_spectrum():
     with pytest.raises(EmptySpectrum):
         spectrum(WeightedGraph([], labels=[]))
 
 
 def test_gap_of_a_zero_only_spectrum_raises():
-    s = Spectrum(np.array([0.0]), 1e-9, 1)
+    s = Spectrum(np.array([0.0]))
     with pytest.raises(EmptySpectrum):
         s.gap
 
