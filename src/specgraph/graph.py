@@ -393,29 +393,26 @@ def _finite_fsum(terms, what: str) -> float:
     """``math.fsum`` of ``terms``, which must round to a finite float."""
     try:
         total = math.fsum(terms)
-    except (OverflowError, ValueError):  # intermediate overflow, or inf - inf
+    except (OverflowError, ValueError):  # a term or a sum overflows, or inf - inf
         total = math.nan
     if not math.isfinite(total):
         raise NumericalFailure(f"{what} is not finite in float64")
     return total
 
 
-# An overflow gives inf (or nan, times 0), which the finiteness check refuses.
-# ``np.errstate`` as a decorator costs less per call than a ``with`` block, and
-# these two run many times per graph in ``run_suite``.
-@np.errstate(over="ignore")
 def _edge_energy(graph: WeightedGraph, arr: np.ndarray, sign: float) -> float:
     """``sum_e m(e) (f(u) + sign f(v))^2`` of an array already read, exactly
-    rounded."""
-    terms = arr[graph.u] + sign * arr[graph.v]
+    rounded, in Python floats, which never warn."""
+    terms = zip(graph.w.tolist(), arr[graph.u].tolist(), arr[graph.v].tolist())
     # Scalar ``** 2`` is C ``pow``; the array square can differ in the last bit.
-    return _finite_fsum((w * t ** 2 for w, t in zip(graph.w, terms)), "edge energy")
+    return _finite_fsum((w * (a + sign * b) ** 2 for w, a, b in terms), "edge energy")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _inner(graph: WeightedGraph, fa: np.ndarray, ga: np.ndarray) -> float:
-    """``sum_v m(v) f(v) g(v)`` of two arrays already read, exactly rounded."""
-    return _finite_fsum(graph.vertex_measure * fa * ga, "inner product")
+    """``sum_v m(v) f(v) g(v)`` of two arrays already read, exactly rounded,
+    in Python floats."""
+    terms = zip(graph.vertex_measure.tolist(), fa.tolist(), ga.tolist())
+    return _finite_fsum((m * f * g for m, f, g in terms), "inner product")
 
 
 def dirichlet_form(graph: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:

@@ -28,7 +28,7 @@ already reached, and sorts only the sets left.
 The Cheeger search (and ``h_via_r``) takes one certified minimum over
 complementary pairs: ``boundary S = boundary (V - S)``, so each pair
 ``{S, V - S}`` shares one cut.  It streams the pairs of a low/high split of
-the vertices one block of about ``2^15`` at a time, each block one matrix
+the vertices one block of about ``2^16`` at a time, each block one matrix
 product for the fast cuts and one for the fast measures of both members,
 scores each pair by its cut over the smaller measure, keeps the pairs
 within a derived margin of the running least score, finishes both members
@@ -100,9 +100,8 @@ N_MAX = 28
 # half-half splits survive rounding of the two measure sums.
 HALF_TIE_RTOL = 1e-12
 
-_CHUNK_BITS = 16
-# The Cheeger search scores about 2^_BLOCK_BITS masks at a time.
-_BLOCK_BITS = 15
+# Every exact search reads about 2^_BLOCK_BITS masks or pairs at a time.
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ def _plus_high(
 
 
 def _chunks(graph: WeightedGraph):
-    """Every mask ``S`` in ascending blocks of ``2^_CHUNK_BITS``, as ``(masks,
+    """Every mask ``S`` in ascending blocks of ``2^_BLOCK_BITS``, as ``(masks,
     sums)``: column ``i`` of ``sums`` holds ``m_S(x)`` for each vertex ``x``
     outside ``S`` and ``-inf`` for each member, followed by ``m(S)``, for
     ``S = masks[i]``.  Each vertex's own weight row holds ``-inf`` at that
@@ -228,7 +227,7 @@ def _chunks(graph: WeightedGraph):
     n = graph.n
     rows = np.column_stack([weight_matrix(graph), graph.vertex_measure])
     np.fill_diagonal(rows, -math.inf)
-    k = min(n, _CHUNK_BITS)
+    k = min(n, _BLOCK_BITS)
     low, top = _subset_sums(rows, k), (1 << (n - k)) - 1
     offsets = np.arange(1 << k, dtype=np.int64)
     sums = np.empty_like(low) if top > 1 else low  # the blocks between the first and last
@@ -577,7 +576,7 @@ def dual_cheeger_exact(
     m, total = graph.vertex_measure, graph.total_measure
     shrink, floor = 1.0 - 2.0 * _gamma(4 * n + 5), (n + 2) * _MIN_SUBNORMAL
     best = (-math.inf, 0, 0)
-    reach, term, half = np.empty((3, 1 << min(n, _CHUNK_BITS)))
+    reach, term, half = np.empty((3, 1 << min(n, _BLOCK_BITS)))
     for masks, sums in _chunks(graph):
         np.add(0.5 * total, np.multiply(0.5, sums[n], out=half), out=half)
         lam, probed = max(best[0], 0.0), None
@@ -618,7 +617,7 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
     values go to the smallest ``A`` mask.
 
     Each partition is ``A = L + H``: ``L`` holds vertex 0 and the other low
-    vertices of ``A``, the first ``k = min(n, _CHUNK_BITS)``, and ``H`` the
+    vertices of ``A``, the first ``k = min(n, _BLOCK_BITS)``, and ``H`` the
     high ones.  Its value is the max over ``x`` of ``fl(m_S(x) / m(x))``,
     with ``S`` the side of ``x``.  ``m_A(x)`` is ``m_L(x)``, read from the
     low table, plus the weight from each vertex of ``H`` into ``x``, added
@@ -645,7 +644,7 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
     ascending mask order, so value and witness are those a search of every
     partition gives; their columns and low members are gathered once, and
     each pass adds its high rows into one buffer per side.  With ``n <=
-    _CHUNK_BITS`` there is no high vertex: the bound is the value and one
+    _BLOCK_BITS`` there is no high vertex: the bound is the value and one
     pass over every ``L`` is the search.
     """
     n = graph.n
@@ -654,7 +653,7 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
         raise EmptySet("kappa needs at least two vertices")
 
     weights, m = weight_matrix(graph), graph.vertex_measure
-    k = min(n, _CHUNK_BITS)
+    k = min(n, _BLOCK_BITS)
     full, top = (1 << n) - 1, (1 << (n - k)) - 1
     # Column i: the low part L = 2i + 1 (vertex 0 in A), and its complement
     # among the low vertices.

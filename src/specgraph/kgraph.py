@@ -175,44 +175,43 @@ def _weights(p: PSequence, count: int) -> np.ndarray:
 
 
 def _first_terms(p: PSequence) -> int:
-    """The truncation ``_evaluate`` and ``hilbert_schmidt_sum`` start from and
-    double, up to ``_MAX_TERMS``, until the tail meets its target."""
+    """Where ``_evaluate`` and ``hilbert_schmidt_sum`` start the truncation that
+    each doubles, up to ``_MAX_TERMS``, until its tail meets its target."""
     return max(2 * len(p.head) + 16, 32)
 
 
 def _evaluate(p: PSequence, lam: float):
     """Truncated ``F(lam)`` with a certified bound on the dropped tail.
 
-    Returns ``(value, tail_bound, terms, alphas)``.  The truncation count is
-    grown until the unseen poles all lie strictly between the last computed
-    pole and 0 on the far side of ``lam``, and the tail bound
-    ``remainder(J) / ((1 - p_1) * delta)`` meets ``_TAIL_TARGET``, where
-    ``delta`` is the distance from ``lam`` to the computed poles and 0.
+    Returns ``(value, tail_bound, terms, alphas)``.  The truncation doubles
+    until the unseen poles all lie between the last computed pole and 0, on
+    the far side of ``lam``.  That table gives ``delta``, the distance from
+    ``lam`` to the poles and 0, once: later poles lie beyond ``lam``, so
+    ``delta`` is fixed once ``lam`` is covered.  The truncation then doubles
+    on ``p.remainder`` alone until the tail bound ``remainder(J) / ((1 - p_1)
+    delta)`` meets ``_TAIL_TARGET``; the table of that count gives the sum.
     ``lam`` is a Python float that the caller has already read.
     """
     terms = _first_terms(p)
-    while True:
-        _, alphas = _tables(p, terms)
-        if lam < 0.0 and alphas[-1] < lam:
-            # lam sits in the accumulation zone beyond the computed poles;
-            # the tail bound is only valid once the poles pass it.
-            if terms >= _MAX_TERMS:
-                raise NumericalFailure(
-                    f"cannot cover {lam} with {_MAX_TERMS} pole terms"
-                )
-            terms = min(_MAX_TERMS, terms * 2)
-            continue
-        delta = min(float(np.abs(lam - alphas).min()), abs(lam))
-        if delta < POLE_TOL:
-            raise PoleProximity(f"evaluation point {lam} within {delta} of a pole")
-        tail = p.remainder(terms) / ((1.0 - p.head[0]) * delta)
-        if tail <= _TAIL_TARGET or terms >= _MAX_TERMS:
-            break
+    _, alphas = _tables(p, terms)
+    while lam < 0.0 and alphas[-1] < lam:
+        # lam lies beyond the computed poles, where no tail bound holds yet.
+        if terms >= _MAX_TERMS:
+            raise NumericalFailure(f"cannot cover {lam} with {_MAX_TERMS} pole terms")
         terms = min(_MAX_TERMS, terms * 2)
+        _, alphas = _tables(p, terms)
+    delta = min(float(np.abs(lam - alphas).min()), abs(lam))
+    if delta < POLE_TOL:
+        raise PoleProximity(f"evaluation point {lam} within {delta} of a pole")
+    scale = (1.0 - p.head[0]) * delta
+    tail = p.remainder(terms) / scale
+    while tail > _TAIL_TARGET and terms < _MAX_TERMS:
+        terms = min(_MAX_TERMS, terms * 2)
+        tail = p.remainder(terms) / scale
     if tail > _TAIL_TARGET:
-        raise NumericalFailure(
-            f"tail bound {tail} above target {_TAIL_TARGET} at {terms} terms"
-        )
+        raise NumericalFailure(f"tail bound {tail} above target {_TAIL_TARGET} "
+                               f"at {terms} terms")
+    _, alphas = _tables(p, terms)
     value = math.fsum((alphas / (alphas - lam)).tolist())
     return value, tail, terms, alphas
 

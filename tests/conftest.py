@@ -4,6 +4,9 @@ The ``brute_*`` functions recompute each invariant by raw enumeration with
 plain Python loops, sharing no code with the optimized search routines, so
 the two routes check each other.  ``apply_laplacian`` and
 ``transition_probability`` are plain-loop reference routes over the edges.
+``ref_evaluate`` is the secular evaluation as it was before it settled its
+truncation in one pass: it decides coverage, pole distance and tail again at
+every doubling, with the same errors and messages.
 """
 
 import itertools
@@ -12,6 +15,8 @@ import math
 import numpy as np
 from hypothesis import Phase, settings
 
+from specgraph import kgraph
+from specgraph.errors import BadParameter, NumericalFailure, PoleProximity
 from specgraph.graph import WeightedGraph
 from specgraph.harness import RandomGraphSpec, sample_graph
 
@@ -135,3 +140,38 @@ def brute_kappa(graph: WeightedGraph) -> float:
                 same[v] += w
         best = min(best, max(same[v] / m[v] for v in range(graph.n)))
     return best
+
+
+def ref_remainder(self, j):
+    if j < 0:
+        raise BadParameter("remainder index must be nonnegative")
+    n = len(self.head)
+    if j >= n:
+        return self.head[-1] * self.ratio ** (j + 1 - n) / (1.0 - self.ratio)
+    return math.fsum(self.head[j:]) + self.tail_sum
+
+
+def ref_evaluate(p, lam):
+    if not math.isfinite(lam):
+        raise BadParameter(f"evaluation point {lam} is not finite")
+    terms = max(2 * len(p.head) + 16, 32)
+    while True:
+        _, alphas = kgraph._tables(p, terms)
+        if lam < 0.0 and alphas[-1] < lam:
+            if terms >= kgraph._MAX_TERMS:
+                raise NumericalFailure(f"cannot cover {lam} with {terms} pole terms")
+            terms = min(kgraph._MAX_TERMS, terms * 2)
+            continue
+        delta = min(float(np.abs(lam - alphas).min()), abs(lam))
+        if delta < kgraph.POLE_TOL:
+            raise PoleProximity(f"evaluation point {lam} within {delta} of a pole")
+        tail = ref_remainder(p, terms) / ((1.0 - p.head[0]) * delta)
+        if tail <= kgraph._TAIL_TARGET or terms >= kgraph._MAX_TERMS:
+            break
+        terms = min(kgraph._MAX_TERMS, terms * 2)
+    if tail > kgraph._TAIL_TARGET:
+        raise NumericalFailure(
+            f"tail bound {tail} above target {kgraph._TAIL_TARGET} at {terms} terms"
+        )
+    value = math.fsum((alphas / (alphas - lam)).tolist())
+    return value, tail, terms, alphas

@@ -179,7 +179,7 @@ def test_subset_sums_add_in_neighbour_order(monkeypatch):
     complement, plus the high rows of that side), equals the per-vertex sum
     in neighbour order bit for bit, across block seams too; the dual's
     blocks hold ``-inf`` at the members of ``S``."""
-    monkeypatch.setattr(invariants, "_CHUNK_BITS", 3)
+    monkeypatch.setattr(invariants, "_BLOCK_BITS", 3)
     g = sample_graph(RandomGraphSpec(n=7, seed=3))
     n, k = g.n, 3
     full, top = (1 << n) - 1, (1 << (n - k)) - 1
@@ -206,7 +206,7 @@ def test_subset_sums_add_in_neighbour_order(monkeypatch):
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
 def test_block_size_changes_no_value_or_witness(monkeypatch, bits):
-    """The dual and kappa searches read masks in blocks of ``2^_CHUNK_BITS``;
+    """The dual and kappa searches read masks in blocks of ``2^_BLOCK_BITS``;
     small blocks put many block seams inside graphs of 2 to 10 vertices, and
     leave most vertices high, where the ``kappa`` bound takes the smaller of
     the two prefixes and each dual block starts from the best value of the
@@ -215,7 +215,7 @@ def test_block_size_changes_no_value_or_witness(monkeypatch, bits):
     graphs += [cycle(10), complete(8), generate(FamilySpec("ladder_L", 4, r=0.5))]
     graphs += [_tie_heavy_graph(seed) for seed in range(4)] + [_extreme_weights(8, bits)]
     duals, kappas = [_reference_dual(g) for g in graphs], [_reference_kappa(g) for g in graphs]
-    monkeypatch.setattr(invariants, "_CHUNK_BITS", bits)
+    monkeypatch.setattr(invariants, "_BLOCK_BITS", bits)
     assert [_dual_result(g) for g in graphs] == duals
     assert [_kappa_result(g) for g in graphs] == kappas
 

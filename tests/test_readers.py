@@ -25,10 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_evaluate, ref_remainder
 from specgraph import families, harness, invariants, kgraph, spectral
 from specgraph import graph as graph_module
 from specgraph.errors import BadParameter, EmptySet, EmptySpectrum, NotDisjoint
-from specgraph.errors import NotOrthogonal, NumericalFailure, PoleProximity
+from specgraph.errors import NotOrthogonal, NumericalFailure
 from specgraph.errors import SpecgraphError, TooLarge, ZeroFunction
 from specgraph.families import FAMILIES, FamilySpec, closed_form, generate, tail_ratio_trace
 from specgraph.graph import (
@@ -597,6 +598,37 @@ def test_valid_arguments_keep_their_bits():
     assert (op.mask_a, op.mask_b) == (3, 12) and type(op.mask_a) is int
 
 
+def _value_or_message(call, *args):
+    try:
+        return call(*args).hex()
+    except NumericalFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-160, 1e150, 1e200])
+def test_quadratic_forms_on_python_floats_keep_their_bits(scale):
+    """``_edge_energy`` and ``_inner`` sum Python floats, which never warn;
+    each value, or ``NumericalFailure`` message, is the one the array forms
+    of ``_ref_edge_energy`` and ``ref_inner_product`` give.  An overflow in
+    those warns, so they run under ``np.errstate``."""
+    rng = np.random.default_rng(11)
+    graphs = [G4, *(sample_graph(RandomGraphSpec(n=n, seed=n)) for n in range(3, 13))]
+    got, expected = [], []
+    for g in graphs:
+        f, h = scale * rng.standard_normal((2, g.n))
+        for sign in (-1.0, 1.0):
+            got.append(_value_or_message(graph_module._edge_energy, g, f, sign))
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected.append(_value_or_message(_ref_edge_energy, g, f, sign))
+        got.append(_value_or_message(graph_module._inner, g, f, h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected.append(_value_or_message(ref_inner_product, g, f, h))
+    assert got == expected
+    if scale == 1e300:  # every square overflows; the norms do too
+        assert set(got) == {"edge energy is not finite in float64",
+                            "inner product is not finite in float64"}
+
+
 # ------------------------------------------------------- integer parameters
 
 
@@ -669,39 +701,6 @@ def ref_alpha(self, i):
 
 def ref_r(self, i):
     return 1.0 / (1.0 - ref_p(self, i))
-
-
-def ref_remainder(self, j):
-    if j < 0:
-        raise BadParameter("remainder index must be nonnegative")
-    n = len(self.head)
-    if j >= n:
-        return self.head[-1] * self.ratio ** (j + 1 - n) / (1.0 - self.ratio)
-    return math.fsum(self.head[j:]) + self.tail_sum
-
-
-def ref_evaluate(p, lam):
-    if not math.isfinite(lam):
-        raise BadParameter(f"evaluation point {lam} is not finite")
-    terms = max(2 * len(p.head) + 16, 32)
-    while True:
-        _, alphas = kgraph._tables(p, terms)
-        if lam < 0.0 and alphas[-1] < lam:
-            if terms >= kgraph._MAX_TERMS:
-                raise NumericalFailure(f"cannot cover {lam} with {terms} pole terms")
-            terms = min(kgraph._MAX_TERMS, terms * 2)
-            continue
-        delta = min(float(np.abs(lam - alphas).min()), abs(lam))
-        if delta < kgraph.POLE_TOL:
-            raise PoleProximity(f"evaluation point {lam} within {delta} of a pole")
-        tail = ref_remainder(p, terms) / ((1.0 - p.head[0]) * delta)
-        if tail <= kgraph._TAIL_TARGET or terms >= kgraph._MAX_TERMS:
-            break
-        terms = min(kgraph._MAX_TERMS, terms * 2)
-    if tail > kgraph._TAIL_TARGET:
-        raise NumericalFailure(f"tail bound {tail} above target at {terms} terms")
-    value = math.fsum((alphas / (alphas - lam)).tolist())
-    return value, tail, terms, alphas
 
 
 def ref_secular_F(p, lam):
