@@ -19,7 +19,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, NotOrthogonal, NumericalFailure, SpecgraphError, ZeroFunction
+from .errors import (
+    BadParameter,
+    NotOrthogonal,
+    NumericalFailure,
+    SpecgraphError,
+    TooLarge,
+    ZeroFunction,
+)
 from .families import FamilySpec, generate
 from .graph import (
     WeightedGraph,
@@ -45,7 +52,7 @@ from .invariants import (
     kappa_pair,
     r_quantity,
 )
-from .kgraph import PSequence
+from .kgraph import SIZE_LIMIT, PSequence
 from .reports import CheckReport, graph_fingerprint
 from .spectral import (
     ZERO_THRESHOLD,
@@ -170,7 +177,8 @@ class RandomGraphSpec:
     log-uniformly from ``[1e-3, 1]`` to exercise several decades of dynamic
     range.  Draws repeat until the graph is connected, at most
     ``_MAX_DRAWS`` times.  ``n`` and ``seed`` are integers, ``seed`` at least
-    0, and ``edge_probability`` is a real number in ``(0, 1]``.
+    0, and ``edge_probability`` is a real number in ``(0, 1]``.  ``TooLarge``
+    beyond ``SIZE_LIMIT`` possible edges, as each draw visits every pair.
     """
 
     n: int
@@ -190,6 +198,11 @@ class RandomGraphSpec:
         if not 0.0 < self.edge_probability <= 1.0:
             raise BadParameter(
                 f"edge probability {self.edge_probability} outside (0, 1]"
+            )
+        if (pairs := self.n * (self.n - 1) // 2) > SIZE_LIMIT:
+            raise TooLarge(
+                f"random graph on {self.n} vertices has up to {pairs} edges,"
+                f" more than the {SIZE_LIMIT} a generated graph may have"
             )
 
 
@@ -563,8 +576,9 @@ def graph_checks(
 class SuiteConfig:
     """Sweep parameters for :func:`run_suite`; defaults match the CI gate.
 
-    The random-graph fields are checked by building the sweep's first
-    :class:`RandomGraphSpec`, so a bad configuration fails before any draw.
+    The random-graph fields are checked by building the sweep's
+    :class:`RandomGraphSpec` at ``n_min`` and at ``n_max``, so a bad
+    configuration fails before any draw.
     """
 
     seeds: int = 200
@@ -587,6 +601,7 @@ class SuiteConfig:
                 f"size range [{self.n_min}, {self.n_max}] is not usable"
             )
         first = RandomGraphSpec(self.n_min, self.edge_probability, self.base_seed)
+        RandomGraphSpec(self.n_max, first.edge_probability, self.base_seed)
         object.__setattr__(self, "edge_probability", first.edge_probability)
 
 

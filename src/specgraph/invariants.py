@@ -34,7 +34,9 @@ scores each pair by its cut over the smaller measure, keeps the pairs
 within a derived margin of the running least score, finishes both members
 of those edge by edge and drops the block, so value and witness are the
 ones an edge-by-edge table gives and no table over all ``2^n`` masks is
-held.  ``connected_only`` excludes each disconnected witness and asks again.
+held.  With ``connected_only`` the finish refuses each chunk's least set
+while it is disconnected, in the same one pass: the ratio of a disconnected
+set is a mediant of the ratios of its components.
 At the default caps one query on a random graph takes a few hundredths of
 a second at most (seed 2, edge probability 0.5: ``kappa`` on 20 vertices
 8-21 ms, the dual search on 17 11-19 ms; edge probability 0.25 and 0.75,
@@ -252,9 +254,6 @@ def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
 # nonnegative terms rounded k times along each path is off by at most gamma_k
 # relative (Accuracy and Stability of Numerical Algorithms, 2002, ch. 3-4).
 _UNIT_ROUNDOFF = 2.0**-53
-# Absolute slack of the candidate filter: it covers the divisions whose
-# quotient underflows, the only place the relative bounds fail.
-_TINY = 2.0**-1000
 # The least positive float64: a result in the subnormal range is off by at
 # most half of it, whatever its size.
 _MIN_SUBNORMAL = 2.0**-1074
@@ -326,7 +325,7 @@ def _cut_blocks(graph: WeightedGraph):
         yield block << (k + b), cut.reshape(-1), *measures.reshape(2, -1)
 
 
-def _finish(graph: WeightedGraph, pairs: np.ndarray, value, excluded) -> tuple[float, int]:
+def _finish(graph: WeightedGraph, pairs: np.ndarray, value) -> tuple[float, int]:
     """The least ``(value, mask)`` over both members of the pairs ``pairs``,
     as ``_least`` finishes them, ``_FINISH_CHUNK`` pairs at a time through
     one buffer of edge-by-pair terms and one of vertex-by-member terms.  The
@@ -337,8 +336,8 @@ def _finish(graph: WeightedGraph, pairs: np.ndarray, value, excluded) -> tuple[f
     others: the additions ``_subset_sums`` makes.  The members of a chunk
     are laid out in ascending mask order, the pairs' ``S`` and then the
     complements reversed, so the first least value has the least mask and
-    the measures reversed are those of the complements.  A set in
-    ``excluded`` is given the value ``inf``."""
+    the measures reversed are those of the complements.  ``value`` reads
+    each chunk's cuts, measures and masks."""
     n, full, width = graph.n, (1 << graph.n) - 1, min(len(pairs), _FINISH_CHUNK)
     terms, sums, best = np.empty((len(graph.w), width)), np.empty((n, 2 * width)), (math.inf, 0)
     for start in range(0, len(pairs), _FINISH_CHUNK):
@@ -349,25 +348,23 @@ def _finish(graph: WeightedGraph, pairs: np.ndarray, value, excluded) -> tuple[f
         cut = np.add.accumulate(out, out=out)[-1]
         measure = np.multiply(inside, graph.vertex_measure[:, None], out=sums[:, : 2 * size])
         measure = np.add.accumulate(measure, out=measure)[-1]
-        values = value(np.concatenate([cut, cut[::-1]]), measure)
-        if excluded:
-            values[np.isin(masks, excluded)] = math.inf
+        values = value(np.concatenate([cut, cut[::-1]]), measure, masks)
         best = min(best, (float(values.min()), int(masks[values.argmin()])))
     return best
 
 
-def _least(graph: WeightedGraph, max_n, value, connected=False):
+def _least(graph: WeightedGraph, max_n, value):
     """The least ``(value, mask)`` over the searched sets, the value bit for
     bit the one an edge-order cut table gives, after the checks every
-    Cheeger search makes.  ``value(cut, m_set)`` maps the exact cuts and
-    measures of the sets ``_finish`` lays out to their values, ``inf`` for
-    a set not searched.  Each pair of ``_cut_blocks`` is scored ``r~ = c~ /
-    min(m~(S), m~(V - S))`` from its fast cut and measures, the pairs with
-    ``r~ <= lo (1 + 4 eta + 8 HALF_TIE_RTOL) + _TINY`` are kept, ``lo`` the
-    least score so far, and ``_finish`` gives both members of each kept pair
-    their exact values.  The empty set and ``V`` are not searched: their
-    pair scores ``inf``.  With ``connected``, a set that does not induce a
-    connected subgraph is not searched either.
+    Cheeger search makes, in one pass over the blocks.  ``value(cut, m_set,
+    masks)`` maps the exact cuts and measures of the sets ``masks`` that
+    ``_finish`` lays out to their values, ``inf`` for a set not searched.
+    Each pair of ``_cut_blocks`` is scored ``r~ = c~ / min(m~(S), m~(V -
+    S))`` from its fast cut and measures, the pairs with ``r~ <= lo (1 + 4
+    eta + 8 HALF_TIE_RTOL) + 3 t`` are kept, ``lo`` the least score so far
+    and ``t = _MIN_SUBNORMAL``, and ``_finish`` gives both members of each
+    kept pair their exact values.  The empty set and ``V`` are not
+    searched: their pair scores ``inf``.
 
     Fast against exact.  The fast cut, the fast measures, the edge-order
     cut and the exact measures are sums of nonnegative terms with at most
@@ -375,21 +372,25 @@ def _least(graph: WeightedGraph, max_n, value, connected=False):
     an addition rounds relatively even in the subnormal range), so each is
     the true sum times ``1 + theta_j``, ``|theta_j| <= gamma_j``.  With one
     rounding per division, the fast quotient ``c~/m~(X)`` and the exact one
-    ``c^/m^(X)`` of a set ``X`` are each other times ``1 + theta``, ``|theta|
-    <= eta = gamma_{3n+E+6}`` (``1 / (1 - gamma_j) <= 1 + gamma_{j+1}``;
-    Higham's Lemma 3.3 for the products), up to an absolute ``2^-1074`` per
-    underflowing quotient, which ``_TINY`` covers.  Below, ``X'`` is the
-    member with the smaller fast measure and ``X`` the other, ``M`` the true
-    total and ``T`` the graph's ``total_measure``, ``M (1 + theta_n)``.
+    ``c^/m^(X)`` of a set ``X`` are the true ratio, and each other, times
+    ``1 + theta``, ``|theta| <= eta = gamma_{3n+E+6}`` (``1 / (1 - gamma_j)
+    <= 1 + gamma_{j+1}``; Higham's Lemma 3.3 for the products), up to an
+    absolute ``t/2`` per quotient that is subnormal.  Below, ``X'`` is the
+    member with the smaller fast measure and ``X`` the other, ``M`` the
+    true total and ``T`` the graph's ``total_measure``, ``M (1 + theta_n)``.
 
-    Filter.  It needs two facts: (i) the pair scoring ``lo`` has a searched
-    member of exact value at most ``(1 + eta) lo``, and (ii) every searched
-    member of a pair scoring ``r~`` has an exact value of at least ``r~ /
-    ((1 + eta)(1 + s))``.  Then an exact minimizer's pair scores at most
-    ``(1 + eta)^2 (1 + s) lo <= lo (1 + 4 eta + 8 HALF_TIE_RTOL)`` when
-    ``s <= 5 HALF_TIE_RTOL``, so every exact minimizer is finished whatever
-    the BLAS, and the least ``(value, mask)`` finished is the least searched
-    one.  A wider filter only finishes more pairs and changes no bit.
+    Filter.  It needs two facts: (i) a searched set, a member of the pair
+    scoring ``lo``, has an exact value of at most ``(1 + eta) lo + t``, and
+    (ii) every searched member of a pair scoring ``r~`` has an exact value
+    of at least ``r~ / ((1 + eta)(1 + s)) - t``.  Then an exact minimizer's
+    pair scores at most ``(1 + eta)(1 + s)((1 + eta) lo + 2 t)``, below the
+    bound when ``s <= 5 HALF_TIE_RTOL``: the relative margin covers the
+    rounding of ``lo (1 + ...)`` where it is normal, and ``3 t`` the
+    absolute part, one ``t/2`` for each quotient on the chain (the fast and
+    the exact one of (i) and of (ii)) and for the product where it is
+    subnormal, as sums of subnormals are exact.  So every exact minimizer
+    is finished whatever the BLAS, and the least ``(value, mask)`` finished
+    is the least searched one.  A wider filter changes no bit.
 
     ``h``: ``value`` is ``c^/m^(X)``, or ``inf`` when ``m^(X) > (T -
     m^(X)) + HALF_TIE_RTOL T`` in float64 arithmetic, the test of the
@@ -402,55 +403,44 @@ def _least(graph: WeightedGraph, max_n, value, connected=False):
     (ii) A searched ``X`` holds at most ``m(X') + 2 HALF_TIE_RTOL T + 6
     gamma_n M``, as the test admits, so ``m(X) / m(X') <= 1 + 5
     HALF_TIE_RTOL``, and its value is below ``r~`` by at most that factor:
-    ``s = 5 HALF_TIE_RTOL``.
+    ``s = 5 HALF_TIE_RTOL``.  ``h_via_r``: the value of both members is
+    ``c^ / min(m^(S), m^(V - S))``, the score's exact counterpart, so (i)
+    and (ii) hold with ``s = 0``, both measures exact.
 
-    ``h_via_r``: the value of both members is ``c^ / min(m^(S), m^(V -
-    S))``, the score's exact counterpart, so (i) and (ii) hold with ``s =
-    0``, both measures exact.
+    Connected sets.  With ``connected_only``, ``value`` refuses a chunk's
+    least set while it induces a disconnected subgraph.  Say ``S`` induces
+    components ``S_i``.  No edge joins two components, so ``m(boundary S)
+    = sum m(boundary S_i)`` and ``m(S) = sum m(S_i)``, and some ``S_i``
+    therefore has a ratio no larger than that of ``S`` (Chung, Spectral
+    Graph Theory, 1997, ch. 2).  Each ``S_i`` passes the half test: its
+    computed measure is at most that of ``S``, because both are sums of
+    nonnegative terms in ascending vertex order.  The bound of (i) goes
+    through the true ratio, so (i) still holds if it reads "a connected
+    searched set", a component of that member, and the filter keeps its
+    margin: the answer is the least ``(value, mask)`` over the connected
+    searched sets.
 
     Running minimum.  The blocks come one at a time and are dropped once
-    filtered: ``lo`` is the least score of the blocks so far, each block
-    keeps its pairs with ``r~ <= lo (1 + 4 eta + 8 HALF_TIE_RTOL) + _TINY``
-    and finishes them at once (while ``lo`` is ``inf``, only the pairs it
-    must finish), and the least ``(value, mask)`` finished so far is kept.
-    ``lo`` only falls, so the pairs finished hold every pair the final
-    ``lo`` keeps, and with it every exact minimizer.  The others, kept
-    before ``lo`` last fell, hold searched sets too: their exact values are
-    no smaller than the minimum, so finishing them changes no bit.  They
-    are few: on random graphs of 18 to 22 vertices one to nine pairs are
-    finished in all.
-
-    ``connected`` excludes each disconnected witness and runs the search
-    again: call ``j`` returns the ``j``-th set in ``(value, mask)`` order,
-    and a singleton, which is connected, ends it.  An excluded set's pair
-    scores ``inf``, so that ``lo`` stays the score of a pair with a
-    searched member, and is finished on every pass: its other member,
-    unless excluded too, may be the next set.
+    filtered: ``lo`` is the least score of the blocks so far, and each
+    block finishes its pairs within the bound of ``lo`` at once.  ``lo``
+    only falls, so the pairs finished hold every pair the final ``lo``
+    keeps, and with it every exact minimizer; the others give values no
+    smaller than the minimum and change no bit.  They are few: on random
+    graphs of 18 to 22 vertices one to nine pairs are finished in all.
     """
     _check_cap(graph.n, max_n, DEFAULT_MAX_CHEEGER, "cheeger")
     if not graph.is_connected():
         raise DisconnectedGraph("cheeger constant needs a connected graph")
-    full = (1 << graph.n) - 1
-    grow, excluded = 1.0 + 4.0 * _gamma(3 * graph.n + len(graph.w) + 6) + 8 * HALF_TIE_RTOL, []
-    while True:
-        lo, best = math.inf, (math.inf, 0)
-        marked = [min(mask, full ^ mask) for mask in excluded]  # their pairs
-        for start, cut, m_s, m_c in _cut_blocks(graph):
-            if forced := [p - start for p in marked if start <= p < start + len(cut)]:
-                cut[forced] = math.inf
-            cut[: start == 0] = math.inf  # the empty set and V, in the first block
-            smaller = np.minimum(m_s, m_c, out=m_s)
-            fast = np.divide(cut, smaller, out=cut)
-            lo = min(lo, least := fast.min())
-            bound = lo * grow + _TINY
-            keep = (fast <= bound).nonzero()[0] if least <= bound < math.inf else []
-            if forced:
-                keep = np.union1d(keep, forced).astype(int)
-            if len(keep):
-                best = min(best, _finish(graph, keep + start, value, excluded))
-        if not connected or _induced_connected(graph, best[1]):
-            return best
-        excluded.append(best[1])
+    grow = 1.0 + 4.0 * _gamma(3 * graph.n + len(graph.w) + 6) + 8 * HALF_TIE_RTOL
+    lo, best = math.inf, (math.inf, 0)
+    for start, cut, m_s, m_c in _cut_blocks(graph):
+        cut[: start == 0] = math.inf  # the empty set and V, in the first block
+        fast = np.divide(cut, np.minimum(m_s, m_c, out=m_s), out=cut)
+        lo = min(lo, least := fast.min())
+        bound = lo * grow + 3 * _MIN_SUBNORMAL
+        if least <= bound < math.inf:
+            best = min(best, _finish(graph, (fast <= bound).nonzero()[0] + start, value))
+    return best
 
 
 def _induced_connected(graph: WeightedGraph, mask: int) -> bool:
@@ -475,17 +465,23 @@ def cheeger_constant_exact(
     total measure).  Ties on the value go to the smallest witness bitmask.
     With ``connected_only`` the search is restricted to sets inducing a
     connected subgraph; the minimum value is unchanged by that restriction.
+    The finish then refuses each chunk's least set while it is disconnected,
+    in the one pass over the blocks (see ``_least``).
     ``TooLarge`` beyond the cap or beyond ``N_MAX`` (the size rule every
     exact search shares).
     """
     total = graph.total_measure
 
-    def ratio(cut, m_set):  # inf over half the measure
+    def ratio(cut, m_set, masks):  # inf over half the measure
         values = np.divide(cut, m_set)
         values[m_set > (total - m_set) + HALF_TIE_RTOL * total] = math.inf
+        while connected_only and values[i := int(values.argmin())] < math.inf:
+            if _induced_connected(graph, int(masks[i])):
+                break
+            values[i] = math.inf
         return values
 
-    return InvariantReport("h", *_least(graph, max_n, ratio, connected_only))
+    return InvariantReport("h", *_least(graph, max_n, ratio))
 
 
 # -------------------------------------------------------------- dual Cheeger
@@ -738,7 +734,7 @@ def h_via_r(graph: WeightedGraph, max_n: int | None = None) -> float:
     pairs ``{A, B}`` (see ``_least``).
     """
 
-    def smaller_side_ratio(cut, m_set):  # the same value for both members
+    def smaller_side_ratio(cut, m_set, _masks):  # the same value for both members
         return np.divide(cut, np.minimum(m_set, m_set[::-1]))
 
     value, _ = _least(graph, max_n, smaller_side_ratio)

@@ -190,16 +190,22 @@ def _evaluate(p: PSequence, lam: float):
     ``delta`` is fixed once ``lam`` is covered.  The truncation then doubles
     on ``p.remainder`` alone until the tail bound ``remainder(J) / ((1 - p_1)
     delta)`` meets ``_TAIL_TARGET``; the table of that count gives the sum.
-    ``lam`` is a Python float that the caller has already read.
+    The first doubling stops at ``_MAX_TERMS``, or when a doubling leaves
+    the last pole where it was: the subnormal weights have stopped
+    shrinking (``p * ratio`` rounds back to ``p``), so no later table covers
+    more.  A point still beyond the poles then lies within ``POLE_TOL`` of
+    the accumulation point 0 and is refused as near a pole, or else is
+    ``NumericalFailure``.  ``lam`` is a Python float that the caller has
+    already read.
     """
-    terms = _first_terms(p)
+    terms, last = _first_terms(p), None
     _, alphas = _tables(p, terms)
-    while lam < 0.0 and alphas[-1] < lam:
-        # lam lies beyond the computed poles, where no tail bound holds yet.
-        if terms >= _MAX_TERMS:
-            raise NumericalFailure(f"cannot cover {lam} with {_MAX_TERMS} pole terms")
-        terms = min(_MAX_TERMS, terms * 2)
+    # lam beyond the computed poles: no tail bound holds yet.
+    while lam < 0.0 and alphas[-1] < lam and terms < _MAX_TERMS and alphas[-1] != last:
+        terms, last = min(_MAX_TERMS, terms * 2), alphas[-1]
         _, alphas = _tables(p, terms)
+    if lam < 0.0 and alphas[-1] < lam and not abs(lam) < POLE_TOL:
+        raise NumericalFailure(f"cannot cover {lam} with {_MAX_TERMS} pole terms")
     delta = min(float(np.abs(lam - alphas).min()), abs(lam))
     if delta < POLE_TOL:
         raise PoleProximity(f"evaluation point {lam} within {delta} of a pole")
@@ -391,7 +397,8 @@ def p_eigenvalue(p: PSequence, i: int, tol: float = 1e-9) -> SecularRoot:
     distance to the poles is ``d = min(x - alpha_i, alpha_{i+1} - x)``,
     rounded as the evaluation rounds it.  An enclosure evaluation has
     returned with ``i + 1`` terms or more, so the growth reaches coverage by
-    ``T``.  So the evaluation at ``x`` returns when ``d >= POLE_TOL`` and
+    ``T``, and no stall stops it first (a stall would make the two poles
+    equal).  So the evaluation at ``x`` returns when ``d >= POLE_TOL`` and
     ``remainder(T) / ((1 - p_1) d) <= _TAIL_TARGET``: it stops at the first
     truncation whose tail meets the target, and ``T`` meets it at the
     latest.  The skip test computes exactly that.

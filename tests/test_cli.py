@@ -300,6 +300,18 @@ def test_trace_rejects_an_infinite_end(capsys, ends):
     assert json.loads(err)["error"] == "BadParameter"
 
 
+def test_trace_near_the_accumulation_point_drops_its_points(capsys):
+    """The subnormal poles of this sequence stop shrinking near -2.5e-323,
+    so no table covers the points beyond them; each lies within the pole
+    tolerance of 0 and is dropped as near a pole."""
+    code, out, err = run(
+        capsys,
+        ["trace", "--head", "0.1", "--tail-ratio", "0.9",
+         "--from=-2e-323", "--to", "0", "--points", "2"],
+    )
+    assert (code, out, err) == (0, "lambda,F,tail_bound\n", "")
+
+
 def test_trace_beyond_the_size_limit_is_too_large(capsys):
     code, out, err = run(
         capsys,
@@ -349,6 +361,19 @@ def test_verify_gives_up_on_graphs_that_never_connect(capsys):
     [diagnostic] = json.loads(out)["failures"]
     assert diagnostic["error"] == "BadParameter"
     assert "n=4, p=1e-09, seed=0" in diagnostic["message"]
+
+
+def test_verify_beyond_the_size_limit_is_too_large(capsys):
+    """A random graph with more than ``SIZE_LIMIT`` possible edges is
+    refused before the sweep draws it, not drawn for seconds first."""
+    argv = ["verify", "--n-min", "3000", "--n-max", "3000", "--seeds", "1", "--no-families"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "TooLarge",
+        "message": "random graph on 3000 vertices has up to 4498500 edges,"
+                   " more than the 4194304 a generated graph may have",
+    }
 
 
 def test_a_failed_draw_is_a_failure_row_and_the_sweep_goes_on(capsys):

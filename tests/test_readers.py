@@ -775,6 +775,8 @@ def ref_random_graph_spec(n, edge_probability=0.5, seed=0):
         raise BadParameter("random graphs need at least two vertices")
     if not 0.0 < edge_probability <= 1.0:
         raise BadParameter(f"edge probability {edge_probability} outside (0, 1]")
+    if n * (n - 1) // 2 > kgraph.SIZE_LIMIT:
+        raise TooLarge(f"random graph on {n} vertices")
     return n, edge_probability, seed
 
 
@@ -792,6 +794,8 @@ def ref_suite_config(
         raise BadParameter("seed count must be nonnegative")
     if not 2 <= n_min <= n_max:
         raise BadParameter(f"size range [{n_min}, {n_max}] is not usable")
+    for n in (n_min, n_max):
+        ref_random_graph_spec(n, edge_probability, base_seed)
     return seeds, n_min, n_max, edge_probability, base_seed, max_n, include_families
 
 
@@ -1072,6 +1076,19 @@ SEQUENCE = PSequence((0.9,), 0.1)
 def test_scalar_parameters_that_are_not_usable_are_refused(call):
     with pytest.raises(BadParameter):
         call()
+
+
+def test_random_graphs_beyond_the_size_limit_are_too_large():
+    """A draw visits every vertex pair, so a spec with more than
+    ``SIZE_LIMIT`` possible edges is refused before it draws, and so is a
+    sweep whose largest size has them: 2,896 vertices have 4,191,960 pairs
+    and 2,897 have 4,194,856, just above ``2^22``."""
+    assert RandomGraphSpec(n=2896).n == 2896
+    assert SuiteConfig(seeds=0, n_max=2896).n_max == 2896
+    with pytest.raises(TooLarge, match="2897 vertices has up to 4194856 edges"):
+        RandomGraphSpec(n=2897)
+    with pytest.raises(TooLarge):
+        SuiteConfig(seeds=0, n_max=2897)
 
 
 def test_numpy_scalars_and_bools_read_as_the_same_python_numbers():
