@@ -260,16 +260,32 @@ def analyze(
     graph: WeightedGraph, max_n: int | None = None, seed: int | None = None
 ) -> Analysis:
     """Compute the invariants, the partition route to ``h``, the spectrum and
-    the fingerprint of ``graph`` once, every exact search under ``max_n``."""
+    the fingerprint of ``graph`` once, every exact search under ``max_n``.
+
+    ``NumericalFailure`` when more eigenvalues lie at or below
+    ``ZERO_THRESHOLD`` than the graph has components while the lower Cheeger
+    bound ``1 - sqrt(1 - h^2)`` on the spectral gap is itself below the
+    threshold: the gap may then lie below it too, where the eigensolve
+    cannot tell it from 0, so no check on it can be judged.  Where the bound
+    clears the threshold, ``zero_multiplicity`` judges the count."""
+    h = cheeger_constant_exact(graph, max_n)
+    hbar, kappa = dual_cheeger_exact(graph, max_n), kappa_exact(graph, max_n)
+    spec = spectrum(graph, eigenvectors=True)
+    zeros, bound = int(np.count_nonzero(spec.values <= ZERO_THRESHOLD)), _gap_lower(h.value)
+    if zeros > graph.component_count and bound < ZERO_THRESHOLD:
+        raise NumericalFailure(
+            f"{zeros} eigenvalues at or below {ZERO_THRESHOLD} on "
+            f"{graph.component_count} component(s), and the lower Cheeger bound "
+            f"{bound} on the spectral gap is below that threshold too"
+        )
     return Analysis(
-        graph,
-        cheeger_constant_exact(graph, max_n),
-        dual_cheeger_exact(graph, max_n),
-        kappa_exact(graph, max_n),
-        spectrum(graph, eigenvectors=True),
-        graph_fingerprint(graph, seed),
-        h_via_r(graph, max_n),
+        graph, h, hbar, kappa, spec, graph_fingerprint(graph, seed), h_via_r(graph, max_n)
     )
+
+
+def _gap_lower(h: float) -> float:
+    """The lower Cheeger bound ``1 - sqrt(1 - h^2)`` on the spectral gap."""
+    return 1.0 - math.sqrt(max(0.0, 1.0 - h * h))
 
 
 # ----------------------------------------------------- spectral-side checks
@@ -287,7 +303,7 @@ def check_cheeger_inequalities(
     hbar = analysis.hbar.value
     gap = analysis.spectrum.gap
     top = analysis.spectrum.top
-    gap_lower = 1.0 - math.sqrt(max(0.0, 1.0 - h * h))
+    gap_lower = _gap_lower(h)
     top_upper = 1.0 + math.sqrt(max(0.0, 1.0 - (1.0 - hbar) ** 2))
     return (
         CheckReport.inequality("cheeger_gap_lower", gap_lower, gap, INEQUALITY_TOL),

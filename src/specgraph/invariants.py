@@ -28,27 +28,29 @@ already reached, and sorts only the sets left.
 The Cheeger search (and ``h_via_r``) takes one certified minimum over
 complementary pairs: ``boundary S = boundary (V - S)``, so each pair
 ``{S, V - S}`` shares one cut.  It streams the pairs of a low/high split of
-the vertices one block of about ``2^16`` at a time, each block one matrix
-product for the fast cuts and one for the fast measures of both members,
-scores each pair by its cut over the smaller measure, keeps the pairs
-within a derived margin of the running least score, finishes both members
-of those edge by edge and drops the block, so value and witness are the
+the vertices one block of about ``2^15`` at a time (``_BLOCK_BITS``, see
+``_chunks``), each block one matrix product for the fast cuts and one for
+the fast measures of both members, scores each pair by its cut over the
+smaller measure, keeps the pairs within a derived margin of the running
+least score, finishes both members of those edge by edge and drops the
+block, so value and witness are the
 ones an edge-by-edge table gives and no table over all ``2^n`` masks is
 held.  With ``connected_only`` the finish refuses each chunk's least set
 while it is disconnected, in the same one pass: the ratio of a disconnected
 set is a mediant of the ratios of its components.
 At the default caps one query on a random graph takes a few hundredths of
 a second at most (seed 2, edge probability 0.5: ``kappa`` on 20 vertices
-8-21 ms, the dual search on 17 11-19 ms; edge probability 0.25 and 0.75,
-the Cheeger search 3 ms on 20 vertices and 10-11 ms on 22).  The
+3.5-6 ms, the dual search on 17 7-8.5 ms; edge probability 0.25 and 0.75,
+the Cheeger search 3.3-5 ms on 20 vertices and 12-16 ms on 22).  The
 unit-weight complete graph, whose ties leave the bound and the filters few
-sets to rule out, is the worst case: ``kappa`` takes 0.14-0.17 s on 20
-vertices, the dual search 72-80 ms on 17 and the Cheeger search 0.54-0.57 s
-on 22 (``h_via_r`` the same).  Each further vertex costs about 2-2.5x, and
-at ``N_MAX`` they took 115 s, 160 s and 116 s (the Cheeger search before
-it searched pairs).  (Three runs at the caps and one above them, each size
-in a fresh process; 2 cores, numpy 2.4.6, OpenBLAS 0.3.31 with 2 threads;
-peak RSS 87 MB.)
+sets to rule out, is the worst case: ``kappa`` takes 0.11-0.16 s on 20
+vertices, the dual search 44-46 ms on 17 and the Cheeger search 0.66-0.83 s
+on 22 (``h_via_r`` the same).  One vertex above the caps they took 0.36 s,
+77 ms and 3.3 s.  At ``N_MAX``, measured with blocks of ``2^16``, they took
+115 s, 160 s and 116 s (the Cheeger search before it searched pairs).
+(Three fresh processes per size at the caps, each the best of 3 calls, and
+one call above them; 2 cores, numpy 2.4.6, OpenBLAS 0.3.31 with 2 threads;
+peak RSS 56 MB.)
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ N_MAX = 28
 # half-half splits survive rounding of the two measure sums.
 HALF_TIE_RTOL = 1e-12
 
-# Every exact search reads about 2^_BLOCK_BITS masks or pairs at a time.
-_BLOCK_BITS = 16
+# Every exact search reads about 2^_BLOCK_BITS masks or pairs at a time; the
+# size was chosen by measurement (see _chunks).
+_BLOCK_BITS = 15
 
 
 @dataclass(frozen=True)
@@ -176,15 +179,15 @@ def r_quantity(graph: WeightedGraph, mask: int) -> float:
 # ------------------------------------------------------- mask-indexed tables
 
 
-def _subset_sums(rows: np.ndarray, k: int, start=0.0) -> np.ndarray:
+def _subset_sums(rows: np.ndarray, k: int, start=0.0, out=None) -> np.ndarray:
     """``start`` plus ``sum(rows[v] for v in S)`` for every mask ``S`` of the
     first ``k`` rows, built by doubling and laid out vertex by mask:
     ``table[..., S]`` holds the sums of ``S``, so the sums of each entry of a
     row (of each vertex ``x``, for rows of weights into ``x``) over the masks
     are one contiguous row.  Each sum adds its rows in ascending vertex
     order, the order a loop over sorted edges adds in.  An array ``start``
-    has the shape of one row."""
-    table = np.empty((*rows.shape[1:], 1 << k))
+    has the shape of one row; ``out``, if given, is the table to fill."""
+    table = np.empty((*rows.shape[1:], 1 << k)) if out is None else out
     table[..., 0] = start
     columns = rows[..., None] if rows.ndim > 1 else rows  # rows[v] against every mask
     for v in range(k):
@@ -223,18 +226,31 @@ def _chunks(graph: WeightedGraph):
     ``_subset_sums`` gives over the weight matrix.  One table covers the low
     vertices (a meet-in-the-middle split, Horowitz-Sahni 1974) and each block
     adds its high rows in ascending order into one buffer, which the next
-    block overwrites; the last block adds them into the low table itself,
-    which no later block reads, so a search over two blocks holds one
-    table."""
+    block overwrites.  The low table and the buffer are one allocation:
+    freed as two, at blocks of ``2^15`` they made glibc's heap trim return
+    their pages to the system after every dual search on 17 vertices, which
+    then took about 1,400 minor page faults and 11-14 ms a call, against
+    none and 6-8 ms from one allocation.
+
+    Blocks of ``2^15`` masks were chosen by measurement over 13 to 16 bits,
+    on random graphs near the caps: a block's table, ``(n + 1) 2^15`` float64
+    values (4.7 MB at 17 vertices), is half the one at 16 bits, and the dual
+    and ``kappa`` searches took 11-17% and about 40% less time.  Smaller
+    blocks come nearer one core's 2 MiB L2 on the measuring host, but leave
+    ``kappa`` more high vertices, whose bound then keeps so many low parts
+    that its dense queries on 18-20 vertices took 2.8 times as long at 14
+    bits.  The Cheeger search, whose blocks of pairs read the same constant,
+    took 3-7% more time than at 16 bits.  (Best of 5 interleaved runs over
+    12 graphs per search; 2 cores, numpy 2.4.6, OpenBLAS 0.3.31.)"""
     n = graph.n
     rows = np.column_stack([weight_matrix(graph), graph.vertex_measure])
     np.fill_diagonal(rows, -math.inf)
     k = min(n, _BLOCK_BITS)
-    low, top = _subset_sums(rows, k), (1 << (n - k)) - 1
+    low, sums = np.empty((2, n + 1, 1 << k))
+    _subset_sums(rows, k, out=low)
     offsets = np.arange(1 << k, dtype=np.int64)
-    sums = np.empty_like(low) if top > 1 else low  # the blocks between the first and last
-    for high in range(top + 1):
-        yield (high << k) | offsets, _plus_high(rows, low, k, high, low if high == top else sums)
+    for high in range(1 << (n - k)):
+        yield (high << k) | offsets, _plus_high(rows, low, k, high, sums)
 
 
 def _check_cap(n: int, max_n: int | None, default: int, what: str) -> None:
@@ -641,7 +657,11 @@ def kappa_exact(graph: WeightedGraph, max_n: int | None = None) -> InvariantRepo
     partition gives; their columns and low members are gathered once, and
     each pass adds its high rows into one buffer per side.  With ``n <=
     _BLOCK_BITS`` there is no high vertex: the bound is the value and one
-    pass over every ``L`` is the search.
+    pass over every ``L`` is the search.  Each high vertex weakens the
+    bound, as it takes the smaller of its two prefixes: at 20 vertices the
+    low table over 15 vertices, 5.2 MB, leaves five, and tables over 14 and
+    13 left six and seven, which kept so many ``L`` that dense queries on
+    18-20 vertices took 2.8 and 5 times as long (see ``_chunks``).
     """
     n = graph.n
     _check_cap(n, max_n, DEFAULT_MAX_KAPPA, "kappa")

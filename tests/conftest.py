@@ -53,6 +53,14 @@ def path(n):
     return WeightedGraph([(i, i + 1, 1.0) for i in range(n - 1)])
 
 
+def bridged_cliques(bridge: float, size: int = 5) -> WeightedGraph:
+    """Two unit-weight complete graphs on ``size`` vertices each, joined by
+    one edge of weight ``bridge`` from vertex ``size - 1`` to ``size``."""
+    sides = (range(size), range(size, 2 * size))
+    edges = [(u, v, 1.0) for side in sides for u in side for v in side if u < v]
+    return WeightedGraph(edges + [(size - 1, size, bridge)])
+
+
 def pendant(n: int, seed: int, first: bool) -> WeightedGraph:
     """A random graph on ``n - 1`` vertices plus a pendant vertex, 0 or
     ``n - 1``, whose one edge weighs ``2^-60`` of the rest: the side of a

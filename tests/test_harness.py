@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import complete, cycle, path, pendant, triangle
+from conftest import bridged_cliques, complete, cycle, path, pendant, triangle
 import specgraph.graph
 import specgraph.harness
 import specgraph.spectral
@@ -202,6 +202,41 @@ def test_shifted_spectrum_is_caught(monkeypatch):
     failed = {r.check_id for r in reports if not r.passed}
     assert "trace_dimension" in failed
     assert "zero_multiplicity" in failed
+
+
+def test_a_gap_below_float64_resolution_is_a_numerical_failure():
+    """Two unit K5 joined by an edge of 1e-320: ``h`` = 5e-322, so the gap
+    lies far below ``ZERO_THRESHOLD`` and the eigensolve puts it at 0.  The
+    lower Cheeger bound is 0 as well, so the second zero eigenvalue cannot
+    be told from a gap: ``analyze`` raises instead of the failing
+    ``cheeger_gap_upper`` and ``zero_multiplicity`` rows it once gave."""
+    with pytest.raises(NumericalFailure, match=r"^2 eigenvalues at or below 1e-09 on 1 "
+                       r"component\(s\), and the lower Cheeger bound 0.0 "):
+        analyze(bridged_cliques(1e-320))
+
+
+@pytest.mark.parametrize("bridge", [8e-4, 1e-3])
+def test_a_resolved_gap_near_the_bound_passes(bridge):
+    """With a bridge of 1e-3 the lower Cheeger bound, 1.25e-9, just clears
+    ``ZERO_THRESHOLD``; with 8e-4 it does not (8.0e-10), but the gap of about
+    8e-5 is resolved, so the zero count is right.  Both pass every check."""
+    reports = graph_checks(analyze(bridged_cliques(bridge)))
+    assert [r.check_id for r in reports if not r.passed] == []
+
+
+def test_an_extra_zero_above_the_bound_fails_zero_multiplicity(monkeypatch):
+    """Where the lower Cheeger bound clears ``ZERO_THRESHOLD`` a second zero
+    eigenvalue is a wrong count, not an unresolved gap: ``analyze`` answers
+    and ``zero_multiplicity`` fails."""
+    real = spectrum
+
+    def extra_zero(graph, eigenvectors=False):
+        s = real(graph, eigenvectors=eigenvectors)
+        return Spectrum(np.concatenate([[0.0, 0.0], s.values[2:]]), s.eigenvectors)
+
+    monkeypatch.setattr("specgraph.harness.spectrum", extra_zero)
+    reports = check_global_invariants(analyze(triangle()))
+    assert "zero_multiplicity" in {r.check_id for r in reports if not r.passed}
 
 
 # -------------------------------------------------------------- full sweeps

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bridged_cliques,
     brute_cheeger,
     brute_dual,
     brute_kappa,
@@ -218,6 +219,42 @@ def test_block_size_changes_no_value_or_witness(monkeypatch, bits):
     monkeypatch.setattr(invariants, "_BLOCK_BITS", bits)
     assert [_dual_result(g) for g in graphs] == duals
     assert [_kappa_result(g) for g in graphs] == kappas
+
+
+def _exact_query_graph(n: int, density: float, seed: int) -> WeightedGraph:
+    """A connected graph on ``n`` vertices with exactly ``round(density n (n -
+    1) / 2)`` edges of weights log-uniform in ``[1e-3, 1]``, drawn as the
+    exact queries of ``specbench`` draw theirs."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    count = round(density * len(pairs))
+    while True:
+        chosen = sorted(rng.choice(len(pairs), size=count, replace=False).tolist())
+        edges = [(*pairs[i], w) for i, w in zip(chosen, 10.0 ** rng.uniform(-3.0, 0.0, count))]
+        if {x for u, v, _ in edges for x in (u, v)} == set(range(n)):
+            if (g := WeightedGraph(edges)).is_connected():
+                return g
+
+
+def test_default_block_size_matches_16_bits_at_the_caps(monkeypatch):
+    """The default block size leaves more high vertices at the caps than
+    blocks of ``2^16`` do; value hex and witness of every search equal those
+    at 16 bits on sparse and dense graphs near the caps, as every sum adds
+    its rows in ascending vertex order whatever the split.  At seed 1 the
+    values of both dense ``kappa`` graphs move in their last bits when the
+    high rows are added in descending order."""
+    queries = [(n, p, search) for p in (0.25, 0.75) for n, search in (
+        (21, cheeger_constant_exact), (22, cheeger_constant_exact), (21, h_via_r), (22, h_via_r),
+        (16, dual_cheeger_exact), (17, dual_cheeger_exact), (19, kappa_exact), (20, kappa_exact))]
+    graphs = {(n, p): _exact_query_graph(n, p, 1) for n, p, _ in queries}
+
+    def results():
+        found = [search(graphs[n, p], max_n=n) for n, p, search in queries]
+        return [x.hex() if isinstance(x, float) else (x.value.hex(), x.witness) for x in found]
+
+    got = results()
+    monkeypatch.setattr(invariants, "_BLOCK_BITS", 16)
+    assert got == results()
 
 
 # ------------------------------------------- table helpers of the references
@@ -661,10 +698,7 @@ _REFERENCE_GRAPHS = {
                                 ("c8", lambda: cycle(8), 0))},
     **{f"ties{seed}": (lambda seed=seed: _tie_heavy_graph(seed)) for seed in (353, 689)},
     # h = 1e-320 / 20 underflows: the filter's slack is absolute there
-    "subnormal_bridge10": lambda: WeightedGraph(
-        [(u, v, 1.0) for side in (range(5), range(5, 10)) for u in side for v in side if u < v]
-        + [(4, 5, 1e-320)]
-    ),
+    "subnormal_bridge10": lambda: bridged_cliques(1e-320),
 }
 
 
@@ -735,20 +769,36 @@ def test_cheeger_finish_on_ties_holds_no_full_table():
     assert peak <= 8 << 20, peak
 
 
-def test_dual_search_holds_one_block_buffer():
-    """Under ``tracemalloc`` the dual search on a dense 17-vertex graph peaks
-    at 16 MiB or less: one low table of about 9 MiB, which the second and
-    last block adds its high row into, where fresh sums per block and a
-    mask-by-vertex maximum over each block took 29.5 MiB."""
-    g = sample_graph(RandomGraphSpec(n=17, edge_probability=0.75, seed=17))
-    weight_matrix(g)
+def _traced_peak(search, graph: WeightedGraph) -> int:
+    """The ``tracemalloc`` peak of one search at its cap, the weight matrix
+    built beforehand."""
+    weight_matrix(graph)
     tracemalloc.start()
     try:
-        dual_cheeger_exact(g, max_n=17)
-        peak = tracemalloc.get_traced_memory()[1]
+        search(graph, max_n=graph.n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 << 20, peak
+
+
+def test_dual_search_holds_one_block_buffer():
+    """Under ``tracemalloc`` the dual search on a dense 17-vertex graph peaks
+    at 11 MiB or less: one low table and one buffer that each block adds
+    its high rows into, each 4.5 MiB at blocks of ``2^15`` sets.  Blocks of
+    ``2^16`` read 21.0 MiB (12.0 MiB when the last block added into the low
+    table), and fresh sums per block with a mask-by-vertex maximum over each
+    block 29.5 MiB."""
+    g = sample_graph(RandomGraphSpec(n=17, edge_probability=0.75, seed=17))
+    assert (peak := _traced_peak(dual_cheeger_exact, g)) <= 11 << 20, peak
+
+
+def test_kappa_search_holds_one_block_buffer():
+    """Under ``tracemalloc`` the ``kappa`` search on a dense 20-vertex graph
+    peaks at 8 MiB or less: a low table over ``2^15`` masks, 5 MiB, and one
+    buffer per side for the kept low parts.  A low table over ``2^16``
+    masks read 14.8 MiB."""
+    g = sample_graph(RandomGraphSpec(n=20, edge_probability=0.75, seed=20))
+    assert (peak := _traced_peak(kappa_exact, g)) <= 8 << 20, peak
 
 
 @pytest.mark.parametrize("seed", range(6))
